@@ -267,6 +267,9 @@ def validate(raw: GaConfig) -> GaConfig:
         raise ConfigError(
             "num_parents_mating", ">= 2 when crossover is enabled", num_parents_mating
         )
+    if crossover is not None and num_genes < 2:
+        # Every crossover cuts between two genes; one gene leaves no cut point.
+        raise ConfigError("crossover", "None when num_genes < 2", crossover.value)
     mutation = _as_optional_enum("mutation", raw.mutation, MutationKind)
     mutation_rate = _check_rate("mutation_rate", raw.mutation_rate, num_genes, mutation)
     mutation_by_replacement = bool(raw.mutation_by_replacement)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import GaConfig, MutationKind
 from .errors import DimensionMismatch, FitnessError
-from .genome import coerce_gene, init_population, repair_duplicates, resolve_spaces, resolve_types
+from .genome import GeneSchema, init_population
 from .operators import ParentSet, mutate, produce_offspring, select_parents
 
 _STAGE_INIT = 0
@@ -173,19 +173,12 @@ def _check_offspring_shape(offspring, count: int, num_genes: int) -> np.ndarray:
     return offspring
 
 
-def _normalize_offspring(cfg, offspring, spaces, types, rng) -> np.ndarray:
-    # Crossover (and hook overwrites) can break typing or distinctness even
-    # though mutate() repairs its own output; normalize before assembly.
-    offspring = np.array(offspring, dtype=float, copy=True)
-    for row in offspring:
-        for j in range(row.size):
-            row[j] = coerce_gene(row[j], types[j])
-    if not cfg.allow_duplicate_genes:
-        for i in range(offspring.shape[0]):
-            offspring[i] = repair_duplicates(
-                offspring[i], spaces, types, cfg.init_range, rng
-            )
-    return offspring
+def _normalize_offspring(cfg, offspring, schema: GeneSchema, rng) -> np.ndarray:
+    # Crossover (and hook overwrites, which may also edit an array in place)
+    # can break typing or distinctness even though mutate() repairs its own
+    # output; normalize before assembly, every generation.
+    offspring = schema.coerce(offspring)
+    return offspring if cfg.allow_duplicate_genes else schema.repair(offspring, rng)
 
 
 def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunResult:
@@ -200,10 +193,9 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
     still reports the initial population's best.
     """
     hooks = hooks or LifecycleHooks()
-    spaces = resolve_spaces(cfg)
-    types = resolve_types(cfg)
+    schema = GeneSchema.from_config(cfg)
 
-    population = init_population(cfg, _stage_rng(cfg.seed, 0, _STAGE_INIT))
+    population = init_population(cfg, _stage_rng(cfg.seed, 0, _STAGE_INIT), schema)
     population.flags.writeable = False
     state = EngineState(cfg, population)
 
@@ -264,7 +256,7 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
                 mutate(
                     cfg.mutation, child, cfg, mean_fit,
                     float(fit[parents.indices[i % p]]) if adaptive else None,
-                    mutation_rng, spaces=spaces, types=types,
+                    mutation_rng, schema=schema,
                 )
                 for i, child in enumerate(offspring)
             ])
@@ -276,7 +268,7 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
             state.last_generation_offspring_mutation, offspring_count, cfg.num_genes
         )
 
-        mutated = _normalize_offspring(cfg, mutated, spaces, types, mutation_rng)
+        mutated = _normalize_offspring(cfg, mutated, schema, mutation_rng)
         if cfg.keep_parents > 0:
             population = np.vstack([parents.rows[: cfg.keep_parents], mutated])
         else:

@@ -4,6 +4,12 @@ All gene values are stored as double-precision floats regardless of their
 declared gene type; the type is enforced by coercion at creation and after
 every mutation. Populations are plain 2-D numpy arrays of shape
 (sol_per_pop, num_genes).
+
+A run compiles its gene constraints once into a GeneSchema: each discrete set
+already coerced to its gene's type, each typed step lattice (enumerated on
+first use, then kept for the run), and the gene columns grouped by type, so a
+whole population is coerced with one numpy pass per type. `coerce_gene` stays
+the scalar definition that the vectorized coercion reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -48,6 +54,11 @@ _INT_BOUNDS = {
     GeneType.UINT32: (0, 2**32 - 1),
     GeneType.UINT64: (0, 2**64 - 1),
 }
+
+# The bounds as the doubles coerce_gene's float() of a clamped integer yields.
+# Clamping an integral double to these gives the same double, since rounding
+# to the nearest double is monotonic.
+_FLOAT_BOUNDS = {t: (float(lo), float(hi)) for t, (lo, hi) in _INT_BOUNDS.items()}
 
 # Integers survive a round trip through a float64 only below 2**53.
 _EXACT_INT_LIMIT = 2**53
@@ -126,6 +137,26 @@ def coerce_gene(v, gene_type: GeneType) -> float:
     return float(min(max(_round_half_away(v), lo), hi))
 
 
+def _coerce_array(values: np.ndarray, gene_type: GeneType) -> np.ndarray:
+    """coerce_gene on every element of an array of finite values."""
+    if gene_type is GeneType.FLOAT64:
+        return values
+    if gene_type is GeneType.FLOAT32:
+        return values.astype(np.float32).astype(float)
+    if gene_type is GeneType.PYINT:
+        too_large = np.abs(values) > _EXACT_INT_LIMIT
+        if too_large.any():
+            raise NonFiniteGene(
+                f"gene value {float(values[too_large][0])!r} exceeds the exact "
+                "double-precision integer range"
+            )
+    rounded = np.where(values >= 0, np.floor(values + 0.5), np.ceil(values - 0.5))
+    if gene_type in _FLOAT_BOUNDS:
+        rounded = np.clip(rounded, *_FLOAT_BOUNDS[gene_type])
+    # ceil gives -0.0 on (-0.5, 0) where float(int) gives 0.0; adding 0.0 fixes the sign.
+    return rounded + 0.0
+
+
 def _lattice_size(space: ValueRange) -> int:
     # Number of points lo, lo+step, ... strictly below hi.
     return max(0, int(math.ceil((space.hi - space.lo) / space.step - 1e-12)))
@@ -137,123 +168,218 @@ def _typed_lattice(space: ValueRange, gene_type: GeneType) -> list:
     Only called for lattices of at most _LATTICE_ENUM_CAP points; a point the
     type cannot represent exactly is not admissible.
     """
-    n = _lattice_size(space)
-    points = space.lo + np.arange(n) * space.step
-    return sorted({float(p) for p in points if coerce_gene(p, gene_type) == p})
+    points = space.lo + np.arange(_lattice_size(space)) * space.step
+    return np.unique(points[_coerce_array(points, gene_type) == points]).tolist()
+
+
+class _GeneRule:
+    """The admissible values of one (space, type) pair, derived once and shared by its genes."""
+
+    __slots__ = ("space", "type", "values", "members", "size", "_sorted", "_lattice")
+
+    def __init__(self, space: GeneSpace, gene_type: GeneType) -> None:
+        self.space = space
+        self.type = gene_type
+        self.values = None  # discrete values coerced to the type, in declaration order
+        self.members = None  # the same values as a set, for O(1) membership
+        self.size = None  # number of step-lattice points
+        self._sorted = None
+        self._lattice = None
+        if isinstance(space, DiscreteSet):
+            self.values = tuple(coerce_gene(v, gene_type) for v in space.values)
+            self.members = frozenset(self.values)
+        elif isinstance(space, ValueRange) and space.step is not None:
+            self.size = _lattice_size(space)
+
+    def lattice(self) -> list:
+        if self._lattice is None:
+            self._lattice = _typed_lattice(self.space, self.type)
+        return self._lattice
+
+    def contains(self, v: float) -> bool:
+        space = self.space
+        if self.members is not None:
+            return v in self.members
+        if isinstance(space, Unconstrained):
+            return True
+        if not (space.lo <= v < space.hi):
+            return False
+        if self.size is None:
+            return True
+        k = int(round((v - space.lo) / space.step))
+        if k < 0 or k >= self.size:
+            return False
+        return space.lo + k * space.step == v and coerce_gene(v, self.type) == v
+
+    def sample(self, init_range, rng) -> float:
+        space = self.space
+        if isinstance(space, Unconstrained):
+            return coerce_gene(rng.uniform(init_range[0], init_range[1]), self.type)
+        if self.values is not None:
+            return self.values[int(rng.integers(len(self.values)))]
+        if self.size is None:
+            return coerce_gene(rng.uniform(space.lo, space.hi), self.type)
+        if self.size == 0:
+            raise EmptySpace(f"range {space.lo}..{space.hi} with step {space.step} has no points")
+        if self.size <= _LATTICE_ENUM_CAP and is_integer_type(self.type):
+            lattice = self.lattice()
+            if not lattice:
+                raise EmptySpace(
+                    f"no point of the step lattice {space.lo}..{space.hi}/{space.step} "
+                    f"is representable as {self.type.value}"
+                )
+            return lattice[int(rng.integers(len(lattice)))]
+        return coerce_gene(space.lo + int(rng.integers(self.size)) * space.step, self.type)
+
+    def candidates(self):
+        """Enumerable admissible values, sorted, or None for a continuous space."""
+        if self.members is not None:
+            if self._sorted is None:
+                self._sorted = sorted(self.members)
+            return self._sorted
+        if self.size is not None and self.size <= _LATTICE_ENUM_CAP:
+            return self.lattice()
+        return None
+
+    def resample_excluding(self, exclude, init_range, rng) -> float:
+        candidates = self.candidates()
+        if candidates is not None:
+            pool = [v for v in candidates if v not in exclude]
+            if not pool:
+                raise InsufficientSpace(
+                    f"space {self.space!r} has no admissible value outside {sorted(exclude)}"
+                )
+            return pool[int(rng.integers(len(pool)))]
+        for _ in range(_REDRAW_BUDGET):
+            v = self.sample(init_range, rng)
+            if v not in exclude:
+                return v
+        raise InsufficientSpace(
+            f"no distinct value found in {self.space!r} after {_REDRAW_BUDGET} redraws"
+        )
+
+
+class GeneSchema:
+    """Per-gene constraints of one run, compiled once from a validated config.
+
+    Holds each gene's space and type, the gene columns grouped by type, and
+    one rule per distinct (space, type) pair with its coerced discrete set and
+    its typed step lattice, which is enumerated on first use. Every random
+    draw of sample and repair is scalar and in the same order as one gene at a
+    time, so a run replays bit-identically whichever path it takes.
+    """
+
+    def __init__(self, spaces: Sequence[GeneSpace], types: Sequence[GeneType],
+                 init_range) -> None:
+        if len(spaces) != len(types):
+            raise DimensionMismatch(f"{len(spaces)} gene spaces for {len(types)} gene types")
+        self.spaces = tuple(spaces)
+        self.types = tuple(types)
+        self.init_range = (float(init_range[0]), float(init_range[1]))
+        rules: dict = {}
+        for key in zip(self.spaces, self.types):
+            if key not in rules:
+                rules[key] = _GeneRule(*key)
+        self._rules = tuple(rules[key] for key in zip(self.spaces, self.types))
+        columns: dict = {}
+        for j, gene_type in enumerate(self.types):
+            columns.setdefault(gene_type, []).append(j)
+        # FLOAT64 coercion is the identity; a type covering every gene indexes
+        # with a slice so its pass works on a view.
+        self._groups = tuple(
+            (gene_type, slice(None) if len(cols) == len(self.types) else np.array(cols))
+            for gene_type, cols in columns.items()
+            if gene_type is not GeneType.FLOAT64
+        )
+
+    @classmethod
+    def from_config(cls, cfg: "GaConfig") -> "GeneSchema":
+        """Compile a validated config's gene space, gene type, and init range."""
+        n = cfg.num_genes
+        space = UNCONSTRAINED if cfg.gene_space is None else cfg.gene_space
+        if isinstance(space, (Unconstrained, DiscreteSet, ValueRange)):
+            space = [space] * n
+        gene_type = cfg.gene_type
+        if isinstance(gene_type, GeneType):
+            gene_type = [gene_type] * n
+        return cls(space, gene_type, cfg.init_range)
+
+    def coerce(self, values) -> np.ndarray:
+        """coerce_gene applied to every gene of a chromosome or (rows, genes) array, as a copy."""
+        out = np.array(values, dtype=float)
+        finite = np.isfinite(out)
+        if not finite.all():
+            raise NonFiniteGene(f"gene value {float(out[~finite][0])!r} is not finite")
+        for gene_type, cols in self._groups:
+            out[..., cols] = _coerce_array(out[..., cols], gene_type)
+        return out
+
+    def contains(self, j: int, v: float) -> bool:
+        """Whether v is an admissible (post-coercion) value for gene j."""
+        return self._rules[j].contains(v)
+
+    def sample(self, j: int, rng) -> float:
+        """Draw one admissible value of gene j.
+
+        Unconstrained genes sample uniformly from init_range; discrete sets pick
+        a member uniformly; ranges sample uniformly over [lo, hi) or over the
+        step lattice.
+        """
+        return self._rules[j].sample(self.init_range, rng)
+
+    def repair(self, genes, rng) -> np.ndarray:
+        """Resample duplicated genes until each chromosome's values are pairwise distinct.
+
+        Takes one chromosome or a (rows, genes) population and returns a
+        repaired copy. Each row is scanned left to right keeping the first
+        occurrence of each value; a later duplicate is redrawn from its own
+        admissible set excluding every value currently present in the row.
+        Rows are repaired in order, and a row that is already distinct draws
+        nothing, so one sort finds the rows that need the scan.
+        """
+        out = np.array(genes, dtype=float)
+        rows = out.reshape(-1, out.shape[-1])
+        ordered = np.sort(rows, axis=1)
+        for i in np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1)):
+            rows[i] = self._repair_row(rows[i].tolist(), rng)
+        return out
+
+    def _repair_row(self, values: list, rng) -> list:
+        seen = set()
+        for j, v in enumerate(values):
+            if v in seen:
+                exclude = set(values[:j] + values[j + 1:])
+                v = values[j] = self._rules[j].resample_excluding(exclude, self.init_range, rng)
+            seen.add(v)
+        return values
 
 
 def space_contains(space: GeneSpace, v: float, gene_type: GeneType = GeneType.FLOAT64) -> bool:
     """Whether v is an admissible (post-coercion) value for the space."""
-    if isinstance(space, Unconstrained):
-        return True
-    if isinstance(space, DiscreteSet):
-        return any(coerce_gene(s, gene_type) == v for s in space.values)
-    if space.step is None:
-        return space.lo <= v < space.hi
-    if not (space.lo <= v < space.hi):
-        return False
-    k = int(round((v - space.lo) / space.step))
-    if k < 0 or k >= _lattice_size(space):
-        return False
-    return space.lo + k * space.step == v and coerce_gene(v, gene_type) == v
+    return _GeneRule(space, gene_type).contains(v)
 
 
 def sample_gene(space: GeneSpace, gene_type: GeneType, init_range, rng) -> float:
-    """Draw one value from the space's admissible set and coerce it to the gene type.
-
-    Unconstrained genes sample uniformly from init_range; discrete sets pick a
-    member uniformly; ranges sample uniformly over [lo, hi) or over the step
-    lattice.
-    """
-    if isinstance(space, Unconstrained):
-        return coerce_gene(rng.uniform(init_range[0], init_range[1]), gene_type)
-    if isinstance(space, DiscreteSet):
-        return coerce_gene(space.values[int(rng.integers(len(space.values)))], gene_type)
-    if space.step is None:
-        return coerce_gene(rng.uniform(space.lo, space.hi), gene_type)
-    n = _lattice_size(space)
-    if n == 0:
-        raise EmptySpace(f"range {space.lo}..{space.hi} with step {space.step} has no points")
-    if n <= _LATTICE_ENUM_CAP and is_integer_type(gene_type):
-        lattice = _typed_lattice(space, gene_type)
-        if not lattice:
-            raise EmptySpace(
-                f"no point of the step lattice {space.lo}..{space.hi}/{space.step} "
-                f"is representable as {gene_type.value}"
-            )
-        return lattice[int(rng.integers(len(lattice)))]
-    return coerce_gene(space.lo + int(rng.integers(n)) * space.step, gene_type)
-
-
-def _candidate_values(space: GeneSpace, gene_type: GeneType):
-    """Enumerable admissible values of a discrete/lattice space, or None if continuous."""
-    if isinstance(space, DiscreteSet):
-        return sorted({coerce_gene(v, gene_type) for v in space.values})
-    if isinstance(space, ValueRange) and space.step is not None:
-        if _lattice_size(space) <= _LATTICE_ENUM_CAP:
-            return _typed_lattice(space, gene_type)
-    return None
-
-
-def _resample_excluding(space, gene_type, init_range, exclude, rng) -> float:
-    candidates = _candidate_values(space, gene_type)
-    if candidates is not None:
-        pool = [v for v in candidates if v not in exclude]
-        if not pool:
-            raise InsufficientSpace(
-                f"space {space!r} has no admissible value outside {sorted(exclude)}"
-            )
-        return pool[int(rng.integers(len(pool)))]
-    for _ in range(_REDRAW_BUDGET):
-        v = sample_gene(space, gene_type, init_range, rng)
-        if v not in exclude:
-            return v
-    raise InsufficientSpace(
-        f"no distinct value found in {space!r} after {_REDRAW_BUDGET} redraws"
-    )
+    """Draw one value from the space's admissible set; see GeneSchema.sample."""
+    return _GeneRule(space, gene_type).sample(init_range, rng)
 
 
 def repair_duplicates(chrom, spaces: Sequence[GeneSpace], types: Sequence[GeneType],
                       init_range, rng) -> np.ndarray:
-    """Resample duplicated genes until all values are pairwise distinct.
-
-    Scans left to right keeping the first occurrence of each value; a later
-    duplicate is redrawn from its own admissible set excluding every value
-    currently present in the chromosome.
-    """
-    genes = np.array(chrom, dtype=float, copy=True)
-    for j in range(genes.size):
-        if np.any(genes[:j] == genes[j]):
-            exclude = set(np.delete(genes, j).tolist())
-            genes[j] = _resample_excluding(spaces[j], types[j], init_range, exclude, rng)
-    return genes
+    """Make one chromosome's genes pairwise distinct; see GeneSchema.repair."""
+    return GeneSchema(spaces, types, init_range).repair(chrom, rng)
 
 
-def resolve_spaces(cfg: "GaConfig") -> list:
-    """Per-gene list of gene spaces (expands a global space to every position)."""
-    if cfg.gene_space is None:
-        return [UNCONSTRAINED] * cfg.num_genes
-    if isinstance(cfg.gene_space, (Unconstrained, DiscreteSet, ValueRange)):
-        return [cfg.gene_space] * cfg.num_genes
-    return list(cfg.gene_space)
-
-
-def resolve_types(cfg: "GaConfig") -> list:
-    """Per-gene list of gene types (expands a global type to every position)."""
-    if isinstance(cfg.gene_type, GeneType):
-        return [cfg.gene_type] * cfg.num_genes
-    return list(cfg.gene_type)
-
-
-def init_population(cfg: "GaConfig", rng) -> np.ndarray:
+def init_population(cfg: "GaConfig", rng, schema: Optional[GeneSchema] = None) -> np.ndarray:
     """Build the starting population for a validated config.
 
-    A user-supplied initial population is coerced gene by gene (and repaired
+    A user-supplied initial population is coerced to the gene types (and repaired
     for duplicates when required) but is never rejected for lying outside the
-    gene space. Otherwise every gene is sampled from its admissible set.
+    gene space. Otherwise every gene is sampled from its admissible set. The
+    schema defaults to the one compiled from cfg.
     """
-    spaces = resolve_spaces(cfg)
-    types = resolve_types(cfg)
+    if schema is None:
+        schema = GeneSchema.from_config(cfg)
     if cfg.initial_population is not None:
         pop = np.array(cfg.initial_population, dtype=float)
         if pop.shape != (cfg.sol_per_pop, cfg.num_genes):
@@ -261,21 +387,14 @@ def init_population(cfg: "GaConfig", rng) -> np.ndarray:
                 f"initial population shape {pop.shape} != "
                 f"({cfg.sol_per_pop}, {cfg.num_genes})"
             )
-        for i in range(cfg.sol_per_pop):
-            for j in range(cfg.num_genes):
-                pop[i, j] = coerce_gene(pop[i, j], types[j])
-            if not cfg.allow_duplicate_genes:
-                pop[i] = repair_duplicates(pop[i], spaces, types, cfg.init_range, rng)
-        return pop
-    rows = []
-    for _ in range(cfg.sol_per_pop):
-        row = np.array(
-            [sample_gene(spaces[j], types[j], cfg.init_range, rng) for j in range(cfg.num_genes)]
-        )
+        pop = schema.coerce(pop)
+        return pop if cfg.allow_duplicate_genes else schema.repair(pop, rng)
+    pop = np.empty((cfg.sol_per_pop, cfg.num_genes))
+    for i in range(cfg.sol_per_pop):
+        pop[i] = [schema.sample(j, rng) for j in range(cfg.num_genes)]
         if not cfg.allow_duplicate_genes:
-            row = repair_duplicates(row, spaces, types, cfg.init_range, rng)
-        rows.append(row)
-    return np.vstack(rows)
+            pop[i] = schema.repair(pop[i], rng)
+    return pop
 
 
 def population_to_csv(pop) -> str:

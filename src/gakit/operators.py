@@ -7,6 +7,7 @@ Generator; ties anywhere break toward the lower population index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -19,15 +20,7 @@ from .config import (
     resolve_mutation_count,
 )
 from .errors import LengthMismatch, NonPositiveFitness
-from .genome import (
-    Unconstrained,
-    coerce_gene,
-    repair_duplicates,
-    resolve_spaces,
-    resolve_types,
-    sample_gene,
-    space_contains,
-)
+from .genome import GeneSchema, Unconstrained, coerce_gene
 
 
 @dataclass
@@ -80,11 +73,22 @@ def select_parents(kind: ParentSelection, population, fitness, n: int, rng,
     return ParentSet(rows=population[indices].copy(), indices=indices)
 
 
+def _summable(fitness: np.ndarray) -> np.ndarray:
+    # Finite fitness values can still overflow their sum; only then rescale by
+    # the maximum, so every run whose sum is finite keeps its exact draws.
+    with np.errstate(over="ignore"):
+        total = fitness.sum()
+    if np.isfinite(total):
+        return fitness
+    return fitness / fitness.max()
+
+
 def _fitness_weights(fitness: np.ndarray) -> np.ndarray:
     if np.any(fitness <= 0.0):
         raise NonPositiveFitness(
             "fitness-proportional selection requires every fitness value > 0"
         )
+    fitness = _summable(fitness)
     return fitness / fitness.sum()
 
 
@@ -93,7 +97,7 @@ def _sus_indices(fitness: np.ndarray, n: int, rng) -> np.ndarray:
         raise NonPositiveFitness(
             "stochastic universal sampling requires every fitness value > 0"
         )
-    cumulative = np.cumsum(fitness)
+    cumulative = np.cumsum(_summable(fitness))
     spacing = cumulative[-1] / n
     points = rng.uniform(0.0, spacing) + spacing * np.arange(n)
     return np.searchsorted(cumulative, points, side="right")
@@ -163,19 +167,18 @@ def _pick_segment(length: int, rng):
             return a, b
 
 
-def _enforce_positions(genes, positions, spaces, types, init_range, rng) -> None:
+def _enforce_positions(genes, positions, schema: GeneSchema, rng) -> None:
     # Re-impose gene type and space membership on touched positions; needed when
     # values move between positions with heterogeneous per-gene constraints.
     for j in positions:
-        value = coerce_gene(genes[j], types[j])
-        space = spaces[j]
-        if not isinstance(space, Unconstrained) and not space_contains(space, value, types[j]):
-            value = sample_gene(space, types[j], init_range, rng)
+        value = coerce_gene(genes[j], schema.types[j])
+        if not schema.contains(j, value):
+            value = schema.sample(j, rng)
         genes[j] = value
 
 
 def mutate(kind: MutationKind, chrom, cfg: GaConfig, pop_mean_fitness: float = 0.0,
-           own_fitness=None, rng=None, *, spaces=None, types=None) -> np.ndarray:
+           own_fitness=None, rng=None, *, schema: Optional[GeneSchema] = None) -> np.ndarray:
     """Mutate one offspring chromosome and return the repaired result.
 
     Random mutation perturbs (or replaces) a resolved number of genes; swap,
@@ -183,12 +186,12 @@ def mutate(kind: MutationKind, chrom, cfg: GaConfig, pop_mean_fitness: float = 0
     ignore the rate spec. Adaptive resolves the high rate when the offspring's
     fitness proxy falls below the population mean, the low rate otherwise, and
     then applies Random semantics. Output genes always satisfy their type,
-    space, and (when configured) distinctness constraints.
+    space, and (when configured) distinctness constraints. The schema defaults
+    to the one compiled from cfg; a run passes its own so the compiled
+    constraints are shared by every call.
     """
-    if spaces is None:
-        spaces = resolve_spaces(cfg)
-    if types is None:
-        types = resolve_types(cfg)
+    if schema is None:
+        schema = GeneSchema.from_config(cfg)
     genes = np.array(chrom, dtype=float, copy=True)
     length = genes.size
 
@@ -203,39 +206,36 @@ def mutate(kind: MutationKind, chrom, cfg: GaConfig, pop_mean_fitness: float = 0
         if count > 0:
             positions = rng.choice(length, size=count, replace=False)
             lo, hi = cfg.random_delta_range
-            for j in positions:
-                j = int(j)
-                space, gtype = spaces[j], types[j]
+            for j in positions.tolist():
+                gtype = schema.types[j]
                 if cfg.mutation_by_replacement:
-                    if isinstance(space, Unconstrained):
+                    if isinstance(schema.spaces[j], Unconstrained):
                         value = coerce_gene(rng.uniform(lo, hi), gtype)
                     else:
-                        value = sample_gene(space, gtype, cfg.init_range, rng)
+                        value = schema.sample(j, rng)
                 else:
                     value = coerce_gene(genes[j] + rng.uniform(lo, hi), gtype)
-                    if not isinstance(space, Unconstrained) and not space_contains(
-                        space, value, gtype
-                    ):
-                        value = sample_gene(space, gtype, cfg.init_range, rng)
+                    if not schema.contains(j, value):
+                        value = schema.sample(j, rng)
                 genes[j] = value
     elif kind is MutationKind.SWAP:
         if length >= 2:
             i, j = (int(v) for v in rng.choice(length, size=2, replace=False))
             genes[i], genes[j] = genes[j], genes[i]
-            _enforce_positions(genes, (i, j), spaces, types, cfg.init_range, rng)
+            _enforce_positions(genes, (i, j), schema, rng)
     elif kind is MutationKind.INVERSION:
         if length >= 2:
             a, b = _pick_segment(length, rng)
             genes[a:b] = genes[a:b][::-1]
-            _enforce_positions(genes, range(a, b), spaces, types, cfg.init_range, rng)
+            _enforce_positions(genes, range(a, b), schema, rng)
     elif kind is MutationKind.SCRAMBLE:
         if length >= 2:
             a, b = _pick_segment(length, rng)
             genes[a:b] = rng.permutation(genes[a:b])
-            _enforce_positions(genes, range(a, b), spaces, types, cfg.init_range, rng)
+            _enforce_positions(genes, range(a, b), schema, rng)
     else:
         raise ValueError(f"unknown mutation kind {kind!r}")
 
     if not cfg.allow_duplicate_genes:
-        genes = repair_duplicates(genes, spaces, types, cfg.init_range, rng)
+        genes = schema.repair(genes, rng)
     return genes

@@ -26,7 +26,14 @@ from gakit.engine import (
     fitness_history,
     run,
 )
-from gakit.genome import DiscreteSet, GeneType, ValueRange, coerce_gene, space_contains
+from gakit.genome import (
+    DiscreteSet,
+    GeneSchema,
+    GeneType,
+    ValueRange,
+    coerce_gene,
+    space_contains,
+)
 from gakit.problems import (
     DEFAULT_EQUATION,
     MlpSpec,
@@ -209,9 +216,8 @@ def test_criterion_8_constraint_closure_fuzz():
             keep_parents=2, seed=idx, mutation=MutationKind.RANDOM,
             mutation_rate=PercentGenes(40.0), **extra,
         ))
-        from gakit.genome import resolve_spaces, resolve_types
-
-        spaces, types = resolve_spaces(cfg), resolve_types(cfg)
+        schema = GeneSchema.from_config(cfg)
+        spaces, types = schema.spaces, schema.types
 
         def check_population(state, cfg=cfg, spaces=spaces, types=types):
             nonlocal violations

@@ -155,6 +155,15 @@ def test_overparented_config_exits_three(capsys):
     assert "num_parents_mating" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("crossover", ["single_point", "two_points"])
+def test_one_gene_crossover_exits_three(crossover, capsys):
+    # Used to loop forever (two_points) or end in a numpy traceback (single_point).
+    code = main(["solve", "--problem", "onemax", "--genes", "1", "--generations", "3",
+                 "--crossover", crossover])
+    assert code == 3
+    assert "crossover" in capsys.readouterr().err
+
+
 def test_usage_error_exits_two(capsys):
     assert main(["solve", "--problem", "nosuch"]) == 2
     assert "nosuch" in capsys.readouterr().err

@@ -115,6 +115,15 @@ def test_crossover_needs_two_parents():
     assert cfg.crossover is None
 
 
+@pytest.mark.parametrize("kind", [m.value for m in CrossoverKind])
+def test_crossover_needs_two_genes(kind):
+    with pytest.raises(ConfigError) as err:
+        validate(base_config(num_genes=1, crossover=kind))
+    assert err.value.field == "crossover"
+    cfg = validate(base_config(num_genes=1, crossover=None))
+    assert cfg.crossover is None
+
+
 def test_zero_generations_accepted():
     assert validate(base_config(num_generations=0)).num_generations == 0
 
@@ -168,14 +177,20 @@ def _random_candidate(rng):
         rate = AdaptivePair(PercentGenes(lo + float(rng.uniform(0, 40))), PercentGenes(lo))
     else:
         rate = PercentGenes(float(rng.uniform(1, 100)))
+    num_generations = int(rng.integers(0, 50))
+    num_genes = int(rng.integers(1, 20))
+    parent_selection = str(rng.choice([m.value for m in ParentSelection]))
+    tournament_k = int(rng.integers(1, sol_per_pop + 1))
+    crossover = str(rng.choice([m.value for m in CrossoverKind]))
     return GaConfig(
-        num_generations=int(rng.integers(0, 50)),
+        num_generations=num_generations,
         sol_per_pop=sol_per_pop,
         num_parents_mating=parents,
-        num_genes=int(rng.integers(1, 20)),
-        parent_selection=str(rng.choice([m.value for m in ParentSelection])),
-        tournament_k=int(rng.integers(1, sol_per_pop + 1)),
-        crossover=str(rng.choice([m.value for m in CrossoverKind])),
+        num_genes=num_genes,
+        parent_selection=parent_selection,
+        tournament_k=tournament_k,
+        # A 1-gene chromosome has no cut point, so its crossover must be off.
+        crossover=crossover if num_genes >= 2 else None,
         mutation=mutation,
         mutation_rate=rate,
         keep_parents=int(rng.integers(-1, parents + 1)),
@@ -199,6 +214,7 @@ def test_accepted_configs_satisfy_invariants():
         assert 0 <= cfg.keep_parents <= cfg.num_parents_mating
         if cfg.crossover is not None:
             assert cfg.num_parents_mating >= 2
+            assert cfg.num_genes >= 2
         if cfg.parent_selection is ParentSelection.TOURNAMENT:
             assert 1 <= cfg.tournament_k <= cfg.sol_per_pop
         if cfg.mutation is MutationKind.ADAPTIVE:

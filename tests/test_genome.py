@@ -1,13 +1,21 @@
 """Gene coercion, sampling, duplicate repair, and population construction."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from gakit.config import GaConfig, validate
+from gakit import genome
+from gakit.config import GaConfig, PercentGenes, validate
+from gakit.engine import run
 from gakit.errors import DimensionMismatch, EmptySpace, InsufficientSpace, NonFiniteGene
 from gakit.genome import (
     UNCONSTRAINED,
     DiscreteSet,
+    GeneSchema,
     GeneType,
     ValueRange,
     coerce_gene,
@@ -65,6 +73,64 @@ def test_coerce_idempotent():
         t = types[int(rng.integers(len(types)))]
         once = coerce_gene(v, t)
         assert coerce_gene(once, t) == once
+
+
+# Values where a vectorized coercion could part from the scalar one: ties at
+# k.5, signed zeros, each integer type's bounds and one past them, the PYINT
+# 2**53 limit, float32 rounding, overflow and underflow, and non-finite input.
+_COERCE_EDGES = [
+    0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 0.49999999999999994, -0.49999999999999994,
+    0.0, -0.0, -0.3, 0.3, -1e-300,
+    127.0, 127.5, -128.0, -128.5, 255.0, 255.5, 32767.5, -32768.5, 65535.5, 65536.0,
+    2.0**31 - 0.5, -(2.0**31) - 0.5, 2.0**32 - 0.5, 2.0**32,
+    2.0**63, -(2.0**63), 2.0**64, -(2.0**64), 1e300, -1e300,
+    2.0**53, -(2.0**53), 2.0**53 + 2, -(2.0**53 + 2), 2.0**52 + 1.0, 4503599627370495.5,
+    0.1, 16777217.0, 3.4028235e38, 3.5e38, -3.5e38, 1e-46, 1.4e-45,
+    float("nan"), float("inf"), float("-inf"),
+]
+
+_coerce_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(_COERCE_EDGES),
+    st.integers(-10**4, 10**4).map(lambda k: k + 0.5),
+    st.integers(-(2**65), 2**65).map(float),
+)
+
+
+def _assert_coerce_matches_scalar(schema, values):
+    with np.errstate(over="ignore"):  # float32 overflow warns on both paths
+        try:
+            expected = np.array([
+                [coerce_gene(v, t) for v, t in zip(row, schema.types)]
+                for row in values.tolist()
+            ])
+        except NonFiniteGene:
+            with pytest.raises(NonFiniteGene):
+                schema.coerce(values)
+            return
+        got = schema.coerce(values)
+    # Bit-identical, so 0.0 and -0.0 count as different.
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("gene_type", list(GeneType))
+@settings(deadline=None)
+@given(values=hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                         elements=_coerce_values))
+def test_schema_coerce_matches_coerce_gene(gene_type, values):
+    n = values.shape[1]
+    schema = GeneSchema([UNCONSTRAINED] * n, [gene_type] * n, INIT_RANGE)
+    _assert_coerce_matches_scalar(schema, values)
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_schema_coerce_matches_coerce_gene_mixed_types(data):
+    types = data.draw(st.lists(st.sampled_from(list(GeneType)), min_size=1, max_size=8))
+    rows = data.draw(st.integers(1, 5))
+    values = data.draw(hnp.arrays(float, (rows, len(types)), elements=_coerce_values))
+    schema = GeneSchema([UNCONSTRAINED] * len(types), types, INIT_RANGE)
+    _assert_coerce_matches_scalar(schema, values)
 
 
 # --- sampling -----------------------------------------------------------------
@@ -180,6 +246,19 @@ def test_repair_changes_only_left_duplicates():
         assert len(set(repaired.tolist())) == 6
 
 
+def test_schema_repair_of_population_matches_row_scan():
+    # Skipping already-distinct rows must not move any draw of the rows that
+    # are repaired: compare against a scan of every row with the same stream.
+    schema = GeneSchema([DiscreteSet(tuple(range(12)))] * 5 + [UNCONSTRAINED],
+                        [GeneType.INT8] * 5 + [GeneType.FLOAT32], INIT_RANGE)
+    pick = np.random.default_rng(4)
+    for seed in range(50):
+        pop = pick.integers(0, 12, size=(8, 6)).astype(float)
+        rng = np.random.default_rng(seed)
+        expected = np.array([schema._repair_row(row, rng) for row in pop.tolist()])
+        assert np.array_equal(schema.repair(pop, np.random.default_rng(seed)), expected)
+
+
 # --- population construction ----------------------------------------------------
 
 def test_init_population_shape_and_range():
@@ -261,3 +340,27 @@ def test_population_csv_rejects_ragged_rows():
 def test_population_csv_rejects_empty():
     with pytest.raises(DimensionMismatch):
         population_from_csv("\n")
+
+
+# --- per-run compilation ----------------------------------------------------------
+
+def test_typed_lattice_enumerated_once_per_distinct_space_and_type(monkeypatch):
+    calls = Counter()
+    enumerate_lattice = genome._typed_lattice
+
+    def counting(space, gene_type):
+        calls[(space, gene_type)] += 1
+        return enumerate_lattice(space, gene_type)
+
+    monkeypatch.setattr(genome, "_typed_lattice", counting)
+    wide, narrow = ValueRange(0, 200, 1), ValueRange(-50, 50, 2)
+    spaces = [wide, wide, narrow, wide, narrow, ValueRange(0, 200, 1)]
+    types = [GeneType.INT32, GeneType.INT32, GeneType.INT16, GeneType.UINT16,
+             GeneType.INT16, GeneType.INT32]
+    cfg = validate(GaConfig(num_generations=20, sol_per_pop=10, num_parents_mating=4,
+                            num_genes=6, gene_space=spaces, gene_type=types,
+                            allow_duplicate_genes=False, mutation_by_replacement=True,
+                            mutation_rate=PercentGenes(50)))
+    run(cfg, lambda solution, idx: float(np.sum(solution)))
+    assert calls == {(wide, GeneType.INT32): 1, (narrow, GeneType.INT16): 1,
+                     (wide, GeneType.UINT16): 1}

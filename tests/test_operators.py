@@ -15,6 +15,7 @@ from gakit.config import (
 )
 from gakit.errors import LengthMismatch, NonPositiveFitness
 from gakit.genome import DiscreteSet, GeneType, ValueRange, coerce_gene, space_contains
+from gakit.engine import run
 from gakit.operators import ParentSet, crossover_pair, mutate, produce_offspring, select_parents
 
 
@@ -81,6 +82,24 @@ def test_roulette_concentrates_on_dominant_mass():
     parents = select_parents(ParentSelection.ROULETTE, pop, fit, 10_000, rng)
     freq = np.mean(parents.indices == 0)
     assert freq >= 0.999
+
+
+@pytest.mark.parametrize(
+    "kind", [ParentSelection.ROULETTE, ParentSelection.STOCHASTIC_UNIVERSAL]
+)
+def test_proportional_selection_survives_overflowing_fitness_sum(kind):
+    # Every value is finite but their sum is not; both selections must still
+    # draw, weighting by fitness relative to the maximum.
+    pop = _pop([[0], [1], [2], [3]])
+    parents = select_parents(kind, pop, [1e308] * 4, 400, np.random.default_rng(0))
+    assert set(parents.indices.tolist()) == {0, 1, 2, 3}
+    parents = select_parents(kind, pop, [1e308, 1e-300, 1e308, 1e-300], 400,
+                             np.random.default_rng(0))
+    assert set(parents.indices.tolist()) == {0, 2}
+    cfg = validate(GaConfig(num_generations=5, sol_per_pop=6, num_parents_mating=3,
+                            num_genes=2, parent_selection=kind))
+    result = run(cfg, lambda solution, idx: 1e308)
+    assert result.completed_generations == 5
 
 
 def test_roulette_rejects_non_positive_fitness():
