@@ -172,7 +172,6 @@ _KEY_PARSERS = {
     "gene_type": _parse_gene_type,
     "initial_population": lambda path: population_from_csv(Path(path).read_text()),
     "seed": int,
-    "parallel_fitness": _parse_bool,
 }
 
 

@@ -103,7 +103,6 @@ class GaConfig:
     gene_type: object = GeneType.FLOAT64
     initial_population: Optional[tuple] = None
     seed: int = 0
-    parallel_fitness: bool = False
 
 
 def _as_int(field: str, value, minimum=None, maximum=None) -> int:
@@ -280,6 +279,9 @@ def validate(raw: GaConfig) -> GaConfig:
         keep_parents = num_parents_mating
     elif keep_parents > num_parents_mating:
         raise ConfigError("keep_parents", "<= num_parents_mating", raw.keep_parents)
+    if keep_parents >= sol_per_pop:
+        # Elites must leave room for at least one offspring per generation.
+        raise ConfigError("keep_parents", "< sol_per_pop", raw.keep_parents)
     allow_duplicate_genes = bool(raw.allow_duplicate_genes)
     gene_space = _check_space("gene_space", raw.gene_space, num_genes)
     gene_type = _check_types("gene_type", raw.gene_type, num_genes)
@@ -287,7 +289,6 @@ def validate(raw: GaConfig) -> GaConfig:
         raw.initial_population, sol_per_pop, num_genes
     )
     seed = _as_int("seed", raw.seed, minimum=0, maximum=2**64 - 1)
-    parallel_fitness = bool(raw.parallel_fitness)
     return dataclasses.replace(
         raw,
         num_generations=num_generations,
@@ -308,7 +309,6 @@ def validate(raw: GaConfig) -> GaConfig:
         gene_type=gene_type,
         initial_population=initial_population,
         seed=seed,
-        parallel_fitness=parallel_fitness,
     )
 
 

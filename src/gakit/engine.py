@@ -9,7 +9,6 @@ draws of the others and identical configs replay bit-identically.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -74,19 +73,17 @@ class GenerationRecord:
 
 @dataclass
 class RunResult:
-    """Per-generation best history plus the overall best solution.
+    """Per-generation best and mean fitness history of one run.
 
     History entry 0 is the initial population, so the arrays hold
-    completed_generations + 1 rows. overall_best carries the index of the best
-    solution within the final population, or -1 when the best appeared in an
-    earlier generation.
+    completed_generations + 1 rows. best_solution(result) picks the best
+    solution of the whole run.
     """
 
     best_solutions: np.ndarray
     best_solutions_fitness: np.ndarray
     best_solution_indices: np.ndarray
     mean_fitness: np.ndarray
-    overall_best: tuple
     completed_generations: int
     stop_reason: StopReason
 
@@ -119,15 +116,9 @@ def _stage_rng(seed: int, generation: int, stage: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(generation), int(stage)])
 
 
-def evaluate_population(population, fitness, parallel: bool = False,
-                        generation=None) -> np.ndarray:
-    """Evaluate fitness(pop[i], i) for every row, optionally fanning out to threads.
-
-    Results are assembled by index, so the vector is identical regardless of
-    the parallel flag or evaluation completion order.
-    """
+def evaluate_population(population, fitness, generation=None) -> np.ndarray:
+    """Evaluate fitness(pop[i], i) for every row, in row order."""
     population = np.asarray(population, dtype=float)
-    size = population.shape[0]
 
     def eval_one(i: int) -> float:
         try:
@@ -144,12 +135,18 @@ def evaluate_population(population, fitness, parallel: bool = False,
             )
         return value
 
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            values = list(pool.map(eval_one, range(size)))
-    else:
-        values = [eval_one(i) for i in range(size)]
-    return np.array(values, dtype=float)
+    return np.array([eval_one(i) for i in range(population.shape[0])], dtype=float)
+
+
+def _mean(fitness: np.ndarray) -> float:
+    # Finite fitness values can still overflow their sum; only then rescale by
+    # the largest magnitude, so every run whose mean is finite keeps its bits.
+    with np.errstate(over="ignore"):
+        mean = float(fitness.mean())
+    if math.isfinite(mean):
+        return mean
+    scale = float(np.abs(fitness).max())
+    return float((fitness / scale).mean()) * scale
 
 
 def _fire(hook, state):
@@ -209,8 +206,8 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
         best_rows.append(population[best_index].copy())
         best_fits.append(float(fit_vector[best_index]))
         best_idxs.append(best_index)
-        mean_fits.append(float(fit_vector.mean()))
-        return best_index, float(fit_vector[best_index])
+        mean_fits.append(_mean(fit_vector))
+        return best_index, best_fits[-1], mean_fits[-1]
 
     _fire(hooks.on_start, state)
 
@@ -222,11 +219,11 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
     for g in range(cfg.num_generations):
         state.generation = g
 
-        fit = evaluate_population(population, fitness, cfg.parallel_fitness, generation=g)
+        fit = evaluate_population(population, fitness, generation=g)
         state.last_generation_fitness = fit
         _fire(hooks.on_fitness, state)
 
-        best_index, best_fit = record_entry(fit)
+        best_index, best_fit, mean_fit = record_entry(fit)
         state.best_solutions = best_rows
         state.best_solutions_fitness = best_fits
 
@@ -250,7 +247,6 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
 
         mutation_rng = _stage_rng(cfg.seed, g, _STAGE_MUTATION)
         if cfg.mutation is not None:
-            mean_fit = float(fit.mean())
             p = parents.rows.shape[0]
             mutated = np.array([
                 mutate(
@@ -292,22 +288,16 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
             stop_reason = StopReason.CALLBACK_STOP
             break
 
-    final_fit = evaluate_population(
-        population, fitness, cfg.parallel_fitness, generation=completed
-    )
+    final_fit = evaluate_population(population, fitness, generation=completed)
     record_entry(final_fit)
     state.last_generation_fitness = final_fit
     _fire(hooks.on_stop, state)
 
-    best_fit_arr = np.array(best_fits)
-    overall = int(np.argmax(best_fit_arr))  # earliest generation wins ties
-    overall_index = best_idxs[overall] if overall == len(best_fits) - 1 else -1
     return RunResult(
         best_solutions=np.array(best_rows),
-        best_solutions_fitness=best_fit_arr,
+        best_solutions_fitness=np.array(best_fits),
         best_solution_indices=np.array(best_idxs, dtype=int),
         mean_fitness=np.array(mean_fits),
-        overall_best=(best_rows[overall], best_fits[overall], overall_index),
         completed_generations=completed,
         stop_reason=stop_reason,
     )

@@ -55,10 +55,15 @@ _INT_BOUNDS = {
     GeneType.UINT64: (0, 2**64 - 1),
 }
 
-# The bounds as the doubles coerce_gene's float() of a clamped integer yields.
-# Clamping an integral double to these gives the same double, since rounding
-# to the nearest double is monotonic.
-_FLOAT_BOUNDS = {t: (float(lo), float(hi)) for t, (lo, hi) in _INT_BOUNDS.items()}
+# Each integer type's bounds as the doubles nearest to them inside the range:
+# float(2**63 - 1) rounds up to 2**63, which an int64 cannot hold.
+_FLOAT_BOUNDS = {
+    t: (float(lo), float(hi) if int(float(hi)) <= hi else math.nextafter(float(hi), 0.0))
+    for t, (lo, hi) in _INT_BOUNDS.items()
+}
+
+# Doubles beyond this magnitude round to an infinite float32.
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 # Integers survive a round trip through a float64 only below 2**53.
 _EXACT_INT_LIMIT = 2**53
@@ -116,9 +121,10 @@ def _round_half_away(v: float) -> int:
 def coerce_gene(v, gene_type: GeneType) -> float:
     """Force a raw value into the given gene type.
 
-    Floats round to their storage precision; integer types round half away
-    from zero and clamp into the representable range; PYINT rounds without
-    clamping but rejects magnitudes beyond the exact double-integer range.
+    Floats round to their storage precision, FLOAT32 after clamping to its
+    finite range; integer types round half away from zero and clamp into the
+    representable range; PYINT rounds without clamping but rejects magnitudes
+    beyond the exact double-integer range.
     """
     v = float(v)
     if not math.isfinite(v):
@@ -126,15 +132,15 @@ def coerce_gene(v, gene_type: GeneType) -> float:
     if gene_type is GeneType.FLOAT64:
         return v
     if gene_type is GeneType.FLOAT32:
-        return float(np.float32(v))
+        return float(np.float32(min(max(v, -_FLOAT32_MAX), _FLOAT32_MAX)))
     if gene_type is GeneType.PYINT:
         if abs(v) > _EXACT_INT_LIMIT:
             raise NonFiniteGene(
                 f"gene value {v!r} exceeds the exact double-precision integer range"
             )
         return float(_round_half_away(v))
-    lo, hi = _INT_BOUNDS[gene_type]
-    return float(min(max(_round_half_away(v), lo), hi))
+    lo, hi = _FLOAT_BOUNDS[gene_type]
+    return min(max(float(_round_half_away(v)), lo), hi)
 
 
 def _coerce_array(values: np.ndarray, gene_type: GeneType) -> np.ndarray:
@@ -142,7 +148,7 @@ def _coerce_array(values: np.ndarray, gene_type: GeneType) -> np.ndarray:
     if gene_type is GeneType.FLOAT64:
         return values
     if gene_type is GeneType.FLOAT32:
-        return values.astype(np.float32).astype(float)
+        return np.clip(values, -_FLOAT32_MAX, _FLOAT32_MAX).astype(np.float32).astype(float)
     if gene_type is GeneType.PYINT:
         too_large = np.abs(values) > _EXACT_INT_LIMIT
         if too_large.any():
@@ -318,6 +324,12 @@ class GeneSchema:
         """Whether v is an admissible (post-coercion) value for gene j."""
         return self._rules[j].contains(v)
 
+    def admit(self, j: int, v: float, rng) -> float:
+        """Coerce v to gene j's type and keep it if admissible, else draw a fresh value of gene j."""
+        rule = self._rules[j]
+        v = coerce_gene(v, rule.type)
+        return v if rule.contains(v) else rule.sample(self.init_range, rng)
+
     def sample(self, j: int, rng) -> float:
         """Draw one admissible value of gene j.
 
@@ -352,22 +364,6 @@ class GeneSchema:
                 v = values[j] = self._rules[j].resample_excluding(exclude, self.init_range, rng)
             seen.add(v)
         return values
-
-
-def space_contains(space: GeneSpace, v: float, gene_type: GeneType = GeneType.FLOAT64) -> bool:
-    """Whether v is an admissible (post-coercion) value for the space."""
-    return _GeneRule(space, gene_type).contains(v)
-
-
-def sample_gene(space: GeneSpace, gene_type: GeneType, init_range, rng) -> float:
-    """Draw one value from the space's admissible set; see GeneSchema.sample."""
-    return _GeneRule(space, gene_type).sample(init_range, rng)
-
-
-def repair_duplicates(chrom, spaces: Sequence[GeneSpace], types: Sequence[GeneType],
-                      init_range, rng) -> np.ndarray:
-    """Make one chromosome's genes pairwise distinct; see GeneSchema.repair."""
-    return GeneSchema(spaces, types, init_range).repair(chrom, rng)
 
 
 def init_population(cfg: "GaConfig", rng, schema: Optional[GeneSchema] = None) -> np.ndarray:

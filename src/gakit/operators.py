@@ -20,7 +20,7 @@ from .config import (
     resolve_mutation_count,
 )
 from .errors import LengthMismatch, NonPositiveFitness
-from .genome import GeneSchema, Unconstrained, coerce_gene
+from .genome import GeneSchema, Unconstrained
 
 
 @dataclass
@@ -167,16 +167,6 @@ def _pick_segment(length: int, rng):
             return a, b
 
 
-def _enforce_positions(genes, positions, schema: GeneSchema, rng) -> None:
-    # Re-impose gene type and space membership on touched positions; needed when
-    # values move between positions with heterogeneous per-gene constraints.
-    for j in positions:
-        value = coerce_gene(genes[j], schema.types[j])
-        if not schema.contains(j, value):
-            value = schema.sample(j, rng)
-        genes[j] = value
-
-
 def mutate(kind: MutationKind, chrom, cfg: GaConfig, pop_mean_fitness: float = 0.0,
            own_fitness=None, rng=None, *, schema: Optional[GeneSchema] = None) -> np.ndarray:
     """Mutate one offspring chromosome and return the repaired result.
@@ -194,6 +184,7 @@ def mutate(kind: MutationKind, chrom, cfg: GaConfig, pop_mean_fitness: float = 0
         schema = GeneSchema.from_config(cfg)
     genes = np.array(chrom, dtype=float, copy=True)
     length = genes.size
+    moved = ()  # positions whose values a structural mutation moved
 
     if kind in (MutationKind.RANDOM, MutationKind.ADAPTIVE):
         rate = cfg.mutation_rate
@@ -207,34 +198,33 @@ def mutate(kind: MutationKind, chrom, cfg: GaConfig, pop_mean_fitness: float = 0
             positions = rng.choice(length, size=count, replace=False)
             lo, hi = cfg.random_delta_range
             for j in positions.tolist():
-                gtype = schema.types[j]
-                if cfg.mutation_by_replacement:
-                    if isinstance(schema.spaces[j], Unconstrained):
-                        value = coerce_gene(rng.uniform(lo, hi), gtype)
-                    else:
-                        value = schema.sample(j, rng)
+                if not cfg.mutation_by_replacement:
+                    genes[j] = schema.admit(j, genes[j] + rng.uniform(lo, hi), rng)
+                elif isinstance(schema.spaces[j], Unconstrained):
+                    genes[j] = schema.admit(j, rng.uniform(lo, hi), rng)
                 else:
-                    value = coerce_gene(genes[j] + rng.uniform(lo, hi), gtype)
-                    if not schema.contains(j, value):
-                        value = schema.sample(j, rng)
-                genes[j] = value
+                    genes[j] = schema.sample(j, rng)
     elif kind is MutationKind.SWAP:
         if length >= 2:
             i, j = (int(v) for v in rng.choice(length, size=2, replace=False))
             genes[i], genes[j] = genes[j], genes[i]
-            _enforce_positions(genes, (i, j), schema, rng)
+            moved = (i, j)
     elif kind is MutationKind.INVERSION:
         if length >= 2:
             a, b = _pick_segment(length, rng)
             genes[a:b] = genes[a:b][::-1]
-            _enforce_positions(genes, range(a, b), schema, rng)
+            moved = range(a, b)
     elif kind is MutationKind.SCRAMBLE:
         if length >= 2:
             a, b = _pick_segment(length, rng)
             genes[a:b] = rng.permutation(genes[a:b])
-            _enforce_positions(genes, range(a, b), schema, rng)
+            moved = range(a, b)
     else:
         raise ValueError(f"unknown mutation kind {kind!r}")
+
+    # A moved value may not fit the type and space of the gene it landed on.
+    for j in moved:
+        genes[j] = schema.admit(j, genes[j], rng)
 
     if not cfg.allow_duplicate_genes:
         genes = schema.repair(genes, rng)

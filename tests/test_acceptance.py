@@ -32,7 +32,6 @@ from gakit.genome import (
     GeneType,
     ValueRange,
     coerce_gene,
-    space_contains,
 )
 from gakit.problems import (
     DEFAULT_EQUATION,
@@ -217,18 +216,17 @@ def test_criterion_8_constraint_closure_fuzz():
             mutation_rate=PercentGenes(40.0), **extra,
         ))
         schema = GeneSchema.from_config(cfg)
-        spaces, types = schema.spaces, schema.types
 
-        def check_population(state, cfg=cfg, spaces=spaces, types=types):
+        def check_population(state, cfg=cfg, schema=schema):
             nonlocal violations
             for row in state.population:
                 values = row.tolist()
                 if not cfg.allow_duplicate_genes and len(set(values)) != len(values):
                     violations += 1
                 for j, v in enumerate(values):
-                    if coerce_gene(v, types[j]) != v:
+                    if coerce_gene(v, schema.types[j]) != v:
                         violations += 1
-                    if not space_contains(spaces[j], v, types[j]):
+                    if not schema.contains(j, v):
                         violations += 1
 
         run(cfg, lambda s, i: float(np.sum(s)),

@@ -155,6 +155,13 @@ def test_overparented_config_exits_three(capsys):
     assert "num_parents_mating" in capsys.readouterr().err
 
 
+def test_keep_parents_filling_population_exits_three(capsys):
+    code = main(["solve", "--pop", "4", "--parents", "4", "--keep-parents", "4",
+                 "--generations", "3"])
+    assert code == 3
+    assert "keep_parents" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("crossover", ["single_point", "two_points"])
 def test_one_gene_crossover_exits_three(crossover, capsys):
     # Used to loop forever (two_points) or end in a numpy traceback (single_point).

@@ -52,6 +52,16 @@ def test_keep_parents_above_parents_rejected():
     assert err.value.field == "keep_parents"
 
 
+@pytest.mark.parametrize("keep_parents", [-1, 4])
+def test_keep_parents_filling_population_rejected(keep_parents):
+    # -1 resolves to num_parents_mating, which here equals sol_per_pop.
+    with pytest.raises(ConfigError) as err:
+        validate(GaConfig(num_generations=1, sol_per_pop=4, num_parents_mating=4, num_genes=3,
+                          keep_parents=keep_parents))
+    assert err.value.field == "keep_parents"
+    assert "sol_per_pop" in err.value.constraint
+
+
 def test_too_many_parents_rejected():
     with pytest.raises(ConfigError) as err:
         validate(GaConfig(num_generations=10, sol_per_pop=4, num_parents_mating=5, num_genes=3))
@@ -182,6 +192,10 @@ def _random_candidate(rng):
     parent_selection = str(rng.choice([m.value for m in ParentSelection]))
     tournament_k = int(rng.integers(1, sol_per_pop + 1))
     crossover = str(rng.choice([m.value for m in CrossoverKind]))
+    keep_parents = int(rng.integers(-1, parents + 1))
+    if (parents if keep_parents == -1 else keep_parents) >= sol_per_pop:
+        # Elites that fill the population leave no room for offspring.
+        keep_parents = sol_per_pop - 1
     return GaConfig(
         num_generations=num_generations,
         sol_per_pop=sol_per_pop,
@@ -193,7 +207,7 @@ def _random_candidate(rng):
         crossover=crossover if num_genes >= 2 else None,
         mutation=mutation,
         mutation_rate=rate,
-        keep_parents=int(rng.integers(-1, parents + 1)),
+        keep_parents=keep_parents,
         seed=int(rng.integers(0, 2**32)),
     )
 
@@ -212,6 +226,7 @@ def test_accepted_configs_satisfy_invariants():
         cfg = validate(_random_candidate(rng))
         assert cfg.num_parents_mating <= cfg.sol_per_pop
         assert 0 <= cfg.keep_parents <= cfg.num_parents_mating
+        assert cfg.keep_parents < cfg.sol_per_pop
         if cfg.crossover is not None:
             assert cfg.num_parents_mating >= 2
             assert cfg.num_genes >= 2

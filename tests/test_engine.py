@@ -172,14 +172,6 @@ def test_hook_overwrite_with_wrong_shape_rejected():
             LifecycleHooks(on_mutation=overwrite))
 
 
-def test_parallel_fitness_matches_serial():
-    fitness = linear_fitness(DEFAULT_EQUATION)
-    serial = run(demo_config(num_generations=10, parallel_fitness=False), fitness)
-    parallel = run(demo_config(num_generations=10, parallel_fitness=True), fitness)
-    assert np.array_equal(serial.best_solutions_fitness, parallel.best_solutions_fitness)
-    assert np.array_equal(serial.best_solutions, parallel.best_solutions)
-
-
 def test_fitness_error_carries_location():
     def broken(solution, idx):
         if idx == 4:
@@ -216,15 +208,6 @@ def test_evaluate_population_reproduces_demo_values():
     assert abs(values[2] - 0.0259740253) < 1e-9
 
 
-def test_evaluate_population_parallel_identical():
-    fitness = linear_fitness(DEFAULT_EQUATION)
-    pop = np.random.default_rng(0).uniform(-4, 4, size=(20, 3))
-    assert np.array_equal(
-        evaluate_population(pop, fitness, parallel=False),
-        evaluate_population(pop, fitness, parallel=True),
-    )
-
-
 def _result_with_history(fits):
     n = len(fits)
     return RunResult(
@@ -232,7 +215,6 @@ def _result_with_history(fits):
         best_solutions_fitness=np.array(fits, dtype=float),
         best_solution_indices=np.arange(n),
         mean_fitness=np.array(fits, dtype=float),
-        overall_best=(None, 0.0, -1),
         completed_generations=n - 1,
         stop_reason=StopReason.EXHAUSTED,
     )
@@ -258,18 +240,29 @@ def test_best_solution_single_entry():
     assert fit == 0.25
 
 
-def test_overall_best_index_is_minus_one_for_earlier_generations():
-    def stop_never(state):
-        return None
+def test_best_solution_index_addresses_its_own_generation():
+    # The index is the row within the population of the generation that
+    # produced the best, which is often not the final one.
+    def fitness(solution, _idx):
+        return -float(np.sum(np.abs(solution)))
 
-    cfg = demo_config(num_generations=6)
-    result = run(cfg, lambda s, i: -float(np.sum(np.abs(s))), LifecycleHooks())
-    solution, fit, idx = result.overall_best
-    g = int(np.argmax(result.best_solutions_fitness))
-    if g == len(result.best_solutions_fitness) - 1:
-        assert idx == result.best_solution_indices[g]
-    else:
-        assert idx == -1
+    earlier = 0
+    for seed in range(6):
+        populations = []
+
+        def capture(state):
+            populations.append(state.population)
+
+        # on_fitness sees every evolving generation; on_stop sees the final one.
+        result = run(demo_config(num_generations=6, seed=seed), fitness,
+                     LifecycleHooks(on_fitness=capture, on_stop=capture))
+        solution, fit, idx = best_solution(result)
+        g = int(np.argmax(result.best_solutions_fitness))
+        assert len(populations) == result.completed_generations + 1
+        assert np.array_equal(populations[g][idx], solution)
+        assert fit == fitness(populations[g][idx], idx)
+        earlier += g < result.completed_generations
+    assert earlier > 0
 
 
 def test_fitness_history_constant_function():
@@ -299,6 +292,25 @@ def test_adaptive_mutation_runs_through_engine():
     )
     result = run(cfg, sum_fitness)
     assert result.completed_generations == 5
+
+
+def test_adaptive_mutation_takes_low_rate_when_fitness_sum_overflows():
+    # Every solution sits exactly at the mean, so every child takes the low
+    # rate (one gene); an overflowing mean must not flip that to the high one.
+    from gakit.config import AdaptivePair, NumGenes
+
+    changed = []
+
+    def count_changes(state):
+        before = state.last_generation_offspring_crossover
+        after = state.last_generation_offspring_mutation
+        changed.extend(np.sum(before != after, axis=1).tolist())
+
+    cfg = demo_config(num_generations=4, mutation=MutationKind.ADAPTIVE,
+                      mutation_rate=AdaptivePair(NumGenes(3), NumGenes(1)))
+    result = run(cfg, lambda s, i: 1e308, LifecycleHooks(on_mutation=count_changes))
+    assert result.mean_fitness.tolist() == [1e308] * 5
+    assert changed and max(changed) == 1
 
 
 def test_state_handle_exposes_stage_records():

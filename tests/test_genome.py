@@ -1,5 +1,6 @@
 """Gene coercion, sampling, duplicate repair, and population construction."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -22,12 +23,14 @@ from gakit.genome import (
     init_population,
     population_from_csv,
     population_to_csv,
-    repair_duplicates,
-    sample_gene,
-    space_contains,
 )
 
 INIT_RANGE = (-4.0, 4.0)
+
+
+def _schema(space, gene_type, n=1):
+    """A schema of n genes that share one space and one type."""
+    return GeneSchema([space] * n, [gene_type] * n, INIT_RANGE)
 
 
 # --- coercion -----------------------------------------------------------------
@@ -42,6 +45,28 @@ def test_coerce_clamps_to_type_bounds():
     assert coerce_gene(-1, GeneType.UINT8) == 0.0
     assert coerce_gene(300, GeneType.UINT8) == 255.0
     assert coerce_gene(40000, GeneType.INT16) == 32767.0
+
+
+@pytest.mark.parametrize("gene_type", [GeneType.INT64, GeneType.UINT64])
+def test_coerce_clamps_64_bit_types_to_a_value_they_hold(gene_type):
+    # float(2**63 - 1) and float(2**64 - 1) round up past the type's maximum;
+    # the clamp is the largest double at or below it.
+    lo, hi = genome._INT_BOUNDS[gene_type]
+    top = coerce_gene(1e30, gene_type)
+    assert int(top) <= hi < int(math.nextafter(top, math.inf))
+    assert coerce_gene(-1e30, gene_type) == lo
+    schema = _schema(UNCONSTRAINED, gene_type, 2)
+    assert schema.coerce([1e30, -1e30]).tolist() == [top, float(lo)]
+
+
+def test_coerce_float32_clamps_to_its_finite_range():
+    top = float(np.finfo(np.float32).max)
+    assert coerce_gene(1e300, GeneType.FLOAT32) == top
+    assert coerce_gene(-1e300, GeneType.FLOAT32) == -top
+    assert coerce_gene(3.5e38, GeneType.FLOAT32) == top
+    schema = _schema(UNCONSTRAINED, GeneType.FLOAT32, 3)
+    assert schema.coerce([1e300, -1e300, 0.1]).tolist() == [
+        top, -top, float(np.float32(0.1))]
 
 
 def test_coerce_float32_rounds_to_single_precision():
@@ -98,17 +123,16 @@ _coerce_values = st.one_of(
 
 
 def _assert_coerce_matches_scalar(schema, values):
-    with np.errstate(over="ignore"):  # float32 overflow warns on both paths
-        try:
-            expected = np.array([
-                [coerce_gene(v, t) for v, t in zip(row, schema.types)]
-                for row in values.tolist()
-            ])
-        except NonFiniteGene:
-            with pytest.raises(NonFiniteGene):
-                schema.coerce(values)
-            return
-        got = schema.coerce(values)
+    try:
+        expected = np.array([
+            [coerce_gene(v, t) for v, t in zip(row, schema.types)]
+            for row in values.tolist()
+        ])
+    except NonFiniteGene:
+        with pytest.raises(NonFiniteGene):
+            schema.coerce(values)
+        return
+    got = schema.coerce(values)
     # Bit-identical, so 0.0 and -0.0 count as different.
     assert got.tobytes() == expected.tobytes()
 
@@ -138,23 +162,21 @@ def test_schema_coerce_matches_coerce_gene_mixed_types(data):
 def test_sample_singleton_set():
     rng = np.random.default_rng(0)
     for _ in range(10):
-        assert sample_gene(DiscreteSet((7,)), GeneType.FLOAT64, INIT_RANGE, rng) == 7.0
+        assert _schema(DiscreteSet((7,)), GeneType.FLOAT64).sample(0, rng) == 7.0
 
 
 def test_sample_step_lattice_with_int_type():
     rng = np.random.default_rng(1)
     seen = {
-        sample_gene(ValueRange(0, 10, step=5), GeneType.INT32, INIT_RANGE, rng)
-        for _ in range(200)
+        _schema(ValueRange(0, 10, step=5), GeneType.INT32).sample(0, rng) for _ in range(200)
     }
     assert seen == {0.0, 5.0}
 
 
 def test_sample_unconstrained_respects_init_range():
     rng = np.random.default_rng(2)
-    draws = np.array([
-        sample_gene(UNCONSTRAINED, GeneType.FLOAT64, INIT_RANGE, rng) for _ in range(10_000)
-    ])
+    schema = _schema(UNCONSTRAINED, GeneType.FLOAT64)
+    draws = np.array([schema.sample(0, rng) for _ in range(10_000)])
     assert np.all(draws >= -4.0) and np.all(draws < 4.0)
     # the draws should actually spread over the range
     assert draws.min() < -3.5 and draws.max() > 3.5
@@ -164,13 +186,13 @@ def test_sample_discrete_set_membership():
     rng = np.random.default_rng(3)
     values = (0.25, 1.5, -3.0, 2.0)
     for _ in range(200):
-        assert sample_gene(DiscreteSet(values), GeneType.FLOAT64, INIT_RANGE, rng) in values
+        assert _schema(DiscreteSet(values), GeneType.FLOAT64).sample(0, rng) in values
 
 
 def test_sample_continuous_range_half_open():
     rng = np.random.default_rng(4)
     for _ in range(1000):
-        v = sample_gene(ValueRange(2.0, 3.0), GeneType.FLOAT64, INIT_RANGE, rng)
+        v = _schema(ValueRange(2.0, 3.0), GeneType.FLOAT64).sample(0, rng)
         assert 2.0 <= v < 3.0
 
 
@@ -178,30 +200,44 @@ def test_sample_empty_typed_lattice_raises():
     # lattice {0.5, 1.5, 2.5} holds no representable int32 value
     rng = np.random.default_rng(5)
     with pytest.raises(EmptySpace):
-        sample_gene(ValueRange(0.5, 3.0, step=1.0), GeneType.INT32, INIT_RANGE, rng)
+        _schema(ValueRange(0.5, 3.0, step=1.0), GeneType.INT32).sample(0, rng)
 
 
 def test_space_contains_basics():
-    assert space_contains(UNCONSTRAINED, 123.0)
-    assert space_contains(DiscreteSet((1, 2)), 2.0)
-    assert not space_contains(DiscreteSet((1, 2)), 3.0)
-    assert space_contains(ValueRange(0, 1), 0.0)
-    assert not space_contains(ValueRange(0, 1), 1.0)
-    assert space_contains(ValueRange(0, 10, 2.5), 7.5)
-    assert not space_contains(ValueRange(0, 10, 2.5), 7.0)
+    def contains(space, v):
+        return _schema(space, GeneType.FLOAT64).contains(0, v)
+
+    assert contains(UNCONSTRAINED, 123.0)
+    assert contains(DiscreteSet((1, 2)), 2.0)
+    assert not contains(DiscreteSet((1, 2)), 3.0)
+    assert contains(ValueRange(0, 1), 0.0)
+    assert not contains(ValueRange(0, 1), 1.0)
+    assert contains(ValueRange(0, 10, 2.5), 7.5)
+    assert not contains(ValueRange(0, 10, 2.5), 7.0)
+
+
+def test_admit_keeps_admissible_values_and_resamples_the_rest():
+    schema = GeneSchema([ValueRange(0, 10, step=2), DiscreteSet((1.5, 2.5)), UNCONSTRAINED],
+                        [GeneType.INT8, GeneType.FLOAT64, GeneType.UINT8], INIT_RANGE)
+    rng = np.random.default_rng(0)
+    assert schema.admit(0, 3.6, rng) == 4.0  # rounds onto the lattice and stays
+    assert schema.admit(2, 300.0, rng) == 255.0  # clamps; any uint8 is admissible
+    assert schema.admit(1, 2.5, rng) == 2.5
+    # An inadmissible value draws exactly what sample would, from the same stream.
+    for j, v in ((0, 5.0), (0, 10.0), (1, 2.0)):
+        assert schema.admit(j, v, np.random.default_rng(7)) == schema.sample(
+            j, np.random.default_rng(7))
+    with pytest.raises(NonFiniteGene):
+        schema.admit(0, float("nan"), rng)
 
 
 # --- duplicate repair -----------------------------------------------------------
 
-def _globals(space, gene_type, n):
-    return [space] * n, [gene_type] * n
-
-
 def test_repair_keeps_first_occurrence():
     rng = np.random.default_rng(0)
-    spaces, types = _globals(DiscreteSet((1, 2, 3, 4)), GeneType.FLOAT64, 3)
+    schema = _schema(DiscreteSet((1, 2, 3, 4)), GeneType.FLOAT64, 3)
     for _ in range(50):
-        repaired = repair_duplicates([2, 2, 3], spaces, types, INIT_RANGE, rng)
+        repaired = schema.repair([2, 2, 3], rng)
         assert repaired[0] == 2.0 and repaired[2] == 3.0
         assert repaired[1] in (1.0, 4.0)
         assert len(set(repaired.tolist())) == 3
@@ -209,21 +245,21 @@ def test_repair_keeps_first_occurrence():
 
 def test_repair_identity_when_distinct():
     rng = np.random.default_rng(0)
-    spaces, types = _globals(DiscreteSet((1, 2, 3)), GeneType.FLOAT64, 2)
-    assert repair_duplicates([1, 2], spaces, types, INIT_RANGE, rng).tolist() == [1.0, 2.0]
+    schema = _schema(DiscreteSet((1, 2, 3)), GeneType.FLOAT64, 2)
+    assert schema.repair([1, 2], rng).tolist() == [1.0, 2.0]
 
 
 def test_repair_pigeonhole_raises():
     rng = np.random.default_rng(0)
-    spaces, types = _globals(DiscreteSet((1, 2)), GeneType.FLOAT64, 3)
+    schema = _schema(DiscreteSet((1, 2)), GeneType.FLOAT64, 3)
     with pytest.raises(InsufficientSpace):
-        repair_duplicates([1, 1, 2], spaces, types, INIT_RANGE, rng)
+        schema.repair([1, 1, 2], rng)
 
 
 def test_repair_continuous_space():
     rng = np.random.default_rng(0)
-    spaces, types = _globals(UNCONSTRAINED, GeneType.FLOAT64, 2)
-    repaired = repair_duplicates([1.5, 1.5], spaces, types, INIT_RANGE, rng)
+    schema = _schema(UNCONSTRAINED, GeneType.FLOAT64, 2)
+    repaired = schema.repair([1.5, 1.5], rng)
     assert repaired[0] == 1.5
     assert repaired[1] != 1.5
 
@@ -231,7 +267,7 @@ def test_repair_continuous_space():
 def test_repair_changes_only_left_duplicates():
     rng = np.random.default_rng(9)
     space = DiscreteSet(tuple(range(20)))
-    spaces, types = _globals(space, GeneType.INT16, 6)
+    schema = _schema(space, GeneType.INT16, 6)
     for _ in range(200):
         genes = rng.integers(0, 20, size=6).astype(float)
         seen = set()
@@ -240,7 +276,7 @@ def test_repair_changes_only_left_duplicates():
             if v in seen:
                 duplicate_positions.add(j)
             seen.add(v)
-        repaired = repair_duplicates(genes, spaces, types, INIT_RANGE, rng)
+        repaired = schema.repair(genes, rng)
         changed = {j for j in range(6) if repaired[j] != genes[j]}
         assert changed <= duplicate_positions
         assert len(set(repaired.tolist())) == 6
@@ -316,11 +352,12 @@ def test_membership_closure_over_seeded_populations():
     types = [GeneType.INT8, GeneType.FLOAT64, GeneType.FLOAT32, GeneType.FLOAT64]
     cfg = validate(GaConfig(num_generations=1, sol_per_pop=25, num_parents_mating=5, num_genes=4,
                             gene_space=spaces, gene_type=types))
+    schema = GeneSchema.from_config(cfg)
     for seed in range(20):
         pop = init_population(cfg, np.random.default_rng(seed))
         for row in pop:
             for j, v in enumerate(row):
-                assert space_contains(spaces[j], float(v), types[j])
+                assert schema.contains(j, float(v))
                 assert coerce_gene(float(v), types[j]) == float(v)
 
 

@@ -1,5 +1,8 @@
 """Selection, crossover, and mutation operator behavior."""
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 from conftest import StubRng
@@ -11,10 +14,19 @@ from gakit.config import (
     MutationKind,
     NumGenes,
     ParentSelection,
+    Probability,
     validate,
 )
 from gakit.errors import LengthMismatch, NonPositiveFitness
-from gakit.genome import DiscreteSet, GeneType, ValueRange, coerce_gene, space_contains
+from gakit.genome import (
+    UNCONSTRAINED,
+    DiscreteSet,
+    GeneSchema,
+    GeneType,
+    ValueRange,
+    coerce_gene,
+    init_population,
+)
 from gakit.engine import run
 from gakit.operators import ParentSet, crossover_pair, mutate, produce_offspring, select_parents
 
@@ -100,6 +112,7 @@ def test_proportional_selection_survives_overflowing_fitness_sum(kind):
                             num_genes=2, parent_selection=kind))
     result = run(cfg, lambda solution, idx: 1e308)
     assert result.completed_generations == 5
+    assert np.all(np.isfinite(result.mean_fitness))
 
 
 def test_roulette_rejects_non_positive_fitness():
@@ -320,8 +333,7 @@ def test_mutation_closure_fuzz():
         mutation=MutationKind.RANDOM, mutation_rate=NumGenes(2),
         gene_space=spaces, gene_type=types, allow_duplicate_genes=False,
     ))
-    from gakit.genome import init_population
-
+    schema = GeneSchema.from_config(cfg)
     rng = np.random.default_rng(13)
     kinds = [MutationKind.RANDOM, MutationKind.SWAP, MutationKind.INVERSION,
              MutationKind.SCRAMBLE]
@@ -335,4 +347,46 @@ def test_mutation_closure_fuzz():
             assert len(set(out.tolist())) == out.size
             for j, v in enumerate(out):
                 assert coerce_gene(float(v), types[j]) == float(v)
-                assert space_contains(spaces[j], float(v), types[j])
+                assert schema.contains(j, float(v))
+
+
+# Mixed per-gene spaces and types: moved or perturbed values often miss the
+# type or space of their gene, so every admit branch and repair draws.
+_REPLAY_SPACES = [
+    UNCONSTRAINED, DiscreteSet((0, 1, 2, 3, 5, 8)), ValueRange(-5, 5), ValueRange(0, 20, step=1),
+    ValueRange(-3, 3, step=0.5), DiscreteSet((-1.5, 0.25, 2.0, 7.75)), UNCONSTRAINED,
+    ValueRange(0, 100, step=3),
+]
+_REPLAY_TYPES = [
+    GeneType.FLOAT64, GeneType.INT16, GeneType.FLOAT32, GeneType.UINT8,
+    GeneType.FLOAT64, GeneType.FLOAT64, GeneType.INT32, GeneType.PYINT,
+]
+
+# sha256 over the mutated rows; pinned so that any moved draw shows.
+_REPLAY_DIGESTS = {
+    MutationKind.RANDOM: "b68a561e8820ed8f16a429d2baaeac818b2355f01ff16bcd39a917fb9fd8acc8",
+    MutationKind.SWAP: "e709852e039178f23640f4bacc04503aa15b3bdf22428637a3d4432e828e0581",
+    MutationKind.INVERSION: "5d7f528f33c16fa1e4567b0d31977e9219dc199019109b54a7230f11b78d7557",
+    MutationKind.SCRAMBLE: "7dbb40f68a854f50c40599f557113328b1f98fcd5f7637215cf39fe8f07c3aa9",
+    MutationKind.ADAPTIVE: "d98a007319bf7d332ebbd5aad5369d93f441f2cca6b2348292508b7b46b24fc9",
+}
+
+
+@pytest.mark.parametrize("kind", list(MutationKind))
+def test_mutate_replays_pinned_draws(kind):
+    digest = hashlib.sha256()
+    for by_replacement, duplicates in itertools.product((False, True), repeat=2):
+        rate = (AdaptivePair(Probability(0.6), Probability(0.2))
+                if kind is MutationKind.ADAPTIVE else Probability(0.4))
+        cfg = validate(GaConfig(
+            num_generations=1, sol_per_pop=30, num_parents_mating=2, num_genes=8,
+            mutation=kind, mutation_rate=rate, mutation_by_replacement=by_replacement,
+            random_delta_range=(-2.5, 2.5), allow_duplicate_genes=duplicates,
+            gene_space=_REPLAY_SPACES, gene_type=_REPLAY_TYPES,
+        ))
+        rng = np.random.default_rng([by_replacement, duplicates])
+        for i, row in enumerate(init_population(cfg, rng)):
+            # own fitness -1, 0, 1 against a mean of 0: both adaptive rates
+            out = mutate(kind, row, cfg, 0.0, float(i % 3) - 1.0, rng)
+            digest.update(out.tobytes())
+    assert digest.hexdigest() == _REPLAY_DIGESTS[kind]
