@@ -190,11 +190,14 @@ def _config_from_file_map(mapping: dict) -> dict:
 
 
 def _parse_mutation_percent(text: str):
-    parts = [p.strip() for p in str(text).split(",")]
+    try:
+        parts = [float(p) for p in str(text).split(",")]
+    except ValueError:
+        raise UsageError(f"--mutation-percent takes numbers, got {text!r}") from None
     if len(parts) == 1:
-        return PercentGenes(float(parts[0]))
+        return PercentGenes(parts[0])
     if len(parts) == 2:
-        return AdaptivePair(PercentGenes(float(parts[0])), PercentGenes(float(parts[1])))
+        return AdaptivePair(PercentGenes(parts[0]), PercentGenes(parts[1]))
     raise UsageError(f"--mutation-percent takes P or P_HIGH,P_LOW, got {text!r}")
 
 

@@ -137,8 +137,8 @@ def _as_interval(field: str, value) -> tuple:
         lo, hi = (float(value[0]), float(value[1]))
     except (TypeError, ValueError, IndexError):
         raise ConfigError(field, "a (lo, hi) pair", value) from None
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        raise ConfigError(field, "lo < hi with finite bounds", value)
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise ConfigError(field, "lo < hi with a finite width hi - lo", value)
     return (lo, hi)
 
 
@@ -195,10 +195,11 @@ def _check_one_space(field: str, space) -> GeneSpace:
             raise ConfigError(field, "distinct discrete values", space)
         return space
     if isinstance(space, ValueRange):
-        if not (space.lo < space.hi):
-            raise ConfigError(field, "range lo < hi", space)
-        if space.step is not None and space.step <= 0:
-            raise ConfigError(field, "a positive step", space)
+        if not (space.lo < space.hi and math.isfinite(space.hi - space.lo)):
+            raise ConfigError(field, "range lo < hi with a finite width hi - lo", space)
+        if space.step is not None and not (
+                0 < space.step < math.inf and (space.hi - space.lo) / space.step <= 2**53):
+            raise ConfigError(field, "a finite positive step, at most 2**53 lattice points", space)
         return space
     raise ConfigError(field, "an Unconstrained, DiscreteSet, or ValueRange", space)
 

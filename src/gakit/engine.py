@@ -18,7 +18,7 @@ import numpy as np
 from .config import GaConfig, MutationKind
 from .errors import DimensionMismatch, FitnessError
 from .genome import GeneSchema, init_population
-from .operators import ParentSet, mutate, produce_offspring, select_parents
+from .operators import ParentSet, mutate, produce_offspring, select_parents, summable
 
 _STAGE_INIT = 0
 _STAGE_SELECTION = 1
@@ -108,8 +108,6 @@ class EngineState:
         self.last_generation_offspring_crossover: Optional[np.ndarray] = None
         self.last_generation_offspring_mutation: Optional[np.ndarray] = None
         self.last_record: Optional[GenerationRecord] = None
-        self.best_solutions: list = []
-        self.best_solutions_fitness: list = []
 
 
 def _stage_rng(seed: int, generation: int, stage: int) -> np.random.Generator:
@@ -136,17 +134,6 @@ def evaluate_population(population, fitness, generation=None) -> np.ndarray:
         return value
 
     return np.array([eval_one(i) for i in range(population.shape[0])], dtype=float)
-
-
-def _mean(fitness: np.ndarray) -> float:
-    # Finite fitness values can still overflow their sum; only then rescale by
-    # the largest magnitude, so every run whose mean is finite keeps its bits.
-    with np.errstate(over="ignore"):
-        mean = float(fitness.mean())
-    if math.isfinite(mean):
-        return mean
-    scale = float(np.abs(fitness).max())
-    return float((fitness / scale).mean()) * scale
 
 
 def _fire(hook, state):
@@ -206,7 +193,8 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
         best_rows.append(population[best_index].copy())
         best_fits.append(float(fit_vector[best_index]))
         best_idxs.append(best_index)
-        mean_fits.append(_mean(fit_vector))
+        scaled, scale = summable(fit_vector)
+        mean_fits.append(float(scaled.mean()) * scale)
         return best_index, best_fits[-1], mean_fits[-1]
 
     _fire(hooks.on_start, state)
@@ -224,8 +212,6 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
         _fire(hooks.on_fitness, state)
 
         best_index, best_fit, mean_fit = record_entry(fit)
-        state.best_solutions = best_rows
-        state.best_solutions_fitness = best_fits
 
         parents = select_parents(
             cfg.parent_selection, population, fit, cfg.num_parents_mating,

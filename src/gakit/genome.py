@@ -6,10 +6,10 @@ every mutation. Populations are plain 2-D numpy arrays of shape
 (sol_per_pop, num_genes).
 
 A run compiles its gene constraints once into a GeneSchema: each discrete set
-already coerced to its gene's type, each typed step lattice (enumerated on
-first use, then kept for the run), and the gene columns grouped by type, so a
-whole population is coerced with one numpy pass per type. `coerce_gene` stays
-the scalar definition that the vectorized coercion reproduces bit for bit.
+already coerced to its gene's type, each typed step lattice enumerated, and
+the gene columns grouped by type, so a whole population is coerced with one
+numpy pass per type. `coerce_gene` stays the scalar definition that the
+vectorized coercion reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ _FLOAT32_MAX = float(np.finfo(np.float32).max)
 # Integers survive a round trip through a float64 only below 2**53.
 _EXACT_INT_LIMIT = 2**53
 
-# Step lattices larger than this are sampled without an exhaustive
-# emptiness/enumeration pass (collisions there are practically impossible).
+# Step lattices up to this many points are enumerated when a schema is
+# compiled; larger ones are sampled by redrawing, like continuous ranges.
 _LATTICE_ENUM_CAP = 1 << 20
 
 _REDRAW_BUDGET = 100
@@ -108,10 +108,6 @@ class ValueRange:
 GeneSpace = Union[Unconstrained, DiscreteSet, ValueRange]
 
 UNCONSTRAINED = Unconstrained()
-
-
-def is_integer_type(gene_type: GeneType) -> bool:
-    return gene_type in _INT_BOUNDS or gene_type is GeneType.PYINT
 
 
 def _round_half_away(v: float) -> int:
@@ -164,43 +160,48 @@ def _coerce_array(values: np.ndarray, gene_type: GeneType) -> np.ndarray:
 
 
 def _lattice_size(space: ValueRange) -> int:
-    # Number of points lo, lo+step, ... strictly below hi.
-    return max(0, int(math.ceil((space.hi - space.lo) / space.step - 1e-12)))
+    # Number of points lo, lo+step, ... strictly below hi; lo < hi is always one.
+    return max(1, int(math.ceil((space.hi - space.lo) / space.step - 1e-12)))
 
 
 def _typed_lattice(space: ValueRange, gene_type: GeneType) -> list:
-    """Lattice points that survive coercion to the gene type unchanged, sorted.
+    """The step-lattice points that _GeneRule.contains accepts, sorted and distinct.
 
-    Only called for lattices of at most _LATTICE_ENUM_CAP points; a point the
-    type cannot represent exactly is not admissible.
+    A point lo + k*step counts when rounding has left it below hi (the last
+    one can round up to hi) and it survives coercion to the gene type unchanged.
     """
     points = space.lo + np.arange(_lattice_size(space)) * space.step
-    return np.unique(points[_coerce_array(points, gene_type) == points]).tolist()
+    admissible = (points < space.hi) & (_coerce_array(points, gene_type) == points)
+    return np.unique(points[admissible]).tolist()
 
 
 class _GeneRule:
-    """The admissible values of one (space, type) pair, derived once and shared by its genes."""
+    """The admissible values of one (space, type) pair, derived once and shared by its genes.
 
-    __slots__ = ("space", "type", "values", "members", "size", "_sorted", "_lattice")
+    A finite rule (a discrete set, or a step lattice of at most
+    _LATTICE_ENUM_CAP points) holds its admissible values; any other rule
+    draws from its range and keeps the first coerced value contains accepts.
+    """
+
+    __slots__ = ("space", "type", "size", "members", "values", "pool")
 
     def __init__(self, space: GeneSpace, gene_type: GeneType) -> None:
         self.space = space
         self.type = gene_type
-        self.values = None  # discrete values coerced to the type, in declaration order
-        self.members = None  # the same values as a set, for O(1) membership
         self.size = None  # number of step-lattice points
-        self._sorted = None
-        self._lattice = None
+        self.members = None  # discrete values coerced to the type, for O(1) membership
+        self.values = None  # a finite rule's admissible values, in draw order
+        self.pool = None  # the same values, distinct and sorted, for repair
         if isinstance(space, DiscreteSet):
             self.values = tuple(coerce_gene(v, gene_type) for v in space.values)
             self.members = frozenset(self.values)
+            self.pool = sorted(self.members)
         elif isinstance(space, ValueRange) and space.step is not None:
             self.size = _lattice_size(space)
-
-    def lattice(self) -> list:
-        if self._lattice is None:
-            self._lattice = _typed_lattice(self.space, self.type)
-        return self._lattice
+            if self.size <= _LATTICE_ENUM_CAP:
+                self.values = self.pool = _typed_lattice(space, gene_type)
+        if self.values is not None and not self.values:
+            raise EmptySpace(f"no value of {space!r} is representable as {gene_type.value}")
 
     def contains(self, v: float) -> bool:
         space = self.space
@@ -218,39 +219,27 @@ class _GeneRule:
         return space.lo + k * space.step == v and coerce_gene(v, self.type) == v
 
     def sample(self, init_range, rng) -> float:
-        space = self.space
-        if isinstance(space, Unconstrained):
-            return coerce_gene(rng.uniform(init_range[0], init_range[1]), self.type)
         if self.values is not None:
             return self.values[int(rng.integers(len(self.values)))]
-        if self.size is None:
-            return coerce_gene(rng.uniform(space.lo, space.hi), self.type)
-        if self.size == 0:
-            raise EmptySpace(f"range {space.lo}..{space.hi} with step {space.step} has no points")
-        if self.size <= _LATTICE_ENUM_CAP and is_integer_type(self.type):
-            lattice = self.lattice()
-            if not lattice:
-                raise EmptySpace(
-                    f"no point of the step lattice {space.lo}..{space.hi}/{space.step} "
-                    f"is representable as {self.type.value}"
-                )
-            return lattice[int(rng.integers(len(lattice)))]
-        return coerce_gene(space.lo + int(rng.integers(self.size)) * space.step, self.type)
-
-    def candidates(self):
-        """Enumerable admissible values, sorted, or None for a continuous space."""
-        if self.members is not None:
-            if self._sorted is None:
-                self._sorted = sorted(self.members)
-            return self._sorted
-        if self.size is not None and self.size <= _LATTICE_ENUM_CAP:
-            return self.lattice()
-        return None
+        space = self.space
+        for _ in range(_REDRAW_BUDGET):
+            if isinstance(space, Unconstrained):
+                v = rng.uniform(init_range[0], init_range[1])
+            elif self.size is None:
+                v = rng.uniform(space.lo, space.hi)
+            else:
+                v = space.lo + int(rng.integers(self.size)) * space.step
+            v = coerce_gene(v, self.type)
+            if self.contains(v):
+                return v
+        raise EmptySpace(
+            f"no value of {space!r} representable as {self.type.value} "
+            f"found in {_REDRAW_BUDGET} draws"
+        )
 
     def resample_excluding(self, exclude, init_range, rng) -> float:
-        candidates = self.candidates()
-        if candidates is not None:
-            pool = [v for v in candidates if v not in exclude]
+        if self.pool is not None:
+            pool = [v for v in self.pool if v not in exclude]
             if not pool:
                 raise InsufficientSpace(
                     f"space {self.space!r} has no admissible value outside {sorted(exclude)}"
@@ -269,8 +258,9 @@ class GeneSchema:
     """Per-gene constraints of one run, compiled once from a validated config.
 
     Holds each gene's space and type, the gene columns grouped by type, and
-    one rule per distinct (space, type) pair with its coerced discrete set and
-    its typed step lattice, which is enumerated on first use. Every random
+    one rule per distinct (space, type) pair with its coerced discrete set or
+    its enumerated typed step lattice. Compiling raises EmptySpace for a set
+    or lattice that holds no value of its gene type. Every random
     draw of sample and repair is scalar and in the same order as one gene at a
     time, so a run replays bit-identically whichever path it takes.
     """
@@ -333,9 +323,11 @@ class GeneSchema:
     def sample(self, j: int, rng) -> float:
         """Draw one admissible value of gene j.
 
-        Unconstrained genes sample uniformly from init_range; discrete sets pick
-        a member uniformly; ranges sample uniformly over [lo, hi) or over the
-        step lattice.
+        Discrete sets and enumerated step lattices pick one of their admissible
+        values uniformly. Other genes draw uniformly from init_range
+        (unconstrained), [lo, hi) or the step lattice, coerce the draw, and
+        redraw until contains accepts it; after _REDRAW_BUDGET misses they
+        raise EmptySpace.
         """
         return self._rules[j].sample(self.init_range, rng)
 

@@ -73,14 +73,18 @@ def select_parents(kind: ParentSelection, population, fitness, n: int, rng,
     return ParentSet(rows=population[indices].copy(), indices=indices)
 
 
-def _summable(fitness: np.ndarray) -> np.ndarray:
-    # Finite fitness values can still overflow their sum; only then rescale by
-    # the maximum, so every run whose sum is finite keeps its exact draws.
+def summable(fitness: np.ndarray) -> tuple:
+    """(fitness / scale, scale): scale is 1.0 unless the plain sum overflows.
+
+    Finite fitness values can still overflow their sum; only then divide by
+    the largest magnitude, so every sum that is finite keeps its exact bits.
+    """
     with np.errstate(over="ignore"):
         total = fitness.sum()
     if np.isfinite(total):
-        return fitness
-    return fitness / fitness.max()
+        return fitness, 1.0
+    scale = float(np.abs(fitness).max())
+    return fitness / scale, scale
 
 
 def _fitness_weights(fitness: np.ndarray) -> np.ndarray:
@@ -88,7 +92,7 @@ def _fitness_weights(fitness: np.ndarray) -> np.ndarray:
         raise NonPositiveFitness(
             "fitness-proportional selection requires every fitness value > 0"
         )
-    fitness = _summable(fitness)
+    fitness, _ = summable(fitness)
     return fitness / fitness.sum()
 
 
@@ -97,7 +101,7 @@ def _sus_indices(fitness: np.ndarray, n: int, rng) -> np.ndarray:
         raise NonPositiveFitness(
             "stochastic universal sampling requires every fitness value > 0"
         )
-    cumulative = np.cumsum(_summable(fitness))
+    cumulative = np.cumsum(summable(fitness)[0])
     spacing = cumulative[-1] / n
     points = rng.uniform(0.0, spacing) + spacing * np.arange(n)
     return np.searchsorted(cumulative, points, side="right")

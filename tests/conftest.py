@@ -1,6 +1,13 @@
-"""Shared test helpers."""
+"""Shared test helpers and the hypothesis profile every test runs under."""
 
 import numpy as np
+from hypothesis import settings
+
+# Derandomized search: every run of the suite tries the same examples, so a
+# property test passes or fails alike on every machine and rerun. Example
+# generation can be slow for numpy arrays, so no per-example deadline.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 class StubRng:

@@ -205,6 +205,8 @@ def test_criterion_8_constraint_closure_fuzz():
         dict(num_genes=5, gene_space=ValueRange(0, 32, step=1),
              gene_type=GeneType.UINT8, allow_duplicate_genes=False,
              mutation_by_replacement=True),
+        dict(num_genes=4, gene_space=[ValueRange(0, 10), ValueRange(0, 1, step=0.1)] * 2,
+             gene_type=[GeneType.INT32, GeneType.FLOAT32] * 2),
     ]
     applications = 0
     violations = 0

@@ -176,6 +176,13 @@ def test_usage_error_exits_two(capsys):
     assert "nosuch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("percent", ["abc", "10,x", "1,2,3"])
+def test_unparsable_mutation_percent_exits_two(percent, capsys):
+    assert main(["solve", "--mutation-percent", percent]) == 2
+    err = capsys.readouterr().err
+    assert "--mutation-percent" in err and "Traceback" not in err
+
+
 def test_missing_input_file_exits_two(tmp_path, capsys):
     assert main(["report", "--in", str(tmp_path / "absent.csv"),
                  "--svg", str(tmp_path / "x.svg")]) == 2

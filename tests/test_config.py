@@ -1,6 +1,7 @@
 """Validation and normalization of GaConfig plus mutation-rate resolution."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from gakit.config import (
     validate,
 )
 from gakit.errors import ConfigError
-from gakit.genome import DiscreteSet, GeneType, ValueRange
+from gakit.genome import DiscreteSet, GeneSchema, GeneType, ValueRange
 
 
 def base_config(**overrides):
@@ -152,6 +153,33 @@ def test_bad_interval_rejected():
     with pytest.raises(ConfigError) as err:
         validate(base_config(init_range=(4.0, -4.0)))
     assert err.value.field == "init_range"
+
+
+@pytest.mark.parametrize("field", ["init_range", "random_delta_range"])
+@pytest.mark.parametrize("interval", [(-1e308, 1e308), (-math.inf, 0.0)])
+def test_interval_of_infinite_width_rejected(field, interval):
+    # A width that overflows would make every uniform draw raise OverflowError.
+    with pytest.raises(ConfigError) as err:
+        validate(base_config(**{field: interval}))
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("space", [
+    ValueRange(1, 1), ValueRange(-1e308, 1e308), ValueRange(0, math.inf),
+    ValueRange(0, 1, 0), ValueRange(0, 1, math.nan), ValueRange(0, 1, math.inf),
+    ValueRange(0, 1e30, 1e-3),
+])
+def test_bad_value_range_rejected(space):
+    with pytest.raises(ConfigError) as err:
+        validate(base_config(gene_space=space))
+    assert err.value.field == "gene_space"
+
+
+def test_step_wider_than_its_range_is_the_single_point_lo():
+    cfg = validate(base_config(gene_space=ValueRange(2, 3, 1e13), gene_type=GeneType.INT8))
+    schema = GeneSchema.from_config(cfg)
+    assert schema.sample(0, np.random.default_rng(0)) == 2.0
+    assert schema.contains(0, 2.0) and not schema.contains(0, 2.5)
 
 
 def test_initial_population_shape_checked():

@@ -5,14 +5,20 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gakit import genome
 from gakit.config import GaConfig, PercentGenes, validate
 from gakit.engine import run
-from gakit.errors import DimensionMismatch, EmptySpace, InsufficientSpace, NonFiniteGene
+from gakit.errors import (
+    ConfigError,
+    DimensionMismatch,
+    EmptySpace,
+    InsufficientSpace,
+    NonFiniteGene,
+)
 from gakit.genome import (
     UNCONSTRAINED,
     DiscreteSet,
@@ -138,7 +144,6 @@ def _assert_coerce_matches_scalar(schema, values):
 
 
 @pytest.mark.parametrize("gene_type", list(GeneType))
-@settings(deadline=None)
 @given(values=hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
                          elements=_coerce_values))
 def test_schema_coerce_matches_coerce_gene(gene_type, values):
@@ -147,7 +152,6 @@ def test_schema_coerce_matches_coerce_gene(gene_type, values):
     _assert_coerce_matches_scalar(schema, values)
 
 
-@settings(deadline=None)
 @given(data=st.data())
 def test_schema_coerce_matches_coerce_gene_mixed_types(data):
     types = data.draw(st.lists(st.sampled_from(list(GeneType)), min_size=1, max_size=8))
@@ -197,10 +201,104 @@ def test_sample_continuous_range_half_open():
 
 
 def test_sample_empty_typed_lattice_raises():
-    # lattice {0.5, 1.5, 2.5} holds no representable int32 value
-    rng = np.random.default_rng(5)
+    # lattice {0.5, 1.5, 2.5} holds no representable int32 value, which
+    # compiling the schema finds before any draw
     with pytest.raises(EmptySpace):
-        _schema(ValueRange(0.5, 3.0, step=1.0), GeneType.INT32).sample(0, rng)
+        _schema(ValueRange(0.5, 3.0, step=1.0), GeneType.INT32)
+
+
+@pytest.mark.parametrize("space, gene_type", [
+    (ValueRange(0, 1), GeneType.INT8),
+    (ValueRange(0, 1, step=0.1), GeneType.FLOAT32),
+    (ValueRange(1e9, 1e9 + 100), GeneType.FLOAT32),
+    (ValueRange(1.0, 1.0011, step=0.0001), GeneType.FLOAT64),
+])
+def test_typed_range_draws_only_admissible_values(space, gene_type):
+    # Coercing a draw can leave the range (1.0 for int8 on [0, 1)) or the
+    # lattice (float32 rounds 0.1), and the last of the 12 points of
+    # 1.0 + k * 0.0001 rounds up to hi; such a value is never returned.
+    schema = _schema(space, gene_type)
+    rng = np.random.default_rng(0)
+    assert all(schema.contains(0, schema.sample(0, rng)) for _ in range(1000))
+
+
+def test_typed_range_without_admissible_value_raises():
+    # [0.2, 0.4) holds no int8: every coerced draw is 0.0.
+    schema = _schema(ValueRange(0.2, 0.4), GeneType.INT8)
+    with pytest.raises(EmptySpace):
+        schema.sample(0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("space", [
+    ValueRange(0, 50, step=2.5), ValueRange(-10, 10, step=5), ValueRange(0, 1, step=0.1),
+    ValueRange(0.5, 3.0, step=1.0), ValueRange(0, 2**21, step=1),
+])
+def test_float64_lattice_draws_follow_the_step_formula(space):
+    # An enumerated lattice (and one too large to enumerate) draws the same
+    # values as lo + k * step with k uniform, from the same stream.
+    schema = _schema(space, GeneType.FLOAT64)
+    size = genome._lattice_size(space)
+    enumerated, formula = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(500):
+        assert schema.sample(0, enumerated) == space.lo + int(formula.integers(size)) * space.step
+
+
+_bounds = st.one_of(
+    st.floats(allow_nan=False),
+    st.floats(-300, 300),
+    st.integers(-300, 300).map(float),
+)
+
+
+@st.composite
+def _gene_spaces(draw):
+    kind = draw(st.sampled_from(["unconstrained", "set", "range", "lattice"]))
+    if kind == "unconstrained":
+        return UNCONSTRAINED
+    if kind == "set":
+        return DiscreteSet(tuple(draw(st.lists(_bounds, min_size=1, max_size=6))))
+    lo, hi = sorted(draw(st.tuples(_bounds, _bounds)))
+    step = None
+    if kind == "lattice":
+        step = draw(st.one_of(st.floats(1e-4, 1e3), st.sampled_from([0.1, 0.25, 1.0, 3.0])))
+    return ValueRange(lo, hi, step)
+
+
+@pytest.mark.parametrize("gene_type", list(GeneType))
+@given(space=_gene_spaces(), seed=st.integers(0, 2**32 - 1),
+       values=st.lists(st.one_of(st.floats(-1e4, 1e4), st.floats(-(2.0**52), 2.0**52)),
+                       max_size=5))
+def test_every_drawn_admitted_or_repaired_value_is_admissible(gene_type, space, seed, values):
+    try:
+        cfg = validate(GaConfig(num_generations=1, sol_per_pop=10, num_parents_mating=5,
+                                num_genes=3, gene_space=space, gene_type=gene_type))
+    except ConfigError:
+        assume(False)
+    try:
+        schema = GeneSchema.from_config(cfg)
+    except EmptySpace:
+        # Only an enumerated lattice can be found empty when compiling.
+        assert isinstance(space, ValueRange) and space.step is not None
+        return
+    except NonFiniteGene:
+        # A discrete value the type cannot hold (infinite, or an int beyond 2**53).
+        assert isinstance(space, DiscreteSet)
+        return
+    rng = np.random.default_rng(seed)
+    outputs = []
+    try:
+        outputs += [schema.sample(0, rng) for _ in range(10)]
+        outputs += [schema.admit(0, v, rng) for v in values]
+        outputs += schema.repair([outputs[0]] * 3, rng).tolist()
+    except EmptySpace:
+        # A rule that redraws may find no admissible value within its budget.
+        assert schema._rules[0].values is None
+    except InsufficientSpace:
+        pass
+    except NonFiniteGene:
+        assert gene_type is GeneType.PYINT
+    for v in outputs:
+        assert schema.contains(0, v) and coerce_gene(v, gene_type) == v
 
 
 def test_space_contains_basics():
