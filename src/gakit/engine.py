@@ -115,8 +115,18 @@ def _stage_rng(seed: int, generation: int, stage: int) -> np.random.Generator:
 
 
 def evaluate_population(population, fitness, generation=None) -> np.ndarray:
-    """Evaluate fitness(pop[i], i) for every row, in row order."""
+    """Evaluate fitness(pop[i], i) for every row, in row order.
+
+    A fitness that carries a `batch` attribute is called once instead, as
+    fitness.batch(pop), and must return one finite value per row, the same
+    bits the per-row call gives. A batch that raises, or returns another
+    shape, raises FitnessError naming the generation; a non-finite value
+    also names its row.
+    """
     population = np.asarray(population, dtype=float)
+    batch = getattr(fitness, "batch", None)
+    if batch is not None:
+        return _evaluate_batch(population, batch, generation)
 
     def eval_one(i: int) -> float:
         try:
@@ -134,6 +144,27 @@ def evaluate_population(population, fitness, generation=None) -> np.ndarray:
         return value
 
     return np.array([eval_one(i) for i in range(population.shape[0])], dtype=float)
+
+
+def _evaluate_batch(population, batch, generation) -> np.ndarray:
+    try:
+        values = np.array(batch(population), dtype=float)
+    except FitnessError:
+        raise
+    except Exception as exc:
+        raise FitnessError(f"batch fitness raised {exc!r}", generation) from exc
+    rows = population.shape[0]
+    if values.shape != (rows,):
+        raise FitnessError(
+            f"batch fitness returned shape {values.shape}, expected ({rows},)", generation
+        )
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        raise FitnessError(
+            f"fitness returned non-finite value {float(values[i])!r}", generation, i
+        )
+    return values
 
 
 def _fire(hook, state):

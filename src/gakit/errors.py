@@ -49,16 +49,15 @@ class LengthMismatch(GaError):
 
 
 class FitnessError(GaError):
-    """A fitness evaluation raised or returned a non-finite value."""
+    """A fitness evaluation raised, returned a non-finite value, or (batched) the wrong shape."""
 
     def __init__(self, message: str, generation=None, solution_index=None) -> None:
-        detail = message
+        where = []
+        if generation is not None:
+            where.append(f"generation {generation}")
         if solution_index is not None:
-            where = f"solution {solution_index}"
-            if generation is not None:
-                where = f"generation {generation}, {where}"
-            detail = f"{message} ({where})"
-        super().__init__(detail)
+            where.append(f"solution {solution_index}")
+        super().__init__(f"{message} ({', '.join(where)})" if where else message)
         self.generation = generation
         self.solution_index = solution_index
 

@@ -164,7 +164,7 @@ def _lattice_size(space: ValueRange) -> int:
     return max(1, int(math.ceil((space.hi - space.lo) / space.step - 1e-12)))
 
 
-def _typed_lattice(space: ValueRange, gene_type: GeneType) -> list:
+def _typed_lattice(space: ValueRange, gene_type: GeneType) -> np.ndarray:
     """The step-lattice points that _GeneRule.contains accepts, sorted and distinct.
 
     A point lo + k*step counts when rounding has left it below hi (the last
@@ -172,7 +172,7 @@ def _typed_lattice(space: ValueRange, gene_type: GeneType) -> list:
     """
     points = space.lo + np.arange(_lattice_size(space)) * space.step
     admissible = (points < space.hi) & (_coerce_array(points, gene_type) == points)
-    return np.unique(points[admissible]).tolist()
+    return np.unique(points[admissible])
 
 
 class _GeneRule:
@@ -191,17 +191,21 @@ class _GeneRule:
         self.size = None  # number of step-lattice points
         self.members = None  # discrete values coerced to the type, for O(1) membership
         self.values = None  # a finite rule's admissible values, in draw order
-        self.pool = None  # the same values, distinct and sorted, for repair
+        self.pool = None  # the same values as an array, distinct and sorted, for repair
         if isinstance(space, DiscreteSet):
             self.values = tuple(coerce_gene(v, gene_type) for v in space.values)
             self.members = frozenset(self.values)
-            self.pool = sorted(self.members)
+            self.pool = np.array(sorted(self.members))
         elif isinstance(space, ValueRange) and space.step is not None:
             self.size = _lattice_size(space)
             if self.size <= _LATTICE_ENUM_CAP:
                 self.values = self.pool = _typed_lattice(space, gene_type)
-        if self.values is not None and not self.values:
+        if self.values is not None and not len(self.values):
             raise EmptySpace(f"no value of {space!r} is representable as {gene_type.value}")
+
+    def holds(self, v: float) -> bool:
+        """Whether the type can hold finite v; PYINT holds no integer beyond 2**53."""
+        return self.type is not GeneType.PYINT or abs(v) <= _EXACT_INT_LIMIT
 
     def contains(self, v: float) -> bool:
         space = self.space
@@ -220,7 +224,7 @@ class _GeneRule:
 
     def sample(self, init_range, rng) -> float:
         if self.values is not None:
-            return self.values[int(rng.integers(len(self.values)))]
+            return float(self.values[int(rng.integers(len(self.values)))])
         space = self.space
         for _ in range(_REDRAW_BUDGET):
             if isinstance(space, Unconstrained):
@@ -229,6 +233,8 @@ class _GeneRule:
                 v = rng.uniform(space.lo, space.hi)
             else:
                 v = space.lo + int(rng.integers(self.size)) * space.step
+            if not self.holds(v):
+                continue
             v = coerce_gene(v, self.type)
             if self.contains(v):
                 return v
@@ -239,12 +245,20 @@ class _GeneRule:
 
     def resample_excluding(self, exclude, init_range, rng) -> float:
         if self.pool is not None:
-            pool = [v for v in self.pool if v not in exclude]
-            if not pool:
+            pool = self.pool
+            # Pool positions of the excluded values, sorted; the draw picks the
+            # k-th value left, as it would from the pool with those removed.
+            drop = np.array(sorted(exclude), dtype=float)
+            at = np.minimum(np.searchsorted(pool, drop), len(pool) - 1)
+            at = at[pool[at] == drop]
+            if len(at) == len(pool):
                 raise InsufficientSpace(
                     f"space {self.space!r} has no admissible value outside {sorted(exclude)}"
                 )
-            return pool[int(rng.integers(len(pool)))]
+            k = int(rng.integers(len(pool) - len(at)))
+            # The k-th value left sits past every dropped position p whose
+            # count of values left before it, p - i, is at most k.
+            return float(pool[k + np.searchsorted(at - np.arange(len(at)), k, side="right")])
         for _ in range(_REDRAW_BUDGET):
             v = self.sample(init_range, rng)
             if v not in exclude:
@@ -315,8 +329,14 @@ class GeneSchema:
         return self._rules[j].contains(v)
 
     def admit(self, j: int, v: float, rng) -> float:
-        """Coerce v to gene j's type and keep it if admissible, else draw a fresh value of gene j."""
+        """Coerce v to gene j's type and keep it if admissible, else draw a fresh value of gene j.
+
+        A finite value the type cannot hold (PYINT beyond 2**53) is inadmissible;
+        NaN and infinities raise NonFiniteGene.
+        """
         rule = self._rules[j]
+        if math.isfinite(v) and not rule.holds(v):
+            return rule.sample(self.init_range, rng)
         v = coerce_gene(v, rule.type)
         return v if rule.contains(v) else rule.sample(self.init_range, rng)
 
@@ -326,8 +346,8 @@ class GeneSchema:
         Discrete sets and enumerated step lattices pick one of their admissible
         values uniformly. Other genes draw uniformly from init_range
         (unconstrained), [lo, hi) or the step lattice, coerce the draw, and
-        redraw until contains accepts it; after _REDRAW_BUDGET misses they
-        raise EmptySpace.
+        redraw until contains accepts it (a PYINT draw beyond 2**53 is a
+        miss); after _REDRAW_BUDGET misses they raise EmptySpace.
         """
         return self._rules[j].sample(self.init_range, rng)
 

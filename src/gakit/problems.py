@@ -1,4 +1,11 @@
-"""Built-in benchmark problems: linear-equation fit, OneMax, and MLP weight evolution."""
+"""Built-in benchmark problems: linear-equation fit, OneMax, and MLP weight evolution.
+
+Each fitness factory returns a per-row callable `fitness(solution, index)`
+that also carries `fitness.batch(population)`, which scores every row of a
+(rows, genes) population in one numpy call. The per-row callable runs the
+batch code on its one row, and each batch kernel computes a row exactly as it
+would alone, so both give the same bits.
+"""
 
 from __future__ import annotations
 
@@ -32,15 +39,22 @@ def linear_fitness(problem: LinearEquationProblem):
     inputs = np.array(problem.inputs)
     target = problem.target
 
-    def fitness(solution, _solution_idx) -> float:
-        solution = np.asarray(solution, dtype=float)
-        if solution.size != inputs.size:
+    def batch(population) -> np.ndarray:
+        population = np.ascontiguousarray(population, dtype=float)
+        if population.shape[-1] != inputs.size:
             raise LengthMismatch(
-                f"solution length {solution.size} != {inputs.size} equation inputs"
+                f"solution length {population.shape[-1]} != {inputs.size} equation inputs"
             )
-        out = float(np.dot(solution, inputs))
-        return 1.0 / (abs(out - target) + 1e-6)
+        # A stack of (1, n) @ (n,) products takes one BLAS dot per row, the
+        # bits np.dot gives that row alone; population @ inputs takes a
+        # matrix-vector kernel whose sums can differ in the last bit.
+        out = np.matmul(population[..., None, :], inputs)[..., 0]
+        return 1.0 / (np.abs(out - target) + 1e-6)
 
+    def fitness(solution, _solution_idx) -> float:
+        return float(batch(solution))
+
+    fitness.batch = batch
     return fitness
 
 
@@ -62,9 +76,13 @@ class OneMaxProblem:
 def onemax_fitness(problem: OneMaxProblem):
     """Fitness is the plain sum of the genes; the optimum is n at all-ones."""
 
-    def fitness(solution, _solution_idx) -> float:
-        return float(np.sum(solution))
+    def batch(population) -> np.ndarray:
+        return np.sum(np.ascontiguousarray(population, dtype=float), axis=-1)
 
+    def fitness(solution, _solution_idx) -> float:
+        return float(batch(solution))
+
+    fitness.batch = batch
     return fitness
 
 
@@ -94,18 +112,21 @@ def mlp_unflatten(spec: MlpSpec, weights):
     """Split a flat weight vector into per-layer (W, b) pairs.
 
     Layout is layer-major: for each layer the (fan_in, fan_out) weight matrix
-    in row-major order, then the bias vector.
+    in row-major order, then the bias vector. A (rows, n) stack of weight
+    vectors gives stacked pairs, W of shape (rows, fan_in, fan_out) and b of
+    shape (rows, fan_out).
     """
-    weights = np.asarray(weights, dtype=float)
+    weights = np.ascontiguousarray(weights, dtype=float)
     expected = mlp_parameter_count(spec)
-    if weights.size != expected:
-        raise LengthMismatch(f"weight vector length {weights.size} != {expected}")
+    if weights.shape[-1] != expected:
+        raise LengthMismatch(f"weight vector length {weights.shape[-1]} != {expected}")
+    stack = weights.shape[:-1]
     layers = []
     pos = 0
     for fan_in, fan_out in zip(spec.layer_sizes, spec.layer_sizes[1:]):
-        w = weights[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out)
+        w = weights[..., pos:pos + fan_in * fan_out].reshape(*stack, fan_in, fan_out)
         pos += fan_in * fan_out
-        b = weights[pos:pos + fan_out]
+        b = weights[..., pos:pos + fan_out]
         pos += fan_out
         layers.append((w, b))
     return layers
@@ -117,10 +138,16 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _forward(spec: MlpSpec, layers, x: np.ndarray) -> np.ndarray:
+    """Outputs (samples, out) for one network, (rows, samples, out) for stacked layers.
+
+    A stacked matmul runs the same BLAS kernel on each row's matrices as an
+    unstacked one does on a single network, so every row gets the same bits
+    either way; einsum gives no such guarantee.
+    """
     a = x
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        z = a @ w + b
+        z = a @ w + b[..., None, :]
         if i == last or spec.hidden_activation is Activation.SIGMOID:
             a = _sigmoid(z)
         else:
@@ -177,11 +204,15 @@ def classification_fitness(spec: MlpSpec, data: Dataset):
     features = data.features
     targets = data.labels >= 0.5
 
-    def fitness(weights, _solution_idx) -> float:
-        outputs = _forward(spec, mlp_unflatten(spec, weights), features)
-        correct = np.all((outputs >= 0.5) == targets, axis=1)
-        return float(np.mean(correct))
+    def batch(population) -> np.ndarray:
+        outputs = _forward(spec, mlp_unflatten(spec, population), features)
+        correct = np.all((outputs >= 0.5) == targets, axis=-1)
+        return np.mean(correct, axis=-1)
 
+    def fitness(weights, _solution_idx) -> float:
+        return float(batch(weights))
+
+    fitness.batch = batch
     return fitness
 
 

@@ -2,6 +2,9 @@
 
 import numpy as np
 from hypothesis import settings
+from hypothesis import strategies as st
+
+from gakit.genome import UNCONSTRAINED, DiscreteSet, ValueRange
 
 # Derandomized search: every run of the suite tries the same examples, so a
 # property test passes or fails alike on every machine and rerun. Example
@@ -47,3 +50,31 @@ class StubRng:
 
     def binomial(self, n, p):
         return self._ints.pop(0)
+
+
+ANY_BOUND = st.one_of(
+    st.floats(allow_nan=False),
+    st.floats(-300, 300),
+    st.integers(-300, 300).map(float),
+)
+
+FINITE_BOUND = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.floats(-300, 300),
+    st.integers(-300, 300).map(float),
+)
+
+
+@st.composite
+def gene_spaces(draw, bounds=ANY_BOUND):
+    """Any gene space with bounds drawn from `bounds`; validate rejects some of them."""
+    kind = draw(st.sampled_from(["unconstrained", "set", "range", "lattice"]))
+    if kind == "unconstrained":
+        return UNCONSTRAINED
+    if kind == "set":
+        return DiscreteSet(tuple(draw(st.lists(bounds, min_size=1, max_size=6))))
+    lo, hi = sorted(draw(st.tuples(bounds, bounds)))
+    step = None
+    if kind == "lattice":
+        step = draw(st.one_of(st.floats(1e-4, 1e3), st.sampled_from([0.1, 0.25, 1.0, 3.0])))
+    return ValueRange(lo, hi, step)

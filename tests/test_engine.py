@@ -2,8 +2,22 @@
 
 import numpy as np
 import pytest
+from conftest import FINITE_BOUND, gene_spaces
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from gakit.config import GaConfig, MutationKind, ParentSelection, validate
+from gakit.cli import build_solve_config, parse_invocation
+from gakit.config import (
+    AdaptivePair,
+    CrossoverKind,
+    GaConfig,
+    MutationKind,
+    NumGenes,
+    ParentSelection,
+    PercentGenes,
+    Probability,
+    validate,
+)
 from gakit.engine import (
     GaControl,
     LifecycleHooks,
@@ -14,7 +28,8 @@ from gakit.engine import (
     fitness_history,
     run,
 )
-from gakit.errors import DimensionMismatch, FitnessError
+from gakit.errors import ConfigError, DimensionMismatch, FitnessError, GaError
+from gakit.genome import GeneSchema, GeneType
 from gakit.problems import DEFAULT_EQUATION, linear_fitness
 
 
@@ -192,6 +207,108 @@ def test_non_finite_fitness_rejected():
         run(demo_config(num_generations=1), nan_fitness)
 
 
+def _result_bits(result):
+    arrays = (result.best_solutions, result.best_solutions_fitness,
+              result.best_solution_indices, result.mean_fitness)
+    return [np.asarray(a).tobytes() for a in arrays] + [
+        result.completed_generations, result.stop_reason]
+
+
+@pytest.mark.parametrize("problem", ["linear", "onemax", "xor"])
+def test_batch_fitness_run_equals_per_row_run(problem):
+    cfg, fitness = build_solve_config(parse_invocation(
+        ["solve", "--problem", problem, "--generations", "40", "--seed", "5"]))
+    assert callable(fitness.batch)
+    calls = []
+
+    def per_row(solution, idx):
+        calls.append(idx)
+        return fitness(solution, idx)
+
+    batched = run(cfg, fitness)
+    assert _result_bits(run(cfg, per_row)) == _result_bits(batched)
+    assert len(calls) == 41 * cfg.sol_per_pop
+
+
+def _batch_fitness(batch):
+    def fitness(solution, idx):
+        raise AssertionError("per-row call on the batch path")
+
+    fitness.batch = batch
+    return fitness
+
+
+def test_batch_is_called_once_per_generation_instead_of_each_row():
+    shapes = []
+
+    def scored(pop):
+        shapes.append(pop.shape)
+        return np.sum(pop, axis=1)
+
+    result = run(demo_config(num_generations=3), _batch_fitness(scored))
+    assert shapes == [(10, 3)] * 4
+    assert result.completed_generations == 3
+
+
+def _failing_at(generation, batch):
+    # Scores like sum_fitness until the given generation's evaluation.
+    seen = []
+
+    def scored(pop):
+        seen.append(None)
+        return batch(pop) if len(seen) == generation + 1 else np.sum(pop, axis=1)
+
+    return _batch_fitness(scored)
+
+
+@pytest.mark.parametrize("bad", [
+    lambda pop: np.ones(len(pop) - 1),
+    lambda pop: np.ones((len(pop), 1)),
+    lambda pop: 1.0,
+])
+def test_batch_of_wrong_shape_names_the_generation(bad):
+    with pytest.raises(FitnessError, match="shape") as err:
+        run(demo_config(num_generations=4), _failing_at(2, bad))
+    assert err.value.generation == 2
+    assert err.value.solution_index is None
+    assert "generation 2" in str(err.value)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_batch_non_finite_value_names_the_first_bad_row(value):
+    def bad(pop):
+        out = np.sum(pop, axis=1)
+        out[[3, 7]] = value
+        return out
+
+    with pytest.raises(FitnessError) as err:
+        run(demo_config(num_generations=4), _failing_at(1, bad))
+    assert (err.value.generation, err.value.solution_index) == (1, 3)
+
+
+def test_batch_that_raises_is_wrapped_with_the_generation():
+    def bad(pop):
+        raise RuntimeError("boom")
+
+    with pytest.raises(FitnessError, match="boom") as err:
+        run(demo_config(num_generations=4), _failing_at(4, bad))
+    # Generation 4 of a 4-generation run is the final population's evaluation.
+    assert (err.value.generation, err.value.solution_index) == (4, None)
+    assert isinstance(err.value.__cause__, RuntimeError)
+
+
+def test_batch_result_is_copied_off_the_fitness():
+    kept = np.zeros(10)
+
+    def scored(pop):
+        kept[:] = np.sum(pop, axis=1)
+        return kept
+
+    values = evaluate_population(np.ones((10, 3)), _batch_fitness(scored))
+    kept[:] = -1.0
+    assert values.tolist() == [3.0] * 10
+
+
 def test_evaluate_population_reproduces_demo_values():
     # Independent oracle: the fitness formula evaluated by hand per solution.
     fitness = linear_fitness(DEFAULT_EQUATION)
@@ -283,8 +400,6 @@ def test_elitism_monotone_with_steady_state():
 
 
 def test_adaptive_mutation_runs_through_engine():
-    from gakit.config import AdaptivePair, PercentGenes
-
     cfg = demo_config(
         num_generations=5,
         mutation=MutationKind.ADAPTIVE,
@@ -297,8 +412,6 @@ def test_adaptive_mutation_runs_through_engine():
 def test_adaptive_mutation_takes_low_rate_when_fitness_sum_overflows():
     # Every solution sits exactly at the mean, so every child takes the low
     # rate (one gene); an overflowing mean must not flip that to the high one.
-    from gakit.config import AdaptivePair, NumGenes
-
     changed = []
 
     def count_changes(state):
@@ -340,3 +453,82 @@ def test_state_handle_exposes_stage_records():
     assert record.best_index == int(np.argmax(seen["fitness"]))
     assert record.offspring_crossover.shape == (9, 3)
     assert record.offspring_mutation.shape == (9, 3)
+
+
+# --- fuzz: small validated configs --------------------------------------------------
+
+@st.composite
+def _small_configs(draw):
+    num_genes = draw(st.integers(1, 6))
+    sol_per_pop = draw(st.integers(2, 8))
+    crossover = draw(st.sampled_from([*CrossoverKind, None])) if num_genes > 1 else None
+    parents = draw(st.integers(1 if crossover is None else 2, sol_per_pop))
+    # keep_parents=-1 means all parents, which must leave room for offspring.
+    keep_parents = draw(st.integers(-1 if parents < sol_per_pop else 0,
+                                    min(parents, sol_per_pop - 1)))
+    mutation = draw(st.sampled_from([*MutationKind, None]))
+    if mutation is MutationKind.ADAPTIVE:
+        low = draw(st.integers(1, num_genes))
+        rate = AdaptivePair(NumGenes(draw(st.integers(low, num_genes))), NumGenes(low))
+    else:
+        rate = draw(st.one_of(
+            st.floats(0.05, 1.0).map(Probability),
+            st.floats(1.0, 100.0).map(PercentGenes),
+            st.integers(1, num_genes).map(NumGenes),
+        ))
+    spaces = gene_spaces(FINITE_BOUND)
+    if draw(st.booleans()):
+        space = draw(spaces)
+        gene_type = draw(st.sampled_from(list(GeneType)))
+    else:
+        space = draw(st.lists(spaces, min_size=num_genes, max_size=num_genes))
+        gene_type = draw(st.lists(st.sampled_from(list(GeneType)),
+                                  min_size=num_genes, max_size=num_genes))
+    return GaConfig(
+        num_generations=draw(st.integers(0, 5)),
+        sol_per_pop=sol_per_pop,
+        num_parents_mating=parents,
+        num_genes=num_genes,
+        parent_selection=draw(st.sampled_from(list(ParentSelection))),
+        tournament_k=draw(st.integers(1, sol_per_pop)),
+        crossover=crossover,
+        mutation=mutation,
+        mutation_rate=rate,
+        mutation_by_replacement=draw(st.booleans()),
+        random_delta_range=draw(st.sampled_from([(-1.0, 1.0), (-1e3, 1e3), (0.0, 0.5)])),
+        keep_parents=keep_parents,
+        allow_duplicate_genes=draw(st.booleans()),
+        gene_space=space,
+        gene_type=gene_type,
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def _positive_count(solution, _idx):
+    return 1.0 + float(np.count_nonzero(np.asarray(solution) > 0))
+
+
+def _positive_count_batch(pop):
+    return 1.0 + np.count_nonzero(pop > 0, axis=1)
+
+
+@settings(max_examples=300)
+@given(candidate=_small_configs(), batched=st.booleans())
+def test_small_validated_configs_end_in_a_closed_result_or_a_ga_error(candidate, batched):
+    try:
+        cfg = validate(candidate)
+    except ConfigError:
+        assume(False)
+    fitness = _batch_fitness(_positive_count_batch) if batched else _positive_count
+    final = []
+    try:
+        result = run(cfg, fitness, LifecycleHooks(on_stop=lambda s: final.append(s.population)))
+    except GaError:
+        return
+    assert isinstance(result, RunResult)
+    assert result.completed_generations == cfg.num_generations
+    schema = GeneSchema.from_config(cfg)
+    for row in final[0]:
+        assert all(schema.contains(j, v) for j, v in enumerate(row.tolist()))
+        if not cfg.allow_duplicate_genes:
+            assert len(set(row.tolist())) == cfg.num_genes

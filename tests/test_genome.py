@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import gene_spaces
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -243,29 +244,8 @@ def test_float64_lattice_draws_follow_the_step_formula(space):
         assert schema.sample(0, enumerated) == space.lo + int(formula.integers(size)) * space.step
 
 
-_bounds = st.one_of(
-    st.floats(allow_nan=False),
-    st.floats(-300, 300),
-    st.integers(-300, 300).map(float),
-)
-
-
-@st.composite
-def _gene_spaces(draw):
-    kind = draw(st.sampled_from(["unconstrained", "set", "range", "lattice"]))
-    if kind == "unconstrained":
-        return UNCONSTRAINED
-    if kind == "set":
-        return DiscreteSet(tuple(draw(st.lists(_bounds, min_size=1, max_size=6))))
-    lo, hi = sorted(draw(st.tuples(_bounds, _bounds)))
-    step = None
-    if kind == "lattice":
-        step = draw(st.one_of(st.floats(1e-4, 1e3), st.sampled_from([0.1, 0.25, 1.0, 3.0])))
-    return ValueRange(lo, hi, step)
-
-
 @pytest.mark.parametrize("gene_type", list(GeneType))
-@given(space=_gene_spaces(), seed=st.integers(0, 2**32 - 1),
+@given(space=gene_spaces(), seed=st.integers(0, 2**32 - 1),
        values=st.lists(st.one_of(st.floats(-1e4, 1e4), st.floats(-(2.0**52), 2.0**52)),
                        max_size=5))
 def test_every_drawn_admitted_or_repaired_value_is_admissible(gene_type, space, seed, values):
@@ -299,6 +279,21 @@ def test_every_drawn_admitted_or_repaired_value_is_admissible(gene_type, space, 
         assert gene_type is GeneType.PYINT
     for v in outputs:
         assert schema.contains(0, v) and coerce_gene(v, gene_type) == v
+
+
+def test_pyint_draws_beyond_exact_integers_are_misses():
+    # Most of [0, 1e17) lies beyond 2**53, where PYINT holds no integer: those
+    # draws are redrawn (and those values resampled by admit), not raised.
+    schema = _schema(ValueRange(0, 1e17), GeneType.PYINT)
+    rng = np.random.default_rng(0)
+    drawn = [schema.sample(0, rng) for _ in range(200)]
+    drawn += [schema.admit(0, v, rng) for v in (2.0**60, -(2.0**60))]
+    assert all(schema.contains(0, v) and v <= 2.0**53 for v in drawn)
+    assert schema.admit(0, 1e12 + 0.4, rng) == 1e12
+    with pytest.raises(NonFiniteGene):
+        schema.admit(0, float("inf"), rng)
+    with pytest.raises(EmptySpace):
+        _schema(ValueRange(-1e300, 1e300), GeneType.PYINT).sample(0, rng)
 
 
 def test_space_contains_basics():
@@ -352,6 +347,34 @@ def test_repair_pigeonhole_raises():
     schema = _schema(DiscreteSet((1, 2)), GeneType.FLOAT64, 3)
     with pytest.raises(InsufficientSpace):
         schema.repair([1, 1, 2], rng)
+
+
+@pytest.mark.parametrize("space, gene_type", [
+    (DiscreteSet((3, -1, 0.0, 7, 2.5, 9)), GeneType.FLOAT64),
+    (DiscreteSet((0.4, 1.6, 2.2, 5)), GeneType.INT8),  # coerces to {0, 2, 5}
+    (ValueRange(-5, 5, 0.5), GeneType.FLOAT64),
+    (ValueRange(0, 300, 1), GeneType.UINT8),  # the lattice stops at 255
+])
+def test_resample_excluding_replays_the_list_scan(space, gene_type):
+    # Reference: the pool left after a list scan, indexed by the same draw.
+    rule = _schema(space, gene_type)._rules[0]
+    pool = rule.pool.tolist()
+    rng = np.random.default_rng(4)
+    scanned, searched = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(300):
+        exclude = set(rng.choice(pool, size=int(rng.integers(0, len(pool))), replace=False).tolist())
+        exclude |= set(rng.uniform(-10, 300, size=int(rng.integers(0, 3))).tolist())
+        if rng.random() < 0.2:
+            exclude.add(-0.0)
+        left = [v for v in pool if v not in exclude]
+        if not left:
+            with pytest.raises(InsufficientSpace):
+                rule.resample_excluding(exclude, INIT_RANGE, searched)
+            continue
+        expected = left[int(scanned.integers(len(left)))]
+        assert rule.resample_excluding(exclude, INIT_RANGE, searched) == expected
+    with pytest.raises(InsufficientSpace):
+        rule.resample_excluding(set(pool) | {1e9}, INIT_RANGE, searched)
 
 
 def test_repair_continuous_space():

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from gakit import problems
 from gakit.errors import LengthMismatch
 from gakit.problems import (
     DEFAULT_EQUATION,
@@ -225,3 +228,128 @@ def test_dataset_csv_rejects_bad_header():
 def test_dataset_csv_rejects_ragged_rows():
     with pytest.raises(LengthMismatch):
         dataset_from_csv("x0,y0\n1,2\n3\n")
+
+
+# --- batch fitness -----------------------------------------------------------------
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _population(seed: int, rows: int, genes: int, scale: float) -> np.ndarray:
+    # Each gene gets its own magnitude, from 1e-6 up to `scale`.
+    rng = np.random.default_rng(seed)
+    magnitude = 10.0 ** rng.uniform(-6, np.log10(scale), size=(rows, genes))
+    return rng.uniform(-1, 1, size=(rows, genes)) * magnitude
+
+
+def _assert_batch_matches_rows(fitness, pop):
+    rows = [fitness(row, i) for i, row in enumerate(pop)]
+    assert all(type(v) is float for v in rows)
+    batch = fitness.batch(pop)
+    assert batch.shape == (len(pop),)
+    assert _bits(batch) == _bits(rows)
+
+
+_SCALES = st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6, 1e12])
+
+
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 12), scale=_SCALES,
+       n_inputs=st.integers(1, 40), exact_row=st.booleans())
+def test_linear_batch_equals_per_row_bits(seed, rows, scale, n_inputs, exact_row):
+    rng = np.random.default_rng(seed)
+    problem = LinearEquationProblem(
+        inputs=tuple(rng.uniform(-5, 5, size=n_inputs)), target=float(rng.uniform(-50, 50)))
+    fitness = linear_fitness(problem)
+    pop = _population(seed, rows, n_inputs, scale)
+    _assert_batch_matches_rows(fitness, pop)
+    # Both equal the per-row np.dot formula, and the default equation's exact
+    # solution still scores 1e6 in a batch.
+    inputs = np.array(problem.inputs)
+    oracle = [1.0 / (abs(float(np.dot(row, inputs)) - problem.target) + 1e-6) for row in pop]
+    assert _bits(fitness.batch(pop)) == _bits(oracle)
+    if exact_row:
+        default = linear_fitness(DEFAULT_EQUATION)
+        pop3 = _population(seed, rows, 3, scale)
+        pop3[0] = [11.0, 0.0, 0.0]
+        _assert_batch_matches_rows(default, pop3)
+        assert default.batch(pop3)[0] == 1_000_000.0
+
+
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 12), scale=_SCALES,
+       n=st.integers(1, 120), binary=st.booleans())
+def test_onemax_batch_equals_per_row_bits(seed, rows, scale, n, binary):
+    pop = _population(seed, rows, n, scale)
+    if binary:
+        pop = (pop > 0).astype(float)
+    _assert_batch_matches_rows(onemax_fitness(OneMaxProblem(n)), pop)
+
+
+_SPECS = [
+    MlpSpec((2, 2, 1)),
+    MlpSpec((2, 2, 1), hidden_activation=Activation.RELU),
+    MlpSpec((2, 3, 3, 1)),
+    MlpSpec((3, 4, 2), hidden_activation=Activation.RELU),
+    MlpSpec((3, 4, 3, 2), hidden_activation=Activation.RELU),
+    MlpSpec((2, 1)),
+]
+
+
+def _reference_outputs(spec, features, weights):
+    # One network's forward pass with plain 2-D matrices, layer by layer.
+    a = features
+    layers = mlp_unflatten(spec, weights)
+    for i, (w, b) in enumerate(layers):
+        z = a @ w + b
+        if i == len(layers) - 1 or spec.hidden_activation is Activation.SIGMOID:
+            with np.errstate(over="ignore"):
+                a = 1.0 / (1.0 + np.exp(-z))
+        else:
+            a = np.maximum(z, 0.0)
+    return a
+
+
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 12),
+       scale=st.sampled_from([1e-6, 1e-3, 1.0, 10.0, 1e3, 1e12]),
+       spec=st.sampled_from(_SPECS), samples=st.integers(1, 9))
+def test_classification_batch_equals_per_row_bits(seed, rows, scale, spec, samples):
+    rng = np.random.default_rng(seed)
+    if spec.layer_sizes[0] == 2 and samples == 4:
+        data = xor_dataset()
+    else:
+        data = Dataset(features=rng.uniform(-3, 3, size=(samples, spec.layer_sizes[0])),
+                       labels=rng.integers(0, 2, size=(samples, spec.layer_sizes[-1])))
+    fitness = classification_fitness(spec, data)
+    pop = _population(seed, rows, mlp_parameter_count(spec), scale)
+    _assert_batch_matches_rows(fitness, pop)
+    # The stacked forward pass gives every row the bits of its own network.
+    stacked = problems._forward(spec, mlp_unflatten(spec, pop), data.features)
+    alone = [_reference_outputs(spec, data.features, row) for row in pop]
+    assert _bits(stacked) == _bits(alone)
+    accuracy = [np.mean(np.all((a >= 0.5) == (data.labels >= 0.5), axis=1)) for a in alone]
+    assert _bits(fitness.batch(pop)) == _bits(accuracy)
+
+
+def test_classification_batch_scores_known_xor_networks():
+    spec = MlpSpec((2, 2, 1))
+    fitness = classification_fitness(spec, xor_dataset())
+    flipped = _xor_solution_weights()
+    flipped[6:] = -flipped[6:]
+    pop = np.array([_xor_solution_weights(), np.zeros(9), flipped])
+    assert fitness.batch(pop).tolist() == [1.0, 0.5, 0.0]
+
+
+def test_batch_rejects_wrong_gene_count():
+    with pytest.raises(LengthMismatch):
+        linear_fitness(DEFAULT_EQUATION).batch(np.zeros((4, 2)))
+    with pytest.raises(LengthMismatch):
+        classification_fitness(MlpSpec((2, 2, 1)), xor_dataset()).batch(np.zeros((4, 8)))
+
+
+def test_mlp_unflatten_stacks_the_layers_of_each_row():
+    spec = MlpSpec((3, 4, 2))
+    pop = np.arange(3 * mlp_parameter_count(spec), dtype=float).reshape(3, -1)
+    stacked = mlp_unflatten(spec, pop)
+    for i, row in enumerate(pop):
+        for (w_all, b_all), (w, b) in zip(stacked, mlp_unflatten(spec, row)):
+            assert np.array_equal(w_all[i], w) and np.array_equal(b_all[i], b)
