@@ -117,7 +117,7 @@ def _stage_rng(seed: int, generation: int, stage: int) -> np.random.Generator:
 def evaluate_population(population, fitness, generation=None) -> np.ndarray:
     """Evaluate fitness(pop[i], i) for every row, in row order.
 
-    A fitness that carries a `batch` attribute is called once instead, as
+    A fitness that carries a callable `batch` attribute is called once instead, as
     fitness.batch(pop), and must return one finite value per row, the same
     bits the per-row call gives. A batch that raises, or returns another
     shape, raises FitnessError naming the generation; a non-finite value
@@ -125,7 +125,7 @@ def evaluate_population(population, fitness, generation=None) -> np.ndarray:
     """
     population = np.asarray(population, dtype=float)
     batch = getattr(fitness, "batch", None)
-    if batch is not None:
+    if callable(batch):
         return _evaluate_batch(population, batch, generation)
 
     def eval_one(i: int) -> float:

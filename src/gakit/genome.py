@@ -164,15 +164,18 @@ def _lattice_size(space: ValueRange) -> int:
     return max(1, int(math.ceil((space.hi - space.lo) / space.step - 1e-12)))
 
 
-def _typed_lattice(space: ValueRange, gene_type: GeneType) -> np.ndarray:
+def _typed_lattice(space: ValueRange, gene_type: GeneType) -> list:
     """The step-lattice points that _GeneRule.contains accepts, sorted and distinct.
 
     A point lo + k*step counts when rounding has left it below hi (the last
-    one can round up to hi) and it survives coercion to the gene type unchanged.
+    one can round up to hi), the type can hold it (PYINT holds no integer
+    beyond 2**53) and it survives coercion to the gene type unchanged.
     """
     points = space.lo + np.arange(_lattice_size(space)) * space.step
-    admissible = (points < space.hi) & (_coerce_array(points, gene_type) == points)
-    return np.unique(points[admissible])
+    points = points[points < space.hi]
+    if gene_type is GeneType.PYINT:
+        points = points[np.abs(points) <= _EXACT_INT_LIMIT]
+    return np.unique(points[_coerce_array(points, gene_type) == points]).tolist()
 
 
 class _GeneRule:
@@ -191,16 +194,16 @@ class _GeneRule:
         self.size = None  # number of step-lattice points
         self.members = None  # discrete values coerced to the type, for O(1) membership
         self.values = None  # a finite rule's admissible values, in draw order
-        self.pool = None  # the same values as an array, distinct and sorted, for repair
+        self.pool = None  # the same values, distinct and sorted, for repair
         if isinstance(space, DiscreteSet):
             self.values = tuple(coerce_gene(v, gene_type) for v in space.values)
             self.members = frozenset(self.values)
-            self.pool = np.array(sorted(self.members))
+            self.pool = sorted(self.members)
         elif isinstance(space, ValueRange) and space.step is not None:
             self.size = _lattice_size(space)
             if self.size <= _LATTICE_ENUM_CAP:
                 self.values = self.pool = _typed_lattice(space, gene_type)
-        if self.values is not None and not len(self.values):
+        if self.values is not None and not self.values:
             raise EmptySpace(f"no value of {space!r} is representable as {gene_type.value}")
 
     def holds(self, v: float) -> bool:
@@ -224,7 +227,7 @@ class _GeneRule:
 
     def sample(self, init_range, rng) -> float:
         if self.values is not None:
-            return float(self.values[int(rng.integers(len(self.values)))])
+            return self.values[int(rng.integers(len(self.values)))]
         space = self.space
         for _ in range(_REDRAW_BUDGET):
             if isinstance(space, Unconstrained):
@@ -245,20 +248,12 @@ class _GeneRule:
 
     def resample_excluding(self, exclude, init_range, rng) -> float:
         if self.pool is not None:
-            pool = self.pool
-            # Pool positions of the excluded values, sorted; the draw picks the
-            # k-th value left, as it would from the pool with those removed.
-            drop = np.array(sorted(exclude), dtype=float)
-            at = np.minimum(np.searchsorted(pool, drop), len(pool) - 1)
-            at = at[pool[at] == drop]
-            if len(at) == len(pool):
+            pool = [v for v in self.pool if v not in exclude]
+            if not pool:
                 raise InsufficientSpace(
                     f"space {self.space!r} has no admissible value outside {sorted(exclude)}"
                 )
-            k = int(rng.integers(len(pool) - len(at)))
-            # The k-th value left sits past every dropped position p whose
-            # count of values left before it, p - i, is at most k.
-            return float(pool[k + np.searchsorted(at - np.arange(len(at)), k, side="right")])
+            return pool[int(rng.integers(len(pool)))]
         for _ in range(_REDRAW_BUDGET):
             v = self.sample(init_range, rng)
             if v not in exclude:

@@ -157,6 +157,9 @@ def _forward(spec: MlpSpec, layers, x: np.ndarray) -> np.ndarray:
 
 def mlp_forward(spec: MlpSpec, weights, x) -> np.ndarray:
     """Forward pass for one feature vector (or a batch, one sample per row)."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 1:
+        raise LengthMismatch(f"weights of shape {weights.shape} are not one flat vector")
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     if x.shape[-1] != spec.layer_sizes[0]:

@@ -250,6 +250,20 @@ def test_batch_is_called_once_per_generation_instead_of_each_row():
     assert result.completed_generations == 3
 
 
+def test_fitness_with_a_non_callable_batch_attribute_runs_per_row():
+    # A batch size, say, is not a batch function: the per-row path runs as before.
+    calls = []
+
+    def fitness(solution, idx):
+        calls.append(idx)
+        return float(np.sum(solution))
+
+    fitness.batch = 4
+    result = run(demo_config(num_generations=3), fitness)
+    assert calls == list(range(10)) * 4
+    assert result.completed_generations == 3
+
+
 def _failing_at(generation, batch):
     # Scores like sum_fitness until the given generation's evaluation.
     seen = []

@@ -275,8 +275,6 @@ def test_every_drawn_admitted_or_repaired_value_is_admissible(gene_type, space, 
         assert schema._rules[0].values is None
     except InsufficientSpace:
         pass
-    except NonFiniteGene:
-        assert gene_type is GeneType.PYINT
     for v in outputs:
         assert schema.contains(0, v) and coerce_gene(v, gene_type) == v
 
@@ -294,6 +292,28 @@ def test_pyint_draws_beyond_exact_integers_are_misses():
         schema.admit(0, float("inf"), rng)
     with pytest.raises(EmptySpace):
         _schema(ValueRange(-1e300, 1e300), GeneType.PYINT).sample(0, rng)
+
+
+@pytest.mark.parametrize("space, top", [
+    (ValueRange(2**53 - 10, 2**53 + 10, 1), 2.0**53),
+    (ValueRange(2**53 - 20, 2**53 + 20, 4), 2.0**53),
+    (ValueRange(0, 1e17, 1e11), 90071 * 1e11),  # the last multiple of 1e11 below 2**53
+])
+def test_pyint_lattice_keeps_only_exact_integers(space, top):
+    # An enumerated lattice drops the points PYINT cannot hold when compiled,
+    # and keeps every other point that coerces to itself.
+    schema = _schema(space, GeneType.PYINT)
+    points = [space.lo + k * space.step for k in range(genome._lattice_size(space))]
+    expected = sorted({p for p in points if p <= 2.0**53 and coerce_gene(p, GeneType.PYINT) == p})
+    assert schema._rules[0].values == expected and expected[-1] == top
+    rng = np.random.default_rng(0)
+    assert all(schema.contains(0, schema.sample(0, rng)) for _ in range(100))
+    assert schema.admit(0, 2.0**60, rng) in expected
+
+
+def test_pyint_lattice_beyond_exact_integers_is_empty():
+    with pytest.raises(EmptySpace):
+        _schema(ValueRange(2**53 + 2, 2**53 + 20, 2), GeneType.PYINT)
 
 
 def test_space_contains_basics():
@@ -347,34 +367,6 @@ def test_repair_pigeonhole_raises():
     schema = _schema(DiscreteSet((1, 2)), GeneType.FLOAT64, 3)
     with pytest.raises(InsufficientSpace):
         schema.repair([1, 1, 2], rng)
-
-
-@pytest.mark.parametrize("space, gene_type", [
-    (DiscreteSet((3, -1, 0.0, 7, 2.5, 9)), GeneType.FLOAT64),
-    (DiscreteSet((0.4, 1.6, 2.2, 5)), GeneType.INT8),  # coerces to {0, 2, 5}
-    (ValueRange(-5, 5, 0.5), GeneType.FLOAT64),
-    (ValueRange(0, 300, 1), GeneType.UINT8),  # the lattice stops at 255
-])
-def test_resample_excluding_replays_the_list_scan(space, gene_type):
-    # Reference: the pool left after a list scan, indexed by the same draw.
-    rule = _schema(space, gene_type)._rules[0]
-    pool = rule.pool.tolist()
-    rng = np.random.default_rng(4)
-    scanned, searched = np.random.default_rng(5), np.random.default_rng(5)
-    for _ in range(300):
-        exclude = set(rng.choice(pool, size=int(rng.integers(0, len(pool))), replace=False).tolist())
-        exclude |= set(rng.uniform(-10, 300, size=int(rng.integers(0, 3))).tolist())
-        if rng.random() < 0.2:
-            exclude.add(-0.0)
-        left = [v for v in pool if v not in exclude]
-        if not left:
-            with pytest.raises(InsufficientSpace):
-                rule.resample_excluding(exclude, INIT_RANGE, searched)
-            continue
-        expected = left[int(scanned.integers(len(left)))]
-        assert rule.resample_excluding(exclude, INIT_RANGE, searched) == expected
-    with pytest.raises(InsufficientSpace):
-        rule.resample_excluding(set(pool) | {1e9}, INIT_RANGE, searched)
 
 
 def test_repair_continuous_space():

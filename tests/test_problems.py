@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gakit import problems
@@ -148,6 +148,8 @@ def test_forward_length_checks():
         mlp_forward(spec, np.zeros(8), [0.0, 0.0])
     with pytest.raises(LengthMismatch):
         mlp_forward(spec, np.zeros(9), [0.0, 0.0, 0.0])
+    with pytest.raises(LengthMismatch):  # a stack of networks is not one network
+        mlp_forward(spec, np.zeros((2, 9)), [0.0, 0.0])
 
 
 def test_unflatten_round_trip_preserves_function():
@@ -277,8 +279,10 @@ def test_linear_batch_equals_per_row_bits(seed, rows, scale, n_inputs, exact_row
 
 
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 12), scale=_SCALES,
-       n=st.integers(1, 120), binary=st.booleans())
+       n=st.integers(1, 600), binary=st.booleans())
+@example(seed=0, rows=5, scale=1e12, n=1000, binary=False)
 def test_onemax_batch_equals_per_row_bits(seed, rows, scale, n, binary):
+    # Past 128 genes numpy sums in recursive pairwise blocks; n reaches them.
     pop = _population(seed, rows, n, scale)
     if binary:
         pop = (pop > 0).astype(float)
