@@ -225,6 +225,30 @@ def test_offspring_pairing_is_modular():
     assert offspring.tolist() == expected
 
 
+# sha256 over the children and one trailing draw per call, so that a moved
+# crossover draw, or a change in how many draws a call consumes, shows.
+_CROSSOVER_DIGESTS = {
+    None: "18fb5b32a7335ea57ab7073666ff09fb48b3aa945a4bd09e3f60f9fc8c7074ef",
+    CrossoverKind.SINGLE_POINT: "d86c8e56eaccabbd32a3ee016ba139dc20d63268eebd95639bdf69ed4e5f6e16",
+    CrossoverKind.TWO_POINTS: "1076330259f11318f1b0ad81c0116d617aa4e1e400367d5e35ab39e38f4add6f",
+    CrossoverKind.UNIFORM: "779ca53d7ce34b47eb62e56be2554a8a94c9f15c209adf1f1df3e740267af419",
+    CrossoverKind.SCATTERED: "12a1522b4e5371d3180dda8b1ab33557ba15edf6d5c308e8fd7b8844cf1bb6bd",
+}
+
+
+@pytest.mark.parametrize("kind", [None, *CrossoverKind])
+def test_produce_offspring_replays_pinned_draws(kind):
+    digest = hashlib.sha256()
+    for n, p, count in itertools.product((2, 3, 9, 100), (2, 5, 25), (1, 3, 48)):
+        rng = np.random.default_rng([n, p, count])
+        parents = ParentSet(rows=rng.uniform(-10, 10, size=(p, n)), indices=np.arange(p))
+        children = produce_offspring(kind, parents, count, rng)
+        assert children.shape == (count, n) and children.dtype == np.float64
+        digest.update(children.tobytes())
+        digest.update(int(rng.integers(0, 2**62)).to_bytes(8, "little"))
+    assert digest.hexdigest() == _CROSSOVER_DIGESTS[kind]
+
+
 # --- mutation -------------------------------------------------------------------
 
 def _cfg(**overrides):
