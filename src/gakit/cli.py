@@ -22,7 +22,14 @@ from .config import (
     Probability,
     validate,
 )
-from .errors import ConfigError, ConfigFileError, EmptyHistory, GaError, UsageError
+from .errors import (
+    ConfigError,
+    ConfigFileError,
+    DimensionMismatch,
+    EmptyHistory,
+    GaError,
+    UsageError,
+)
 from .genome import DiscreteSet, GeneType, ValueRange, population_from_csv
 
 _PROBLEMS = ("linear", "onemax", "xor")
@@ -184,7 +191,7 @@ def _config_from_file_map(mapping: dict) -> dict:
             raise ConfigError(key, "a known configuration key", raw)
         try:
             kwargs[key] = _KEY_PARSERS[key](raw)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, DimensionMismatch) as exc:
             raise ConfigError(key, f"a parsable value ({exc})", raw) from None
     return kwargs
 
@@ -459,6 +466,9 @@ def main(argv=None) -> int:
         return 3
     except GaError as err:
         print(f"runtime error: {err}", file=sys.stderr)
+        return 4
+    except MemoryError as err:
+        print(f"runtime error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 4
 
 

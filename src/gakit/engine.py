@@ -101,7 +101,6 @@ class EngineState:
         self.cfg = cfg
         self.population = population
         self.generation = -1
-        self.generations_completed = 0
         self.last_generation_fitness: Optional[np.ndarray] = None
         self.last_generation_parents: Optional[np.ndarray] = None
         self.last_generation_parents_indices: Optional[np.ndarray] = None
@@ -290,7 +289,6 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
         state.population = population
 
         completed = g + 1
-        state.generations_completed = completed
         state.last_record = GenerationRecord(
             generation_index=g,
             fitness=fit,

@@ -68,6 +68,10 @@ _FLOAT32_MAX = float(np.finfo(np.float32).max)
 # Integers survive a round trip through a float64 only below 2**53.
 _EXACT_INT_LIMIT = 2**53
 
+# Every double of at least this magnitude is an integer; adding 0.5 to one
+# would round to an even neighbour, so integer coercion leaves them as they are.
+_INTEGRAL_MAGNITUDE = 2.0**52
+
 # Step lattices up to this many points are enumerated when a schema is
 # compiled; larger ones are sampled by redrawing, like continuous ranges.
 _LATTICE_ENUM_CAP = 1 << 20
@@ -118,7 +122,8 @@ def coerce_gene(v, gene_type: GeneType) -> float:
     """Force a raw value into the given gene type.
 
     Floats round to their storage precision, FLOAT32 after clamping to its
-    finite range; integer types round half away from zero and clamp into the
+    finite range; integer types round half away from zero (a double past
+    2**52 is already an integer and stays as it is) and clamp into the
     representable range; PYINT rounds without clamping but rejects magnitudes
     beyond the exact double-integer range.
     """
@@ -129,14 +134,16 @@ def coerce_gene(v, gene_type: GeneType) -> float:
         return v
     if gene_type is GeneType.FLOAT32:
         return float(np.float32(min(max(v, -_FLOAT32_MAX), _FLOAT32_MAX)))
+    if abs(v) < _INTEGRAL_MAGNITUDE:
+        v = float(_round_half_away(v))
     if gene_type is GeneType.PYINT:
         if abs(v) > _EXACT_INT_LIMIT:
             raise NonFiniteGene(
                 f"gene value {v!r} exceeds the exact double-precision integer range"
             )
-        return float(_round_half_away(v))
+        return v
     lo, hi = _FLOAT_BOUNDS[gene_type]
-    return min(max(float(_round_half_away(v)), lo), hi)
+    return min(max(v, lo), hi)
 
 
 def _coerce_array(values: np.ndarray, gene_type: GeneType) -> np.ndarray:
@@ -153,6 +160,7 @@ def _coerce_array(values: np.ndarray, gene_type: GeneType) -> np.ndarray:
                 "double-precision integer range"
             )
     rounded = np.where(values >= 0, np.floor(values + 0.5), np.ceil(values - 0.5))
+    rounded = np.where(np.abs(values) < _INTEGRAL_MAGNITUDE, rounded, values)
     if gene_type in _FLOAT_BOUNDS:
         rounded = np.clip(rounded, *_FLOAT_BOUNDS[gene_type])
     # ceil gives -0.0 on (-0.5, 0) where float(int) gives 0.0; adding 0.0 fixes the sign.

@@ -7,7 +7,6 @@ Generator; ties anywhere break toward the lower population index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .config import (
     ParentSelection,
     resolve_mutation_count,
 )
-from .errors import LengthMismatch, NonPositiveFitness
+from .errors import NonPositiveFitness
 from .genome import GeneSchema, Unconstrained
 
 
@@ -107,34 +106,9 @@ def _sus_indices(fitness: np.ndarray, n: int, rng) -> np.ndarray:
     return np.searchsorted(cumulative, points, side="right")
 
 
-def crossover_pair(kind: CrossoverKind, p1, p2, rng) -> np.ndarray:
-    """Produce one child from two parents."""
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    if p1.shape != p2.shape:
-        raise LengthMismatch(f"parent lengths differ: {p1.shape} vs {p2.shape}")
-    length = p1.size
-
-    if kind is CrossoverKind.SINGLE_POINT:
-        cut = int(rng.integers(1, length))
-        return np.concatenate([p1[:cut], p2[cut:]])
-    if kind is CrossoverKind.TWO_POINTS:
-        c1, c2 = _two_cut_points(length, rng)
-        child = p1.copy()
-        child[c1:c2] = p2[c1:c2]
-        return child
-    if kind is CrossoverKind.UNIFORM:
-        mask = rng.random(length) < 0.5
-        return np.where(mask, p1, p2)
-    if kind is CrossoverKind.SCATTERED:
-        mask = rng.integers(0, 2, size=length)
-        return np.where(mask == 1, p1, p2)
-    raise ValueError(f"unknown crossover kind {kind!r}")
-
-
 def _two_cut_points(length: int, rng):
     # Uniform over cut pairs 0 <= c1 < c2 <= length, excluding the full-range
-    # pair (0, length) which would copy p2 wholesale.
+    # pair (0, length) which would copy the second parent wholesale.
     while True:
         a = int(rng.integers(0, length + 1))
         b = int(rng.integers(0, length + 1))
@@ -148,16 +122,32 @@ def _two_cut_points(length: int, rng):
 def produce_offspring(kind, parents: ParentSet, count: int, rng) -> np.ndarray:
     """Breed `count` children by pairing parents cyclically; copies when disabled.
 
-    Child i comes from parents (i mod P, (i+1) mod P); with crossover disabled
-    it is a plain copy of parent i mod P.
+    Child i takes each gene from parent i mod P or parent (i+1) mod P; with
+    crossover disabled it is a plain copy of parent i mod P. The whole
+    generation is bred at once from one mask, drawn in the order one child
+    at a time would draw it: single_point one cut per child, uniform and
+    scattered one value per gene, two_points its rejection loop per child.
     """
-    rows = parents.rows
-    p = rows.shape[0]
+    rows = np.asarray(parents.rows, dtype=float)
+    p, length = rows.shape
+    first = rows[np.arange(count) % p]
     if kind is None:
-        return np.array([rows[i % p] for i in range(count)])
-    return np.array(
-        [crossover_pair(kind, rows[i % p], rows[(i + 1) % p], rng) for i in range(count)]
-    )
+        return first
+    second = rows[(np.arange(count) + 1) % p]
+    if kind is CrossoverKind.SINGLE_POINT:
+        take_first = np.arange(length) < rng.integers(1, length, size=count)[:, None]
+    elif kind is CrossoverKind.TWO_POINTS:
+        take_first = np.ones((count, length), dtype=bool)
+        for mask in take_first:
+            c1, c2 = _two_cut_points(length, rng)
+            mask[c1:c2] = False
+    elif kind is CrossoverKind.UNIFORM:
+        take_first = rng.random((count, length)) < 0.5
+    elif kind is CrossoverKind.SCATTERED:
+        take_first = rng.integers(0, 2, size=(count, length)) == 1
+    else:
+        raise ValueError(f"unknown crossover kind {kind!r}")
+    return np.where(take_first, first, second)
 
 
 def _pick_segment(length: int, rng):
@@ -172,7 +162,7 @@ def _pick_segment(length: int, rng):
 
 
 def mutate(kind: MutationKind, chrom, cfg: GaConfig, pop_mean_fitness: float = 0.0,
-           own_fitness=None, rng=None, *, schema: Optional[GeneSchema] = None) -> np.ndarray:
+           own_fitness=None, rng=None, *, schema: GeneSchema) -> np.ndarray:
     """Mutate one offspring chromosome and return the repaired result.
 
     Random mutation perturbs (or replaces) a resolved number of genes; swap,
@@ -180,12 +170,10 @@ def mutate(kind: MutationKind, chrom, cfg: GaConfig, pop_mean_fitness: float = 0
     ignore the rate spec. Adaptive resolves the high rate when the offspring's
     fitness proxy falls below the population mean, the low rate otherwise, and
     then applies Random semantics. Output genes always satisfy their type,
-    space, and (when configured) distinctness constraints. The schema defaults
-    to the one compiled from cfg; a run passes its own so the compiled
-    constraints are shared by every call.
+    space, and (when configured) distinctness constraints, as compiled in
+    schema (GeneSchema.from_config(cfg)); a run compiles it once and passes
+    it to every call.
     """
-    if schema is None:
-        schema = GeneSchema.from_config(cfg)
     genes = np.array(chrom, dtype=float, copy=True)
     length = genes.size
     moved = ()  # positions whose values a structural mutation moved

@@ -217,24 +217,3 @@ def classification_fitness(spec: MlpSpec, data: Dataset):
 
     fitness.batch = batch
     return fitness
-
-
-def dataset_from_csv(text: str) -> Dataset:
-    """Parse a dataset CSV whose header names feature columns x0.. and label columns y0..."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise LengthMismatch("dataset CSV is empty")
-    header = [h.strip() for h in lines[0].split(",")]
-    n_x = sum(1 for h in header if h.startswith("x"))
-    n_y = sum(1 for h in header if h.startswith("y"))
-    expected = [f"x{i}" for i in range(n_x)] + [f"y{i}" for i in range(n_y)]
-    if n_x == 0 or n_y == 0 or header != expected:
-        raise LengthMismatch(f"dataset header must read x0..x{{n}},y0..y{{m}}, got {header}")
-    features, labels = [], []
-    for line in lines[1:]:
-        cells = [float(c) for c in line.split(",")]
-        if len(cells) != n_x + n_y:
-            raise LengthMismatch(f"dataset row has {len(cells)} cells, expected {n_x + n_y}")
-        features.append(cells[:n_x])
-        labels.append(cells[n_x:])
-    return Dataset(features=features, labels=labels)

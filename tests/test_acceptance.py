@@ -140,7 +140,7 @@ def test_criterion_4_lifecycle_ordering():
 
 def test_criterion_5_stop_control():
     def stop_at_five(state):
-        if state.generations_completed == 5:
+        if state.generation + 1 == 5:
             return GaControl.STOP
 
     cfg = validate(GaConfig(num_generations=100, sol_per_pop=8,

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gakit import engine
 from gakit.cli import (
     build_solve_config,
     format_fitness_csv,
@@ -128,6 +129,18 @@ def test_initial_population_loads_from_csv_path(tmp_path):
     assert np.array(cfg.initial_population).shape == (6, 2)
 
 
+@pytest.mark.parametrize("text", ["", "\n\n", "0,1\n0\n"])
+def test_unusable_initial_population_csv_exits_three(tmp_path, capsys, text):
+    # An empty or ragged population file is a config-file fault, not a run failure.
+    pop = tmp_path / "pop.csv"
+    pop.write_text(text)
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"problem=onemax\nnum_genes=2\ninitial_population={pop}\n")
+    assert main(["solve", "--config", str(conf)]) == 3
+    err = capsys.readouterr().err
+    assert "config error" in err and "initial_population" in err
+
+
 # --- solve/report runs -------------------------------------------------------------
 
 def test_solve_linear_writes_101_rows(tmp_path, capsys):
@@ -223,6 +236,23 @@ def test_runtime_error_exits_four(tmp_path, capsys):
     code = main(["solve", "--config", str(conf)])
     assert code == 4
     assert "fitness" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [
+    MemoryError(),
+    MemoryError("Unable to allocate 745. GiB for an array with shape (1000000000, 100)"),
+])
+def test_out_of_memory_exits_four_without_traceback(monkeypatch, capsys, error):
+    # A size numpy cannot allocate surfaces as MemoryError; raise it directly
+    # rather than asking for such a size, which depends on the host.
+    def run(cfg, fitness, hooks=None):
+        raise error
+
+    monkeypatch.setattr(engine, "run", run)
+    assert main(["solve", "--problem", "onemax", "--generations", "1"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ") and "Traceback" not in err
+    assert (str(error) or "out of memory") in err
 
 
 def test_csv_round_trip_produces_identical_svg(tmp_path):

@@ -74,7 +74,7 @@ def test_callbacks_fire_even_with_operators_disabled():
 
 def test_stop_control_value():
     def stop_at_five(state):
-        if state.generations_completed == 5:
+        if state.generation + 1 == 5:
             return GaControl.STOP
 
     result = run(demo_config(num_generations=50), sum_fitness,

@@ -91,6 +91,22 @@ def test_coerce_pyint_unclamped_but_bounded_by_exact_range():
         coerce_gene(2.0**60, GeneType.PYINT)
 
 
+@pytest.mark.parametrize("gene_type", [GeneType.PYINT, GeneType.INT64, GeneType.UINT64])
+def test_coerce_keeps_integers_past_2_52(gene_type):
+    # Doubles of magnitude 2**52 and up are integers; rounding them as
+    # floor(v + 0.5) moved an odd one to its even neighbour.
+    values = [2.0**52 + 1, 2.0**53 - 9, 2.0**53 - 1, 2.0**53]
+    if gene_type is not GeneType.UINT64:
+        values += [-v for v in values]
+    assert [coerce_gene(v, gene_type) for v in values] == values
+    assert _schema(UNCONSTRAINED, gene_type, len(values)).coerce(values).tolist() == values
+
+
+def test_pyint_step_lattice_near_2_53_keeps_odd_points():
+    schema = _schema(ValueRange(2**53 - 10, 2**53 + 10, 1), GeneType.PYINT)
+    assert schema._rules[0].values == [2.0**53 - k for k in range(10, -1, -1)]
+
+
 def test_coerce_rejects_non_finite():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(NonFiniteGene):
@@ -126,6 +142,8 @@ _coerce_values = st.one_of(
     st.sampled_from(_COERCE_EDGES),
     st.integers(-10**4, 10**4).map(lambda k: k + 0.5),
     st.integers(-(2**65), 2**65).map(float),
+    st.integers(2**52 + 1, 2**53).map(float),
+    st.integers(-(2**53), -(2**52) - 1).map(float),
 )
 
 

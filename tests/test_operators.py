@@ -17,7 +17,7 @@ from gakit.config import (
     Probability,
     validate,
 )
-from gakit.errors import LengthMismatch, NonPositiveFitness
+from gakit.errors import NonPositiveFitness
 from gakit.genome import (
     UNCONSTRAINED,
     DiscreteSet,
@@ -28,7 +28,7 @@ from gakit.genome import (
     init_population,
 )
 from gakit.engine import run
-from gakit.operators import ParentSet, crossover_pair, mutate, produce_offspring, select_parents
+from gakit.operators import ParentSet, mutate, produce_offspring, select_parents
 
 
 def _pop(rows):
@@ -163,8 +163,14 @@ def test_random_selection_is_roughly_uniform():
 
 # --- crossover ------------------------------------------------------------------
 
+def _one_child(kind, p1, p2, rng):
+    # produce_offspring with two parents and count 1 crosses p1 with p2.
+    parents = ParentSet(rows=_pop([p1, p2]), indices=np.array([0, 1]))
+    return produce_offspring(kind, parents, 1, rng)[0]
+
+
 def test_single_point_forced_cut():
-    child = crossover_pair(
+    child = _one_child(
         CrossoverKind.SINGLE_POINT, [1, 1, 1, 1], [0, 0, 0, 0], StubRng(ints=[2])
     )
     assert child.tolist() == [1, 1, 0, 0]
@@ -173,13 +179,13 @@ def test_single_point_forced_cut():
 def test_two_points_forced_cuts():
     p1 = [10, 11, 12, 13]
     p2 = [20, 21, 22, 23]
-    child = crossover_pair(CrossoverKind.TWO_POINTS, p1, p2, StubRng(ints=[1, 3]))
+    child = _one_child(CrossoverKind.TWO_POINTS, p1, p2, StubRng(ints=[1, 3]))
     assert child.tolist() == [10, 21, 22, 13]
 
 
 def test_uniform_identical_parents_is_identity():
     rng = np.random.default_rng(0)
-    child = crossover_pair(CrossoverKind.UNIFORM, [5, 6, 7], [5, 6, 7], rng)
+    child = _one_child(CrossoverKind.UNIFORM, [5, 6, 7], [5, 6, 7], rng)
     assert child.tolist() == [5, 6, 7]
 
 
@@ -188,7 +194,7 @@ def test_crossover_identity_on_identical_parents_all_kinds():
     parent = rng.uniform(-3, 3, size=8)
     for kind in CrossoverKind:
         for _ in range(25):
-            child = crossover_pair(kind, parent, parent, rng)
+            child = _one_child(kind, parent, parent, rng)
             assert np.array_equal(child, parent)
 
 
@@ -198,14 +204,9 @@ def test_crossover_child_mixes_only_parent_genes():
     p2 = np.arange(10, 16, dtype=float)
     for kind in CrossoverKind:
         for _ in range(50):
-            child = crossover_pair(kind, p1, p2, rng)
+            child = _one_child(kind, p1, p2, rng)
             for j, v in enumerate(child):
                 assert v in (p1[j], p2[j])
-
-
-def test_crossover_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        crossover_pair(CrossoverKind.SINGLE_POINT, [1, 2], [1, 2, 3], np.random.default_rng(0))
 
 
 def test_offspring_copies_cycle_when_crossover_disabled():
@@ -259,13 +260,15 @@ def _cfg(**overrides):
 
 def test_swap_on_pair_exchanges():
     cfg = _cfg(num_genes=2, mutation=MutationKind.SWAP)
-    out = mutate(MutationKind.SWAP, [1, 2], cfg, rng=StubRng(ints=[0, 1]))
+    out = mutate(MutationKind.SWAP, [1, 2], cfg, rng=StubRng(ints=[0, 1]),
+                 schema=GeneSchema.from_config(cfg))
     assert out.tolist() == [2, 1]
 
 
 def test_inversion_forced_full_segment():
     cfg = _cfg(mutation=MutationKind.INVERSION)
-    out = mutate(MutationKind.INVERSION, [1, 2, 3, 4], cfg, rng=StubRng(ints=[0, 4]))
+    out = mutate(MutationKind.INVERSION, [1, 2, 3, 4], cfg, rng=StubRng(ints=[0, 4]),
+                 schema=GeneSchema.from_config(cfg))
     assert out.tolist() == [4, 3, 2, 1]
 
 
@@ -274,6 +277,7 @@ def test_scramble_touches_only_the_segment():
     out = mutate(
         MutationKind.SCRAMBLE, [0, 1, 2, 3, 4, 5], cfg,
         rng=StubRng(ints=[1, 4, 2, 0, 1]),  # segment [1, 4), permutation order
+        schema=GeneSchema.from_config(cfg),
     )
     assert out[0] == 0 and out[4] == 4 and out[5] == 5
     assert sorted(out[1:4].tolist()) == [1, 2, 3]
@@ -281,14 +285,16 @@ def test_scramble_touches_only_the_segment():
 
 def test_inversion_outside_segment_untouched():
     cfg = _cfg(num_genes=6, mutation=MutationKind.INVERSION)
-    out = mutate(MutationKind.INVERSION, [0, 1, 2, 3, 4, 5], cfg, rng=StubRng(ints=[2, 5]))
+    out = mutate(MutationKind.INVERSION, [0, 1, 2, 3, 4, 5], cfg, rng=StubRng(ints=[2, 5]),
+                 schema=GeneSchema.from_config(cfg))
     assert out.tolist() == [0, 1, 4, 3, 2, 5]
 
 
 def test_random_replacement_on_singleton_space_is_identity():
     cfg = _cfg(num_genes=2, mutation=MutationKind.RANDOM, mutation_by_replacement=True,
                mutation_rate=NumGenes(2), gene_space=DiscreteSet((5,)))
-    out = mutate(MutationKind.RANDOM, [5, 5], cfg, rng=np.random.default_rng(0))
+    out = mutate(MutationKind.RANDOM, [5, 5], cfg, rng=np.random.default_rng(0),
+                 schema=GeneSchema.from_config(cfg))
     assert out.tolist() == [5, 5]
 
 
@@ -296,8 +302,9 @@ def test_random_changes_at_most_resolved_count():
     cfg = _cfg(num_genes=8, mutation=MutationKind.RANDOM, mutation_rate=NumGenes(3))
     rng = np.random.default_rng(7)
     genes = np.zeros(8)
+    schema = GeneSchema.from_config(cfg)
     for _ in range(100):
-        out = mutate(MutationKind.RANDOM, genes, cfg, rng=rng)
+        out = mutate(MutationKind.RANDOM, genes, cfg, rng=rng, schema=schema)
         assert np.sum(out != genes) <= 3
 
 
@@ -306,7 +313,8 @@ def test_adaptive_high_branch_below_mean():
     cfg = _cfg(mutation=MutationKind.ADAPTIVE, mutation_rate=pair)
     rng = np.random.default_rng(0)
     genes = np.zeros(4)
-    out = mutate(MutationKind.ADAPTIVE, genes, cfg, pop_mean_fitness=2.0, own_fitness=1.0, rng=rng)
+    out = mutate(MutationKind.ADAPTIVE, genes, cfg, pop_mean_fitness=2.0, own_fitness=1.0, rng=rng,
+                 schema=GeneSchema.from_config(cfg))
     assert np.sum(out != genes) == 3
 
 
@@ -315,7 +323,8 @@ def test_adaptive_low_branch_at_or_above_mean():
     cfg = _cfg(mutation=MutationKind.ADAPTIVE, mutation_rate=pair)
     rng = np.random.default_rng(0)
     genes = np.zeros(4)
-    out = mutate(MutationKind.ADAPTIVE, genes, cfg, pop_mean_fitness=2.0, own_fitness=2.0, rng=rng)
+    out = mutate(MutationKind.ADAPTIVE, genes, cfg, pop_mean_fitness=2.0, own_fitness=2.0, rng=rng,
+                 schema=GeneSchema.from_config(cfg))
     assert np.sum(out != genes) == 1
 
 
@@ -325,13 +334,14 @@ def test_adaptive_branch_invariant_under_affine_rescaling():
     pair = AdaptivePair(NumGenes(3), NumGenes(1))
     cfg = _cfg(mutation=MutationKind.ADAPTIVE, mutation_rate=pair)
     genes = np.zeros(4)
+    schema = GeneSchema.from_config(cfg)
     for a, b in ((1.0, 0.0), (7.5, 3.0), (0.01, -40.0)):
         fit = np.array([1.0, 3.0])
         mean = float(np.mean(a * fit + b))
         low = mutate(MutationKind.ADAPTIVE, genes, cfg, mean, a * 3.0 + b,
-                     np.random.default_rng(1))
+                     np.random.default_rng(1), schema=schema)
         high = mutate(MutationKind.ADAPTIVE, genes, cfg, mean, a * 1.0 + b,
-                      np.random.default_rng(1))
+                      np.random.default_rng(1), schema=schema)
         assert np.sum(high != genes) == 3
         assert np.sum(low != genes) == 1
 
@@ -340,8 +350,9 @@ def test_swap_changes_two_or_zero_positions():
     cfg = _cfg(num_genes=5, mutation=MutationKind.SWAP)
     rng = np.random.default_rng(11)
     genes = np.arange(5, dtype=float)
+    schema = GeneSchema.from_config(cfg)
     for _ in range(100):
-        out = mutate(MutationKind.SWAP, genes, cfg, rng=rng)
+        out = mutate(MutationKind.SWAP, genes, cfg, rng=rng, schema=schema)
         assert np.sum(out != genes) in (0, 2)
 
 
@@ -366,7 +377,7 @@ def test_mutation_closure_fuzz():
         pop = init_population(cfg, rng)
         for row in pop:
             kind = kinds[applications % len(kinds)]
-            out = mutate(kind, row, cfg, rng=rng)
+            out = mutate(kind, row, cfg, rng=rng, schema=schema)
             applications += 1
             assert len(set(out.tolist())) == out.size
             for j, v in enumerate(out):
@@ -408,9 +419,10 @@ def test_mutate_replays_pinned_draws(kind):
             random_delta_range=(-2.5, 2.5), allow_duplicate_genes=duplicates,
             gene_space=_REPLAY_SPACES, gene_type=_REPLAY_TYPES,
         ))
+        schema = GeneSchema.from_config(cfg)
         rng = np.random.default_rng([by_replacement, duplicates])
         for i, row in enumerate(init_population(cfg, rng)):
             # own fitness -1, 0, 1 against a mean of 0: both adaptive rates
-            out = mutate(kind, row, cfg, 0.0, float(i % 3) - 1.0, rng)
+            out = mutate(kind, row, cfg, 0.0, float(i % 3) - 1.0, rng, schema=schema)
             digest.update(out.tobytes())
     assert digest.hexdigest() == _REPLAY_DIGESTS[kind]

@@ -17,7 +17,6 @@ from gakit.problems import (
     MlpSpec,
     OneMaxProblem,
     classification_fitness,
-    dataset_from_csv,
     linear_fitness,
     mlp_forward,
     mlp_parameter_count,
@@ -212,24 +211,6 @@ def test_xor_dataset_shape():
 def test_dataset_rejects_mismatched_rows():
     with pytest.raises(LengthMismatch):
         Dataset(features=[[0, 0], [1, 1]], labels=[[0]])
-
-
-def test_dataset_csv_round_trip():
-    text = "x0,x1,y0\n0,0,0\n0,1,1\n1,0,1\n1,1,0\n"
-    data = dataset_from_csv(text)
-    xor = xor_dataset()
-    assert np.array_equal(data.features, xor.features)
-    assert np.array_equal(data.labels, xor.labels)
-
-
-def test_dataset_csv_rejects_bad_header():
-    with pytest.raises(LengthMismatch):
-        dataset_from_csv("a,b\n1,2\n")
-
-
-def test_dataset_csv_rejects_ragged_rows():
-    with pytest.raises(LengthMismatch):
-        dataset_from_csv("x0,y0\n1,2\n3\n")
 
 
 # --- batch fitness -----------------------------------------------------------------
