@@ -17,7 +17,14 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConfigError
-from .genome import DiscreteSet, GeneSpace, GeneType, Unconstrained, ValueRange
+from .genome import (
+    DiscreteSet,
+    GeneSpace,
+    GeneType,
+    Unconstrained,
+    ValueRange,
+    distinct_values_fall_short,
+)
 
 
 class ParentSelection(str, Enum):
@@ -286,6 +293,13 @@ def validate(raw: GaConfig) -> GaConfig:
     allow_duplicate_genes = bool(raw.allow_duplicate_genes)
     gene_space = _check_space("gene_space", raw.gene_space, num_genes)
     gene_type = _check_types("gene_type", raw.gene_type, num_genes)
+    if not allow_duplicate_genes and distinct_values_fall_short(gene_space, gene_type, num_genes):
+        raise ConfigError(
+            "gene_space",
+            "as many distinct admissible values across the finite gene spaces as genes "
+            "using them, when allow_duplicate_genes is false",
+            raw.gene_space,
+        )
     initial_population = _check_initial_population(
         raw.initial_population, sol_per_pop, num_genes
     )

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .config import GaConfig, MutationKind
-from .errors import DimensionMismatch, FitnessError
+from .errors import DimensionMismatch, FitnessError, GaError, HookError
 from .genome import GeneSchema, init_population
 from .operators import ParentSet, mutate, produce_offspring, select_parents, summable
 
@@ -166,10 +166,18 @@ def _evaluate_batch(population, batch, generation) -> np.ndarray:
     return values
 
 
-def _fire(hook, state):
-    if hook is not None:
+def _fire(hooks: LifecycleHooks, name: str, state):
+    """Call the named hook if it is set; any error but a GaError becomes a HookError."""
+    hook = getattr(hooks, name)
+    if hook is None:
+        return None
+    try:
         return hook(state)
-    return None
+    except GaError:
+        raise
+    except Exception as exc:
+        generation = state.generation if state.generation >= 0 else None
+        raise HookError(name, generation) from exc
 
 
 def _should_stop(control) -> bool:
@@ -227,7 +235,7 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
         mean_fits.append(float(scaled.mean()) * scale)
         return best_index, best_fits[-1], mean_fits[-1]
 
-    _fire(hooks.on_start, state)
+    _fire(hooks, "on_start", state)
 
     stop_reason = StopReason.EXHAUSTED
     completed = 0
@@ -239,7 +247,7 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
 
         fit = evaluate_population(population, fitness, generation=g)
         state.last_generation_fitness = fit
-        _fire(hooks.on_fitness, state)
+        _fire(hooks, "on_fitness", state)
 
         best_index, best_fit, mean_fit = record_entry(fit)
 
@@ -249,33 +257,29 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
         )
         state.last_generation_parents = parents.rows
         state.last_generation_parents_indices = parents.indices
-        _fire(hooks.on_parents, state)
+        _fire(hooks, "on_parents", state)
 
         offspring = produce_offspring(
             cfg.crossover, parents, offspring_count,
             _stage_rng(cfg.seed, g, _STAGE_CROSSOVER),
         )
         state.last_generation_offspring_crossover = offspring
-        _fire(hooks.on_crossover, state)
+        _fire(hooks, "on_crossover", state)
         offspring = _check_offspring_shape(
             state.last_generation_offspring_crossover, offspring_count, cfg.num_genes
         )
 
         mutation_rng = _stage_rng(cfg.seed, g, _STAGE_MUTATION)
         if cfg.mutation is not None:
-            p = parents.rows.shape[0]
-            mutated = np.array([
-                mutate(
-                    cfg.mutation, child, cfg, mean_fit,
-                    float(fit[parents.indices[i % p]]) if adaptive else None,
-                    mutation_rng, schema=schema,
-                )
-                for i, child in enumerate(offspring)
-            ])
+            # Child i was bred from parent i mod P, whose fitness is its adaptive proxy.
+            own = (fit[parents.indices[np.arange(offspring_count) % len(parents.indices)]]
+                   if adaptive else None)
+            mutated = mutate(cfg.mutation, offspring, cfg, mean_fit, own, mutation_rng,
+                             schema=schema)
         else:
             mutated = offspring
         state.last_generation_offspring_mutation = mutated
-        _fire(hooks.on_mutation, state)
+        _fire(hooks, "on_mutation", state)
         mutated = _check_offspring_shape(
             state.last_generation_offspring_mutation, offspring_count, cfg.num_genes
         )
@@ -299,14 +303,14 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
             best_fitness=best_fit,
             best_index=best_index,
         )
-        if _should_stop(_fire(hooks.on_generation, state)):
+        if _should_stop(_fire(hooks, "on_generation", state)):
             stop_reason = StopReason.CALLBACK_STOP
             break
 
     final_fit = evaluate_population(population, fitness, generation=completed)
     record_entry(final_fit)
     state.last_generation_fitness = final_fit
-    _fire(hooks.on_stop, state)
+    _fire(hooks, "on_stop", state)
 
     return RunResult(
         best_solutions=np.array(best_rows),

@@ -62,6 +62,20 @@ class FitnessError(GaError):
         self.solution_index = solution_index
 
 
+class HookError(GaError):
+    """A lifecycle hook raised an exception that is not a GaError; it is the __cause__.
+
+    generation is the engine state's generation when the hook fired (on_stop
+    sees the last one run), or None before the first generation.
+    """
+
+    def __init__(self, hook: str, generation=None) -> None:
+        where = "" if generation is None else f" (generation {generation})"
+        super().__init__(f"lifecycle hook {hook} raised{where}")
+        self.hook = hook
+        self.generation = generation
+
+
 class EmptyHistory(GaError):
     """A fitness history with no entries cannot be rendered."""
 

@@ -114,8 +114,39 @@ GeneSpace = Union[Unconstrained, DiscreteSet, ValueRange]
 UNCONSTRAINED = Unconstrained()
 
 
-def _round_half_away(v: float) -> int:
-    return math.floor(v + 0.5) if v >= 0 else math.ceil(v - 0.5)
+def _coerce_float64(v: float) -> float:
+    return v
+
+
+def _coerce_float32(v: float) -> float:
+    return float(np.float32(min(max(v, -_FLOAT32_MAX), _FLOAT32_MAX)))
+
+
+def _coerce_pyint(v: float) -> float:
+    if abs(v) < _INTEGRAL_MAGNITUDE:  # round half away from zero
+        return float(math.floor(v + 0.5) if v >= 0 else math.ceil(v - 0.5))
+    if abs(v) > _EXACT_INT_LIMIT:
+        raise NonFiniteGene(f"gene value {v!r} exceeds the exact double-precision integer range")
+    return v
+
+
+def _integer_coercer(lo: float, hi: float):
+    def coerce(v: float) -> float:
+        if abs(v) < _INTEGRAL_MAGNITUDE:  # round half away from zero
+            v = float(math.floor(v + 0.5) if v >= 0 else math.ceil(v - 0.5))
+        return lo if v < lo else hi if v > hi else v
+
+    return coerce
+
+
+# coerce_gene for each type, on a finite float: the type dispatch happens once,
+# when a rule picks its coercer.
+_COERCERS = {
+    GeneType.FLOAT64: _coerce_float64,
+    GeneType.FLOAT32: _coerce_float32,
+    GeneType.PYINT: _coerce_pyint,
+    **{t: _integer_coercer(*bounds) for t, bounds in _FLOAT_BOUNDS.items()},
+}
 
 
 def coerce_gene(v, gene_type: GeneType) -> float:
@@ -130,20 +161,7 @@ def coerce_gene(v, gene_type: GeneType) -> float:
     v = float(v)
     if not math.isfinite(v):
         raise NonFiniteGene(f"gene value {v!r} is not finite")
-    if gene_type is GeneType.FLOAT64:
-        return v
-    if gene_type is GeneType.FLOAT32:
-        return float(np.float32(min(max(v, -_FLOAT32_MAX), _FLOAT32_MAX)))
-    if abs(v) < _INTEGRAL_MAGNITUDE:
-        v = float(_round_half_away(v))
-    if gene_type is GeneType.PYINT:
-        if abs(v) > _EXACT_INT_LIMIT:
-            raise NonFiniteGene(
-                f"gene value {v!r} exceeds the exact double-precision integer range"
-            )
-        return v
-    lo, hi = _FLOAT_BOUNDS[gene_type]
-    return min(max(v, lo), hi)
+    return _COERCERS[gene_type](v)
 
 
 def _coerce_array(values: np.ndarray, gene_type: GeneType) -> np.ndarray:
@@ -173,13 +191,18 @@ def _lattice_size(space: ValueRange) -> int:
 
 
 def _typed_lattice(space: ValueRange, gene_type: GeneType) -> list:
-    """The step-lattice points that _GeneRule.contains accepts, sorted and distinct.
+    """The step-lattice points that _GeneRule.contains accepts, sorted and distinct."""
+    return _typed_points(space, gene_type, _lattice_size(space))
+
+
+def _typed_points(space: ValueRange, gene_type: GeneType, count: int) -> list:
+    """The admissible points among the first count of the lattice, sorted and distinct.
 
     A point lo + k*step counts when rounding has left it below hi (the last
     one can round up to hi), the type can hold it (PYINT holds no integer
     beyond 2**53) and it survives coercion to the gene type unchanged.
     """
-    points = space.lo + np.arange(_lattice_size(space)) * space.step
+    points = space.lo + np.arange(count) * space.step
     points = points[points < space.hi]
     if gene_type is GeneType.PYINT:
         points = points[np.abs(points) <= _EXACT_INT_LIMIT]
@@ -192,54 +215,83 @@ class _GeneRule:
     A finite rule (a discrete set, or a step lattice of at most
     _LATTICE_ENUM_CAP points) holds its admissible values; any other rule
     draws from its range and keeps the first coerced value contains accepts.
+    contains and admit are compiled here: the membership test and the type's
+    coercer are picked once, so no call dispatches on the space or the type.
+    A free rule (unconstrained, and not PYINT) accepts every coerced finite
+    value, so admitting a value there is coercing it.
     """
 
-    __slots__ = ("space", "type", "size", "members", "values", "pool")
+    __slots__ = ("space", "type", "init_range", "size", "values", "pool", "free",
+                 "contains", "admit")
 
-    def __init__(self, space: GeneSpace, gene_type: GeneType) -> None:
+    def __init__(self, space: GeneSpace, gene_type: GeneType, init_range) -> None:
         self.space = space
         self.type = gene_type
+        self.init_range = init_range
         self.size = None  # number of step-lattice points
-        self.members = None  # discrete values coerced to the type, for O(1) membership
         self.values = None  # a finite rule's admissible values, in draw order
         self.pool = None  # the same values, distinct and sorted, for repair
+        members = None  # discrete values coerced to the type, for O(1) membership
         if isinstance(space, DiscreteSet):
             self.values = tuple(coerce_gene(v, gene_type) for v in space.values)
-            self.members = frozenset(self.values)
-            self.pool = sorted(self.members)
+            members = frozenset(self.values)
+            self.pool = sorted(members)
         elif isinstance(space, ValueRange) and space.step is not None:
             self.size = _lattice_size(space)
             if self.size <= _LATTICE_ENUM_CAP:
                 self.values = self.pool = _typed_lattice(space, gene_type)
         if self.values is not None and not self.values:
             raise EmptySpace(f"no value of {space!r} is representable as {gene_type.value}")
+        self.free = isinstance(space, Unconstrained) and gene_type is not GeneType.PYINT
+        self.contains = self._membership(members)
+        self.admit = self._compile_admit()
+
+    def _membership(self, members):
+        """contains(v): whether v is an admissible (post-coercion) value."""
+        space = self.space
+        if members is not None:
+            return members.__contains__
+        if isinstance(space, Unconstrained):
+            return lambda v: True
+        lo, hi, step, size = space.lo, space.hi, space.step, self.size
+        if size is None:
+            return lambda v: lo <= v < hi
+        coerce = _COERCERS[self.type]
+
+        def on_lattice(v) -> bool:
+            if not (lo <= v < hi):
+                return False
+            k = int(round((v - lo) / step))
+            return 0 <= k < size and lo + k * step == v and coerce(v) == v
+
+        return on_lattice
+
+    def _compile_admit(self):
+        """admit(v, rng): v coerced if that is admissible, else a fresh sample."""
+        coerce, contains, sample = _COERCERS[self.type], self.contains, self.sample
+        pyint = self.type is GeneType.PYINT
+
+        def admit(v, rng) -> float:
+            if not math.isfinite(v):
+                raise NonFiniteGene(f"gene value {float(v)!r} is not finite")
+            if pyint and abs(v) > _EXACT_INT_LIMIT:
+                return sample(rng)
+            v = coerce(v)
+            return v if contains(v) else sample(rng)
+
+        return admit
 
     def holds(self, v: float) -> bool:
         """Whether the type can hold finite v; PYINT holds no integer beyond 2**53."""
         return self.type is not GeneType.PYINT or abs(v) <= _EXACT_INT_LIMIT
 
-    def contains(self, v: float) -> bool:
-        space = self.space
-        if self.members is not None:
-            return v in self.members
-        if isinstance(space, Unconstrained):
-            return True
-        if not (space.lo <= v < space.hi):
-            return False
-        if self.size is None:
-            return True
-        k = int(round((v - space.lo) / space.step))
-        if k < 0 or k >= self.size:
-            return False
-        return space.lo + k * space.step == v and coerce_gene(v, self.type) == v
-
-    def sample(self, init_range, rng) -> float:
+    def sample(self, rng) -> float:
         if self.values is not None:
             return self.values[int(rng.integers(len(self.values)))]
         space = self.space
         for _ in range(_REDRAW_BUDGET):
             if isinstance(space, Unconstrained):
-                v = rng.uniform(init_range[0], init_range[1])
+                v = rng.uniform(self.init_range[0], self.init_range[1])
             elif self.size is None:
                 v = rng.uniform(space.lo, space.hi)
             else:
@@ -254,7 +306,7 @@ class _GeneRule:
             f"found in {_REDRAW_BUDGET} draws"
         )
 
-    def resample_excluding(self, exclude, init_range, rng) -> float:
+    def resample_excluding(self, exclude, rng) -> float:
         if self.pool is not None:
             pool = [v for v in self.pool if v not in exclude]
             if not pool:
@@ -263,12 +315,66 @@ class _GeneRule:
                 )
             return pool[int(rng.integers(len(pool)))]
         for _ in range(_REDRAW_BUDGET):
-            v = self.sample(init_range, rng)
+            v = self.sample(rng)
             if v not in exclude:
                 return v
         raise InsufficientSpace(
             f"no distinct value found in {self.space!r} after {_REDRAW_BUDGET} redraws"
         )
+
+
+def _per_gene(gene_space, gene_type, n: int) -> tuple:
+    """A validated config's gene_space and gene_type as one entry per gene each."""
+    if gene_space is None:
+        gene_space = UNCONSTRAINED
+    if isinstance(gene_space, (Unconstrained, DiscreteSet, ValueRange)):
+        gene_space = [gene_space] * n
+    if isinstance(gene_type, GeneType):
+        gene_type = [gene_type] * n
+    return gene_space, gene_type
+
+
+def distinct_values_fall_short(gene_space, gene_type, n: int) -> bool:
+    """Whether the genes of finite rules have fewer admissible values between them than genes.
+
+    Takes a validated config's gene_space and gene_type. Genes whose rules
+    are finite (discrete sets, enumerated lattices) draw from the union of
+    their pools, so with fewer distinct values than such genes no chromosome
+    can hold pairwise-distinct genes. A lattice is enumerated in full only
+    when the admissible points among its first few do not settle the
+    answer. A rule that holds no value of its type is left for the schema
+    to report.
+    """
+    sets, lattices = set(), {}
+    genes = 0
+    for space, t in zip(*_per_gene(gene_space, gene_type, n)):
+        if isinstance(space, DiscreteSet):
+            sets.add((space, t))
+        elif isinstance(space, ValueRange) and space.step is not None:
+            size = _lattice_size(space)
+            if size > _LATTICE_ENUM_CAP:
+                continue
+            lattices[(space, t)] = size
+        else:
+            continue
+        genes += 1
+    union: set = set()
+    try:
+        for key in sets:
+            union.update(_GeneRule(*key, None).pool)  # a finite rule never draws init values
+    except (EmptySpace, NonFiniteGene):
+        return False
+    for (space, t), size in sorted(lattices.items(), key=lambda item: item[1]):
+        need = genes - len(union)
+        if need <= 0:
+            return False
+        pool = _typed_points(space, t, min(size, need))
+        if size > need and len(union.union(pool)) < genes:
+            pool = _typed_lattice(space, t)
+        if not pool:
+            return False
+        union.update(pool)
+    return len(union) < genes
 
 
 class GeneSchema:
@@ -292,8 +398,11 @@ class GeneSchema:
         rules: dict = {}
         for key in zip(self.spaces, self.types):
             if key not in rules:
-                rules[key] = _GeneRule(*key)
+                rules[key] = _GeneRule(*key, self.init_range)
         self._rules = tuple(rules[key] for key in zip(self.spaces, self.types))
+        # Per gene: whether its rule is free, and its compiled admit(v, rng).
+        self.free = tuple(rule.free for rule in self._rules)
+        self.admitters = tuple(rule.admit for rule in self._rules)
         columns: dict = {}
         for j, gene_type in enumerate(self.types):
             columns.setdefault(gene_type, []).append(j)
@@ -308,14 +417,7 @@ class GeneSchema:
     @classmethod
     def from_config(cls, cfg: "GaConfig") -> "GeneSchema":
         """Compile a validated config's gene space, gene type, and init range."""
-        n = cfg.num_genes
-        space = UNCONSTRAINED if cfg.gene_space is None else cfg.gene_space
-        if isinstance(space, (Unconstrained, DiscreteSet, ValueRange)):
-            space = [space] * n
-        gene_type = cfg.gene_type
-        if isinstance(gene_type, GeneType):
-            gene_type = [gene_type] * n
-        return cls(space, gene_type, cfg.init_range)
+        return cls(*_per_gene(cfg.gene_space, cfg.gene_type, cfg.num_genes), cfg.init_range)
 
     def coerce(self, values) -> np.ndarray:
         """coerce_gene applied to every gene of a chromosome or (rows, genes) array, as a copy."""
@@ -337,11 +439,7 @@ class GeneSchema:
         A finite value the type cannot hold (PYINT beyond 2**53) is inadmissible;
         NaN and infinities raise NonFiniteGene.
         """
-        rule = self._rules[j]
-        if math.isfinite(v) and not rule.holds(v):
-            return rule.sample(self.init_range, rng)
-        v = coerce_gene(v, rule.type)
-        return v if rule.contains(v) else rule.sample(self.init_range, rng)
+        return self._rules[j].admit(v, rng)
 
     def sample(self, j: int, rng) -> float:
         """Draw one admissible value of gene j.
@@ -352,7 +450,7 @@ class GeneSchema:
         redraw until contains accepts it (a PYINT draw beyond 2**53 is a
         miss); after _REDRAW_BUDGET misses they raise EmptySpace.
         """
-        return self._rules[j].sample(self.init_range, rng)
+        return self._rules[j].sample(rng)
 
     def repair(self, genes, rng) -> np.ndarray:
         """Resample duplicated genes until each chromosome's values are pairwise distinct.
@@ -376,7 +474,7 @@ class GeneSchema:
         for j, v in enumerate(values):
             if v in seen:
                 exclude = set(values[:j] + values[j + 1:])
-                v = values[j] = self._rules[j].resample_excluding(exclude, self.init_range, rng)
+                v = values[j] = self._rules[j].resample_excluding(exclude, rng)
             seen.add(v)
         return values
 

@@ -16,6 +16,7 @@ from .config import (
     GaConfig,
     MutationKind,
     ParentSelection,
+    Probability,
     resolve_mutation_count,
 )
 from .errors import NonPositiveFitness
@@ -161,63 +162,123 @@ def _pick_segment(length: int, rng):
             return a, b
 
 
+def _swap(row, rng):
+    i, j = (int(v) for v in rng.choice(row.size, size=2, replace=False))
+    row[i], row[j] = row[j], row[i]
+    return (i, j)
+
+
+def _invert(row, rng):
+    a, b = _pick_segment(row.size, rng)
+    row[a:b] = row[a:b][::-1]
+    return range(a, b)
+
+
+def _scramble(row, rng):
+    a, b = _pick_segment(row.size, rng)
+    row[a:b] = rng.permutation(row[a:b])
+    return range(a, b)
+
+
+# Structural mutations: each moves values within one row and returns the
+# positions it moved them to.
+_MOVES = {MutationKind.SWAP: _swap, MutationKind.INVERSION: _invert,
+          MutationKind.SCRAMBLE: _scramble}
+
+
 def mutate(kind: MutationKind, chrom, cfg: GaConfig, pop_mean_fitness: float = 0.0,
            own_fitness=None, rng=None, *, schema: GeneSchema) -> np.ndarray:
-    """Mutate one offspring chromosome and return the repaired result.
+    """Mutate one chromosome, or every row of a (rows, genes) generation, and return a copy.
 
     Random mutation perturbs (or replaces) a resolved number of genes; swap,
     inversion, and scramble are structural single-application operators that
-    ignore the rate spec. Adaptive resolves the high rate when the offspring's
-    fitness proxy falls below the population mean, the low rate otherwise, and
-    then applies Random semantics. Output genes always satisfy their type,
-    space, and (when configured) distinctness constraints, as compiled in
-    schema (GeneSchema.from_config(cfg)); a run compiles it once and passes
-    it to every call.
+    ignore the rate spec. Adaptive resolves the high rate for a row whose
+    fitness proxy (own_fitness: one value, or one per row) falls below the
+    population mean, the low rate otherwise, and then applies Random
+    semantics. Output genes always satisfy their type, space, and (when
+    configured) distinctness constraints, as compiled in schema
+    (GeneSchema.from_config(cfg)); a run compiles it once.
+
+    Rows are mutated in order, and each row makes exactly the draws one call
+    on that row alone would make, so mutating a generation at once gives the
+    same rows and leaves rng in the same state as stacking per-row calls.
     """
-    genes = np.array(chrom, dtype=float, copy=True)
-    length = genes.size
-    moved = ()  # positions whose values a structural mutation moved
-
+    genes = np.array(chrom, dtype=float)
+    rows = genes.reshape(-1, genes.shape[-1])
     if kind in (MutationKind.RANDOM, MutationKind.ADAPTIVE):
-        rate = cfg.mutation_rate
-        if kind is MutationKind.ADAPTIVE:
-            if own_fitness is None:
-                raise ValueError("adaptive mutation needs the offspring's fitness proxy")
-            pair: AdaptivePair = rate
-            rate = pair.high if own_fitness < pop_mean_fitness else pair.low
-        count = resolve_mutation_count(rate, cfg.num_genes, rng)
-        if count > 0:
-            positions = rng.choice(length, size=count, replace=False)
-            lo, hi = cfg.random_delta_range
-            for j in positions.tolist():
-                if not cfg.mutation_by_replacement:
-                    genes[j] = schema.admit(j, genes[j] + rng.uniform(lo, hi), rng)
-                elif isinstance(schema.spaces[j], Unconstrained):
-                    genes[j] = schema.admit(j, rng.uniform(lo, hi), rng)
-                else:
-                    genes[j] = schema.sample(j, rng)
-    elif kind is MutationKind.SWAP:
-        if length >= 2:
-            i, j = (int(v) for v in rng.choice(length, size=2, replace=False))
-            genes[i], genes[j] = genes[j], genes[i]
-            moved = (i, j)
-    elif kind is MutationKind.INVERSION:
-        if length >= 2:
-            a, b = _pick_segment(length, rng)
-            genes[a:b] = genes[a:b][::-1]
-            moved = range(a, b)
-    elif kind is MutationKind.SCRAMBLE:
-        if length >= 2:
-            a, b = _pick_segment(length, rng)
-            genes[a:b] = rng.permutation(genes[a:b])
-            moved = range(a, b)
-    else:
+        _mutate_random(kind, rows, cfg, pop_mean_fitness, own_fitness, rng, schema)
+        return genes
+    move = _MOVES.get(kind)
+    if move is None:
         raise ValueError(f"unknown mutation kind {kind!r}")
-
-    # A moved value may not fit the type and space of the gene it landed on.
-    for j in moved:
-        genes[j] = schema.admit(j, genes[j], rng)
-
-    if not cfg.allow_duplicate_genes:
-        genes = schema.repair(genes, rng)
+    admit = schema.admitters
+    for row in rows:
+        if row.size >= 2:
+            # A moved value may not fit the type and space of the gene it landed on.
+            for j in move(row, rng):
+                row[j] = admit[j](row[j], rng)
+        if not cfg.allow_duplicate_genes:
+            row[:] = schema.repair(row, rng)
     return genes
+
+
+def _mutate_random(kind, rows, cfg, pop_mean_fitness, own_fitness, rng, schema) -> None:
+    # Each row draws, in order: a Probability rate's binomial count, the
+    # positions, then per position its delta (or replacement) and any
+    # resample that admitting it needs; a duplicate repair comes last.
+    if kind is MutationKind.ADAPTIVE:
+        if own_fitness is None:
+            raise ValueError("adaptive mutation needs the offspring's fitness proxy")
+        pair: AdaptivePair = cfg.mutation_rate
+        sides = (pair.low, pair.high)
+        below = np.asarray(own_fitness, dtype=float) < pop_mean_fitness
+        side_of = np.broadcast_to(below, rows.shape[:1]).astype(int).tolist()
+    else:
+        sides = (cfg.mutation_rate,)
+        side_of = [0] * rows.shape[0]
+    n = cfg.num_genes
+    # Fixed rates resolve once; a Probability rate draws per row.
+    fixed = [None if isinstance(rate, Probability) else resolve_mutation_count(rate, n, rng)
+             for rate in sides]
+    length = rows.shape[1]
+    lo, hi = cfg.random_delta_range
+    width = hi - lo  # lo + width * random() draws the same bits as uniform(lo, hi)
+    by_replacement = cfg.mutation_by_replacement
+    unconstrained = [isinstance(space, Unconstrained) for space in schema.spaces]
+    admit = schema.admitters
+    # A free gene's admit draws nothing, so without a repair to feed, its
+    # values are coerced together after the last row.
+    repair = not cfg.allow_duplicate_genes
+    free = (False,) * length if repair else schema.free
+    staged_rows, staged_cols, staged_values = [], [], []
+    for i, side in enumerate(side_of):
+        count = fixed[side]
+        if count is None:
+            count = resolve_mutation_count(sides[side], n, rng)
+        if count == 1:
+            # integers(length) draws the same bits as choice(length, 1, replace=False).
+            positions = (int(rng.integers(length)),)
+        elif count > 1:
+            positions = rng.choice(length, size=count, replace=False).tolist()
+        else:
+            positions = ()
+        row = rows[i]
+        for j in positions:
+            if by_replacement and not unconstrained[j]:
+                row[j] = schema.sample(j, rng)
+                continue
+            v = lo + width * rng.random()
+            if not by_replacement:
+                v += row.item(j)
+            if free[j]:
+                staged_rows.append(i)
+                staged_cols.append(j)
+                staged_values.append(v)
+            else:
+                row[j] = admit[j](v, rng)
+        if repair:
+            rows[i] = schema.repair(row, rng)
+    if staged_values:
+        staged = np.zeros_like(rows)
+        staged[staged_rows, staged_cols] = staged_values
+        rows[staged_rows, staged_cols] = schema.coerce(staged)[staged_rows, staged_cols]

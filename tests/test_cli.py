@@ -141,6 +141,15 @@ def test_unusable_initial_population_csv_exits_three(tmp_path, capsys, text):
     assert "config error" in err and "initial_population" in err
 
 
+def test_distinct_genes_from_too_small_a_space_exit_three(tmp_path, capsys):
+    # Five distinct genes cannot come from {0, 1}: a config error, not a run failure.
+    conf = tmp_path / "run.conf"
+    conf.write_text("gene_space=set:0,1\nallow_duplicate_genes=false\n")
+    assert main(["solve", "--problem", "onemax", "--genes", "5", "--config", str(conf)]) == 3
+    err = capsys.readouterr().err
+    assert "config error" in err and "gene_space" in err
+
+
 # --- solve/report runs -------------------------------------------------------------
 
 def test_solve_linear_writes_101_rows(tmp_path, capsys):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gakit.config import (
     AdaptivePair,
@@ -18,8 +20,8 @@ from gakit.config import (
     resolve_mutation_count,
     validate,
 )
-from gakit.errors import ConfigError
-from gakit.genome import DiscreteSet, GeneSchema, GeneType, ValueRange
+from gakit.errors import ConfigError, EmptySpace, NonFiniteGene
+from gakit.genome import UNCONSTRAINED, DiscreteSet, GeneSchema, GeneType, ValueRange
 
 
 def base_config(**overrides):
@@ -204,6 +206,65 @@ def test_per_gene_type_length_checked():
     assert cfg.gene_type[1] is GeneType.FLOAT64
     with pytest.raises(ConfigError):
         validate(base_config(gene_type=[GeneType.INT8]))
+
+
+@pytest.mark.parametrize("space, gene_type", [
+    (DiscreteSet((0, 1)), GeneType.INT8),
+    (DiscreteSet((0.1, 0.2, 0.3)), GeneType.INT8),  # all three coerce to 0
+    (ValueRange(0, 1.5, 0.5), GeneType.INT8),  # admissible points 0 and 1
+    ([DiscreteSet((0, 1)), ValueRange(0, 2, 1), DiscreteSet((1,))], GeneType.FLOAT64),
+])
+def test_distinctness_that_cannot_be_met_is_rejected(space, gene_type):
+    with pytest.raises(ConfigError) as err:
+        validate(base_config(gene_space=space, gene_type=gene_type,
+                             allow_duplicate_genes=False))
+    assert err.value.field == "gene_space"
+    validate(base_config(gene_space=space, gene_type=gene_type))
+
+
+@pytest.mark.parametrize("space, gene_type", [
+    (DiscreteSet((0, 1, 2)), GeneType.INT8),
+    (DiscreteSet((0.1, 0.2, 0.3)), GeneType.FLOAT64),
+    (ValueRange(0, 2.5, 0.5), GeneType.INT8),  # admissible points 0, 1 and 2
+    (ValueRange(0, 1e4, 0.1), GeneType.INT8),  # found only by enumerating past the first points
+    ([DiscreteSet((0, 1)), ValueRange(0, 2, 1), ValueRange(0, 1)], GeneType.FLOAT64),
+])
+def test_distinctness_that_can_be_met_is_accepted(space, gene_type):
+    validate(base_config(gene_space=space, gene_type=gene_type, allow_duplicate_genes=False))
+
+
+# Mostly finite spaces with a few values each, so both outcomes are common.
+_SMALL_SPACES = st.one_of(
+    st.sampled_from([UNCONSTRAINED, ValueRange(0, 1)]),
+    st.lists(st.sampled_from([0.0, 0.4, 0.5, 1.0, 1.5]), min_size=1, max_size=3,
+             unique=True).map(lambda values: DiscreteSet(tuple(values))),
+    st.builds(ValueRange, st.sampled_from([0.0, 0.5]), st.sampled_from([1.0, 2.0]),
+              st.sampled_from([0.5, 1.0])),
+)
+
+
+@given(data=st.data())
+def test_distinctness_rejection_matches_the_compiled_pools(data):
+    num_genes = data.draw(st.integers(2, 5))
+    spaces = data.draw(st.lists(_SMALL_SPACES, min_size=num_genes, max_size=num_genes))
+    types = data.draw(st.lists(
+        st.sampled_from([GeneType.INT8, GeneType.UINT8, GeneType.FLOAT32, GeneType.FLOAT64]),
+        min_size=num_genes, max_size=num_genes))
+    candidate = base_config(num_genes=num_genes, crossover=None, gene_space=spaces,
+                            gene_type=types, allow_duplicate_genes=False)
+    try:
+        schema = GeneSchema.from_config(validate(dataclasses.replace(
+            candidate, allow_duplicate_genes=True)))
+    except (EmptySpace, NonFiniteGene):
+        return
+    pools = [rule.pool for rule in schema._rules if rule.pool is not None]
+    short = len(set().union(*pools)) < len(pools)
+    try:
+        validate(candidate)
+    except ConfigError as err:
+        assert short and err.field == "gene_space"
+    else:
+        assert not short
 
 
 def _random_candidate(rng):

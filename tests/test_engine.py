@@ -6,6 +6,8 @@ from conftest import FINITE_BOUND, gene_spaces
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import gakit
+from gakit import engine
 from gakit.cli import build_solve_config, parse_invocation
 from gakit.config import (
     AdaptivePair,
@@ -28,8 +30,9 @@ from gakit.engine import (
     fitness_history,
     run,
 )
-from gakit.errors import ConfigError, DimensionMismatch, FitnessError, GaError
+from gakit.errors import ConfigError, DimensionMismatch, FitnessError, GaError, HookError
 from gakit.genome import GeneSchema, GeneType
+from gakit.operators import mutate
 from gakit.problems import DEFAULT_EQUATION, linear_fitness
 
 
@@ -185,6 +188,45 @@ def test_hook_overwrite_with_wrong_shape_rejected():
     with pytest.raises(DimensionMismatch):
         run(demo_config(num_generations=1, keep_parents=2), sum_fitness,
             LifecycleHooks(on_mutation=overwrite))
+
+
+@pytest.mark.parametrize("hook, generation", [
+    ("on_start", None), ("on_fitness", 0), ("on_parents", 0), ("on_crossover", 0),
+    ("on_mutation", 0), ("on_generation", 0), ("on_stop", 0),
+])
+def test_hook_error_names_its_hook_and_generation(hook, generation):
+    def broken(state):
+        raise KeyError("missing")
+
+    with pytest.raises(HookError) as err:
+        run(demo_config(num_generations=1), sum_fitness, LifecycleHooks(**{hook: broken}))
+    assert (err.value.hook, err.value.generation) == (hook, generation)
+    assert isinstance(err.value.__cause__, KeyError)
+    assert hook in str(err.value)
+
+
+def test_ga_error_from_a_hook_passes_through_unwrapped():
+    def broken(state):
+        raise DimensionMismatch("a hook's own library error")
+
+    with pytest.raises(DimensionMismatch):
+        run(demo_config(num_generations=1), sum_fitness, LifecycleHooks(on_parents=broken))
+
+
+def test_hook_error_is_exported():
+    assert gakit.HookError is HookError and issubclass(HookError, GaError)
+
+
+def test_engine_mutates_a_generation_in_one_call(monkeypatch):
+    shapes = []
+
+    def counting(kind, chrom, *args, **kwargs):
+        shapes.append(np.shape(chrom))
+        return mutate(kind, chrom, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "mutate", counting)
+    run(demo_config(num_generations=4, keep_parents=2), sum_fitness)
+    assert shapes == [(8, 3)] * 4
 
 
 def test_fitness_error_carries_location():

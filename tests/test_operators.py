@@ -14,6 +14,7 @@ from gakit.config import (
     MutationKind,
     NumGenes,
     ParentSelection,
+    PercentGenes,
     Probability,
     validate,
 )
@@ -426,3 +427,78 @@ def test_mutate_replays_pinned_draws(kind):
             out = mutate(kind, row, cfg, 0.0, float(i % 3) - 1.0, rng, schema=schema)
             digest.update(out.tobytes())
     assert digest.hexdigest() == _REPLAY_DIGESTS[kind]
+
+
+# --- whole-generation mutation ------------------------------------------------------
+
+_FREE_SPACES = {
+    "mixed": (_REPLAY_SPACES, _REPLAY_TYPES),
+    "free float64": ([UNCONSTRAINED] * 8, [GeneType.FLOAT64] * 8),
+    "free float32": ([UNCONSTRAINED] * 8, [GeneType.FLOAT32] * 8),
+}
+
+_PLAIN_RATES = [Probability(0.4), NumGenes(1), PercentGenes(30)]
+_ADAPTIVE_RATES = [
+    AdaptivePair(Probability(0.6), Probability(0.2)),
+    AdaptivePair(NumGenes(3), NumGenes(1)),
+    AdaptivePair(PercentGenes(50), PercentGenes(10)),
+]
+
+
+@pytest.mark.parametrize("schema_name", list(_FREE_SPACES))
+@pytest.mark.parametrize("rate_index", range(3))
+@pytest.mark.parametrize("kind", list(MutationKind))
+def test_mutating_a_generation_equals_stacking_row_calls(kind, rate_index, schema_name):
+    spaces, types = _FREE_SPACES[schema_name]
+    rate = (_ADAPTIVE_RATES if kind is MutationKind.ADAPTIVE else _PLAIN_RATES)[rate_index]
+    for by_replacement, duplicates in itertools.product((False, True), repeat=2):
+        cfg = validate(GaConfig(
+            num_generations=1, sol_per_pop=40, num_parents_mating=2, num_genes=8,
+            mutation=kind, mutation_rate=rate, mutation_by_replacement=by_replacement,
+            random_delta_range=(-2.5, 2.5), allow_duplicate_genes=duplicates,
+            gene_space=spaces, gene_type=types,
+        ))
+        schema = GeneSchema.from_config(cfg)
+        seed = [rate_index, by_replacement, duplicates]
+        pop = init_population(cfg, np.random.default_rng(seed), schema)
+        own = np.arange(len(pop)) % 3 - 1.0  # against a mean of 0: both adaptive rates
+        whole_rng, row_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        whole = mutate(kind, pop, cfg, 0.0, own, whole_rng, schema=schema)
+        rows = np.array([mutate(kind, row, cfg, 0.0, own[i], row_rng, schema=schema)
+                         for i, row in enumerate(pop)])
+        assert whole.shape == pop.shape
+        assert whole.tobytes() == rows.tobytes()
+        assert np.array_equal(schema.coerce(whole), whole)
+        assert whole_rng.bit_generator.state == row_rng.bit_generator.state
+
+
+def test_mutate_leaves_its_input_generation_untouched():
+    cfg = _cfg(num_genes=6, mutation_rate=NumGenes(3))
+    pop = np.random.default_rng(0).uniform(-1, 1, size=(5, 6))
+    before = pop.copy()
+    out = mutate(MutationKind.RANDOM, pop, cfg, rng=np.random.default_rng(1),
+                 schema=GeneSchema.from_config(cfg))
+    assert np.array_equal(pop, before) and not np.array_equal(out, before)
+
+
+# Both sides of numpy's choice split: without replacement it shuffles a full
+# index array once n > 10,000 and k > n // 50, and runs Floyd's algorithm
+# otherwise (always, for k = 1).
+_SWAP_SIZES = (1, 2, 3, 9, 100, 9_999, 10_000, 10_001, 20_000, 2**31, 2**32 + 3)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_mutation_draw_swaps_draw_the_same_bits(seed):
+    # mutate draws integers(n) for choice(n, 1, replace=False) and
+    # lo + (hi - lo) * random() for uniform(lo, hi); each pair must give equal
+    # values and leave the generator in the same state. The integers(2) draws
+    # in between leave PCG64 holding half of a 64-bit output, so a swap that
+    # used or dropped that buffered half would show.
+    old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n in _SWAP_SIZES:
+        for lo, hi in ((-1.0, 1.0), (-3.0, 3.0), (0.0, 0.5), (-1e300, 1e300), (2.5, 1e3)):
+            assert old.integers(2) == new.integers(2)
+            assert old.choice(n, 1, replace=False)[0] == new.integers(n)
+            assert old.integers(2) == new.integers(2)
+            assert old.uniform(lo, hi) == lo + (hi - lo) * new.random()
+        assert old.bit_generator.state == new.bit_generator.state
