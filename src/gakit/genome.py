@@ -217,12 +217,9 @@ class _GeneRule:
     draws from its range and keeps the first coerced value contains accepts.
     contains and admit are compiled here: the membership test and the type's
     coercer are picked once, so no call dispatches on the space or the type.
-    A free rule (unconstrained, and not PYINT) accepts every coerced finite
-    value, so admitting a value there is coercing it.
     """
 
-    __slots__ = ("space", "type", "init_range", "size", "values", "pool", "free",
-                 "contains", "admit")
+    __slots__ = ("space", "type", "init_range", "size", "values", "pool", "contains", "admit")
 
     def __init__(self, space: GeneSpace, gene_type: GeneType, init_range) -> None:
         self.space = space
@@ -242,7 +239,6 @@ class _GeneRule:
                 self.values = self.pool = _typed_lattice(space, gene_type)
         if self.values is not None and not self.values:
             raise EmptySpace(f"no value of {space!r} is representable as {gene_type.value}")
-        self.free = isinstance(space, Unconstrained) and gene_type is not GeneType.PYINT
         self.contains = self._membership(members)
         self.admit = self._compile_admit()
 
@@ -272,8 +268,9 @@ class _GeneRule:
         pyint = self.type is GeneType.PYINT
 
         def admit(v, rng) -> float:
+            v = float(v)
             if not math.isfinite(v):
-                raise NonFiniteGene(f"gene value {float(v)!r} is not finite")
+                raise NonFiniteGene(f"gene value {v!r} is not finite")
             if pyint and abs(v) > _EXACT_INT_LIMIT:
                 return sample(rng)
             v = coerce(v)
@@ -340,37 +337,33 @@ def distinct_values_fall_short(gene_space, gene_type, n: int) -> bool:
     Takes a validated config's gene_space and gene_type. Genes whose rules
     are finite (discrete sets, enumerated lattices) draw from the union of
     their pools, so with fewer distinct values than such genes no chromosome
-    can hold pairwise-distinct genes. A lattice is enumerated in full only
-    when the admissible points among its first few do not settle the
-    answer. A rule that holds no value of its type is left for the schema
-    to report.
+    can hold pairwise-distinct genes. Each lattice's first points are tried
+    before any lattice is enumerated in full: once they supply enough values,
+    compiling the schema stays the only full enumeration of a run. A rule
+    that holds no value of its type is left for the schema to report.
     """
-    sets, lattices = set(), {}
-    genes = 0
-    for space, t in zip(*_per_gene(gene_space, gene_type, n)):
-        if isinstance(space, DiscreteSet):
-            sets.add((space, t))
-        elif isinstance(space, ValueRange) and space.step is not None:
-            size = _lattice_size(space)
-            if size > _LATTICE_ENUM_CAP:
-                continue
-            lattices[(space, t)] = size
-        else:
-            continue
-        genes += 1
+    keys, genes = set(), 0
+    for key in zip(*_per_gene(gene_space, gene_type, n)):
+        space = key[0]
+        if isinstance(space, DiscreteSet) or (
+            isinstance(space, ValueRange) and space.step is not None
+            and _lattice_size(space) <= _LATTICE_ENUM_CAP
+        ):
+            keys.add(key)
+            genes += 1
+    lattices = [key for key in keys if isinstance(key[0], ValueRange)]
     union: set = set()
     try:
-        for key in sets:
+        for key in keys.difference(lattices):
             union.update(_GeneRule(*key, None).pool)  # a finite rule never draws init values
     except (EmptySpace, NonFiniteGene):
         return False
-    for (space, t), size in sorted(lattices.items(), key=lambda item: item[1]):
-        need = genes - len(union)
-        if need <= 0:
+    for space, t in lattices:
+        union.update(_typed_points(space, t, min(_lattice_size(space), genes)))
+    for space, t in lattices:
+        if len(union) >= genes:
             return False
-        pool = _typed_points(space, t, min(size, need))
-        if size > need and len(union.union(pool)) < genes:
-            pool = _typed_lattice(space, t)
+        pool = _typed_lattice(space, t)
         if not pool:
             return False
         union.update(pool)
@@ -400,9 +393,6 @@ class GeneSchema:
             if key not in rules:
                 rules[key] = _GeneRule(*key, self.init_range)
         self._rules = tuple(rules[key] for key in zip(self.spaces, self.types))
-        # Per gene: whether its rule is free, and its compiled admit(v, rng).
-        self.free = tuple(rule.free for rule in self._rules)
-        self.admitters = tuple(rule.admit for rule in self._rules)
         columns: dict = {}
         for j, gene_type in enumerate(self.types):
             columns.setdefault(gene_type, []).append(j)

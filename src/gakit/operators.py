@@ -211,12 +211,11 @@ def mutate(kind: MutationKind, chrom, cfg: GaConfig, pop_mean_fitness: float = 0
     move = _MOVES.get(kind)
     if move is None:
         raise ValueError(f"unknown mutation kind {kind!r}")
-    admit = schema.admitters
     for row in rows:
         if row.size >= 2:
             # A moved value may not fit the type and space of the gene it landed on.
             for j in move(row, rng):
-                row[j] = admit[j](row[j], rng)
+                row[j] = schema.admit(j, row[j], rng)
         if not cfg.allow_duplicate_genes:
             row[:] = schema.repair(row, rng)
     return genes
@@ -245,12 +244,7 @@ def _mutate_random(kind, rows, cfg, pop_mean_fitness, own_fitness, rng, schema) 
     width = hi - lo  # lo + width * random() draws the same bits as uniform(lo, hi)
     by_replacement = cfg.mutation_by_replacement
     unconstrained = [isinstance(space, Unconstrained) for space in schema.spaces]
-    admit = schema.admitters
-    # A free gene's admit draws nothing, so without a repair to feed, its
-    # values are coerced together after the last row.
     repair = not cfg.allow_duplicate_genes
-    free = (False,) * length if repair else schema.free
-    staged_rows, staged_cols, staged_values = [], [], []
     for i, side in enumerate(side_of):
         count = fixed[side]
         if count is None:
@@ -270,15 +264,6 @@ def _mutate_random(kind, rows, cfg, pop_mean_fitness, own_fitness, rng, schema) 
             v = lo + width * rng.random()
             if not by_replacement:
                 v += row.item(j)
-            if free[j]:
-                staged_rows.append(i)
-                staged_cols.append(j)
-                staged_values.append(v)
-            else:
-                row[j] = admit[j](v, rng)
+            row[j] = schema.admit(j, v, rng)
         if repair:
             rows[i] = schema.repair(row, rng)
-    if staged_values:
-        staged = np.zeros_like(rows)
-        staged[staged_rows, staged_cols] = staged_values
-        rows[staged_rows, staged_cols] = schema.coerce(staged)[staged_rows, staged_cols]

@@ -354,6 +354,8 @@ def test_admit_keeps_admissible_values_and_resamples_the_rest():
     assert schema.admit(0, 3.6, rng) == 4.0  # rounds onto the lattice and stays
     assert schema.admit(2, 300.0, rng) == 255.0  # clamps; any uint8 is admissible
     assert schema.admit(1, 2.5, rng) == 2.5
+    kept = schema.admit(1, np.float32(2.5), rng)  # comes back a float, as from coerce_gene
+    assert kept == 2.5 and type(kept) is float
     # An inadmissible value draws exactly what sample would, from the same stream.
     for j, v in ((0, 5.0), (0, 10.0), (1, 2.0)):
         assert schema.admit(j, v, np.random.default_rng(7)) == schema.sample(
