@@ -10,7 +10,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import engine, problems
 from .config import (
@@ -32,9 +32,53 @@ from .errors import (
 )
 from .genome import DiscreteSet, GeneType, ValueRange, population_from_csv
 
-_PROBLEMS = ("linear", "onemax", "xor")
-
 _XOR_SPEC = problems.MlpSpec((2, 2, 1))
+
+
+@dataclass(frozen=True)
+class _Problem:
+    """A built-in problem: its preset config fields and its fitness for a validated config.
+
+    A problem whose gene count is fixed accepts only its preset num_genes.
+    """
+
+    preset: dict
+    fixed_genes: bool
+    fitness: Callable[[GaConfig], object]
+
+
+_PROBLEMS = {
+    "linear": _Problem(
+        preset=dict(num_generations=100, sol_per_pop=10, num_parents_mating=5,
+                    num_genes=len(problems.DEFAULT_EQUATION.inputs)),
+        fixed_genes=True,
+        fitness=lambda cfg: problems.linear_fitness(problems.DEFAULT_EQUATION),
+    ),
+    "onemax": _Problem(
+        preset=dict(
+            num_generations=1000, sol_per_pop=50, num_parents_mating=10, num_genes=100,
+            mutation=MutationKind.ADAPTIVE,
+            mutation_rate=AdaptivePair(PercentGenes(20.0), PercentGenes(5.0)),
+            keep_parents=2,
+            gene_space=DiscreteSet((0.0, 1.0)),
+            gene_type=GeneType.INT8,
+        ),
+        fixed_genes=False,
+        fitness=lambda cfg: problems.onemax_fitness(problems.OneMaxProblem(cfg.num_genes)),
+    ),
+    "xor": _Problem(
+        preset=dict(
+            num_generations=500, sol_per_pop=50, num_parents_mating=25,
+            num_genes=problems.mlp_parameter_count(_XOR_SPEC),
+            mutation=MutationKind.ADAPTIVE,
+            mutation_rate=AdaptivePair(PercentGenes(40.0), PercentGenes(10.0)),
+            keep_parents=2,
+            random_delta_range=(-3.0, 3.0),
+        ),
+        fixed_genes=True,
+        fitness=lambda cfg: problems.classification_fitness(_XOR_SPEC, problems.xor_dataset()),
+    ),
+}
 
 
 @dataclass
@@ -57,7 +101,7 @@ def parse_invocation(argv) -> CliInvocation:
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
     solve = sub.add_parser("solve", help="run a built-in problem")
-    solve.add_argument("--problem", choices=_PROBLEMS)
+    solve.add_argument("--problem", choices=tuple(_PROBLEMS))
     solve.add_argument("--genes", type=int)
     solve.add_argument("--generations", type=int)
     solve.add_argument("--pop", type=int)
@@ -221,48 +265,15 @@ _FLAG_TO_FIELD = {
 }
 
 
-def _preset(problem: str) -> dict:
-    if problem == "linear":
-        return dict(
-            num_generations=100, sol_per_pop=10, num_parents_mating=5, num_genes=3
-        )
-    if problem == "onemax":
-        return dict(
-            num_generations=1000, sol_per_pop=50, num_parents_mating=10, num_genes=100,
-            mutation=MutationKind.ADAPTIVE,
-            mutation_rate=AdaptivePair(PercentGenes(20.0), PercentGenes(5.0)),
-            keep_parents=2,
-            gene_space=DiscreteSet((0.0, 1.0)),
-            gene_type=GeneType.INT8,
-        )
-    if problem == "xor":
-        return dict(
-            num_generations=500, sol_per_pop=50, num_parents_mating=25,
-            num_genes=problems.mlp_parameter_count(_XOR_SPEC),
-            mutation=MutationKind.ADAPTIVE,
-            mutation_rate=AdaptivePair(PercentGenes(40.0), PercentGenes(10.0)),
-            keep_parents=2,
-            random_delta_range=(-3.0, 3.0),
-        )
-    raise UsageError(f"unknown problem {problem!r}")
-
-
-def _fixed_gene_count(problem: str) -> Optional[int]:
-    if problem == "linear":
-        return len(problems.DEFAULT_EQUATION.inputs)
-    if problem == "xor":
-        return problems.mlp_parameter_count(_XOR_SPEC)
-    return None
-
-
 def build_solve_config(inv: CliInvocation):
     """Merge preset, config file, and flags (flags win) into a validated GaConfig."""
     file_map = load_config_file(inv.config_path) if inv.config_path else {}
     problem = inv.flags.get("problem") or file_map.get("problem") or "linear"
     if problem not in _PROBLEMS:
-        raise ConfigError("problem", f"one of {_PROBLEMS}", problem)
+        raise ConfigError("problem", f"one of {tuple(_PROBLEMS)}", problem)
 
-    kwargs = _preset(problem)
+    spec = _PROBLEMS[problem]
+    kwargs = dict(spec.preset)
     overrides = _config_from_file_map(file_map)
     rate_overridden = "mutation_rate" in overrides
     kwargs.update(overrides)
@@ -279,18 +290,12 @@ def build_solve_config(inv: CliInvocation):
         if str(getattr(mutation, "value", mutation)).lower() not in ("adaptive",):
             kwargs["mutation_rate"] = PercentGenes(10.0)
 
-    fixed = _fixed_gene_count(problem)
-    if fixed is not None and kwargs.get("num_genes") != fixed:
+    fixed = spec.preset["num_genes"]
+    if spec.fixed_genes and kwargs.get("num_genes") != fixed:
         raise ConfigError("num_genes", f"{fixed} for the {problem} problem", kwargs.get("num_genes"))
 
     cfg = validate(GaConfig(**kwargs))
-    if problem == "linear":
-        fitness = problems.linear_fitness(problems.DEFAULT_EQUATION)
-    elif problem == "onemax":
-        fitness = problems.onemax_fitness(problems.OneMaxProblem(cfg.num_genes))
-    else:
-        fitness = problems.classification_fitness(_XOR_SPEC, problems.xor_dataset())
-    return cfg, fitness
+    return cfg, spec.fitness(cfg)
 
 
 def _fmt9(value: float) -> str:

@@ -122,12 +122,10 @@ def _coerce_float32(v: float) -> float:
     return float(np.float32(min(max(v, -_FLOAT32_MAX), _FLOAT32_MAX)))
 
 
-def _coerce_pyint(v: float) -> float:
+def _coerce_pyint(v: float) -> Optional[float]:
     if abs(v) < _INTEGRAL_MAGNITUDE:  # round half away from zero
         return float(math.floor(v + 0.5) if v >= 0 else math.ceil(v - 0.5))
-    if abs(v) > _EXACT_INT_LIMIT:
-        raise NonFiniteGene(f"gene value {v!r} exceeds the exact double-precision integer range")
-    return v
+    return None if abs(v) > _EXACT_INT_LIMIT else v
 
 
 def _integer_coercer(lo: float, hi: float):
@@ -139,7 +137,8 @@ def _integer_coercer(lo: float, hi: float):
     return coerce
 
 
-# coerce_gene for each type, on a finite float: the type dispatch happens once,
+# coerce_gene for each type, on a finite float, except that a value the type
+# cannot hold (PYINT beyond 2**53) gives None: the type dispatch happens once,
 # when a rule picks its coercer.
 _COERCERS = {
     GeneType.FLOAT64: _coerce_float64,
@@ -161,7 +160,10 @@ def coerce_gene(v, gene_type: GeneType) -> float:
     v = float(v)
     if not math.isfinite(v):
         raise NonFiniteGene(f"gene value {v!r} is not finite")
-    return _COERCERS[gene_type](v)
+    coerced = _COERCERS[gene_type](v)
+    if coerced is None:
+        raise NonFiniteGene(f"gene value {v!r} exceeds the exact double-precision integer range")
+    return coerced
 
 
 def _coerce_array(values: np.ndarray, gene_type: GeneType) -> np.ndarray:
@@ -209,99 +211,92 @@ def _typed_points(space: ValueRange, gene_type: GeneType, count: int) -> list:
     return np.unique(points[_coerce_array(points, gene_type) == points]).tolist()
 
 
+def _holds_values(space: GeneSpace) -> bool:
+    """Whether a rule over space holds its admissible values.
+
+    A discrete set does, and so does a step lattice of at most
+    _LATTICE_ENUM_CAP points; any other rule draws and redraws instead.
+    """
+    return isinstance(space, DiscreteSet) or (
+        isinstance(space, ValueRange) and space.step is not None
+        and _lattice_size(space) <= _LATTICE_ENUM_CAP
+    )
+
+
 class _GeneRule:
     """The admissible values of one (space, type) pair, derived once and shared by its genes.
 
-    A finite rule (a discrete set, or a step lattice of at most
-    _LATTICE_ENUM_CAP points) holds its admissible values; any other rule
-    draws from its range and keeps the first coerced value contains accepts.
-    contains and admit are compiled here: the membership test and the type's
-    coercer are picked once, so no call dispatches on the space or the type.
+    The space and the type's coercer are picked once, into one fit step:
+    fit(v) coerces finite v and keeps it if contains accepts it, or gives None
+    (a PYINT value beyond 2**53 is always a miss). A rule that holds its
+    values (see _holds_values) samples one of them; any other rule samples by
+    drawing from its range and keeping the first draw fit keeps. admit keeps
+    what fit keeps and samples otherwise. No call dispatches on the space or
+    the type.
     """
 
-    __slots__ = ("space", "type", "init_range", "size", "values", "pool", "contains", "admit")
+    __slots__ = ("space", "values", "pool", "contains", "sample", "admit")
 
     def __init__(self, space: GeneSpace, gene_type: GeneType, init_range) -> None:
         self.space = space
-        self.type = gene_type
-        self.init_range = init_range
-        self.size = None  # number of step-lattice points
-        self.values = None  # a finite rule's admissible values, in draw order
-        self.pool = None  # the same values, distinct and sorted, for repair
-        members = None  # discrete values coerced to the type, for O(1) membership
+        coerce = _COERCERS[gene_type]
+        values = pool = None  # a finite rule's admissible values: in draw order; distinct, sorted
         if isinstance(space, DiscreteSet):
-            self.values = tuple(coerce_gene(v, gene_type) for v in space.values)
-            members = frozenset(self.values)
-            self.pool = sorted(members)
-        elif isinstance(space, ValueRange) and space.step is not None:
-            self.size = _lattice_size(space)
-            if self.size <= _LATTICE_ENUM_CAP:
-                self.values = self.pool = _typed_lattice(space, gene_type)
-        if self.values is not None and not self.values:
+            values = tuple(coerce_gene(v, gene_type) for v in space.values)
+            pool = sorted(set(values))
+            contains = frozenset(values).__contains__
+        elif isinstance(space, Unconstrained):
+            lo, hi = init_range
+            contains = lambda v: True
+            draw = lambda rng: rng.uniform(lo, hi)
+        elif space.step is None:
+            lo, hi = space.lo, space.hi
+            contains = lambda v: lo <= v < hi
+            draw = lambda rng: rng.uniform(lo, hi)
+        else:
+            lo, hi, step, size = space.lo, space.hi, space.step, _lattice_size(space)
+
+            def contains(v) -> bool:
+                if not (lo <= v < hi):
+                    return False
+                k = int(round((v - lo) / step))
+                return 0 <= k < size and lo + k * step == v and coerce(v) == v
+
+            def draw(rng) -> float:
+                return lo + int(rng.integers(size)) * step
+
+            if _holds_values(space):
+                values = pool = _typed_lattice(space, gene_type)
+
+        def fit(v: float) -> Optional[float]:
+            v = coerce(v)
+            return None if v is None or not contains(v) else v
+
+        if values is None:
+            def sample(rng) -> float:
+                for _ in range(_REDRAW_BUDGET):
+                    v = fit(draw(rng))
+                    if v is not None:
+                        return v
+                raise EmptySpace(
+                    f"no value of {space!r} representable as {gene_type.value} "
+                    f"found in {_REDRAW_BUDGET} draws"
+                )
+        elif not values:
             raise EmptySpace(f"no value of {space!r} is representable as {gene_type.value}")
-        self.contains = self._membership(members)
-        self.admit = self._compile_admit()
-
-    def _membership(self, members):
-        """contains(v): whether v is an admissible (post-coercion) value."""
-        space = self.space
-        if members is not None:
-            return members.__contains__
-        if isinstance(space, Unconstrained):
-            return lambda v: True
-        lo, hi, step, size = space.lo, space.hi, space.step, self.size
-        if size is None:
-            return lambda v: lo <= v < hi
-        coerce = _COERCERS[self.type]
-
-        def on_lattice(v) -> bool:
-            if not (lo <= v < hi):
-                return False
-            k = int(round((v - lo) / step))
-            return 0 <= k < size and lo + k * step == v and coerce(v) == v
-
-        return on_lattice
-
-    def _compile_admit(self):
-        """admit(v, rng): v coerced if that is admissible, else a fresh sample."""
-        coerce, contains, sample = _COERCERS[self.type], self.contains, self.sample
-        pyint = self.type is GeneType.PYINT
+        else:
+            def sample(rng) -> float:
+                return values[int(rng.integers(len(values)))]
 
         def admit(v, rng) -> float:
             v = float(v)
             if not math.isfinite(v):
                 raise NonFiniteGene(f"gene value {v!r} is not finite")
-            if pyint and abs(v) > _EXACT_INT_LIMIT:
-                return sample(rng)
-            v = coerce(v)
-            return v if contains(v) else sample(rng)
+            v = fit(v)
+            return sample(rng) if v is None else v
 
-        return admit
-
-    def holds(self, v: float) -> bool:
-        """Whether the type can hold finite v; PYINT holds no integer beyond 2**53."""
-        return self.type is not GeneType.PYINT or abs(v) <= _EXACT_INT_LIMIT
-
-    def sample(self, rng) -> float:
-        if self.values is not None:
-            return self.values[int(rng.integers(len(self.values)))]
-        space = self.space
-        for _ in range(_REDRAW_BUDGET):
-            if isinstance(space, Unconstrained):
-                v = rng.uniform(self.init_range[0], self.init_range[1])
-            elif self.size is None:
-                v = rng.uniform(space.lo, space.hi)
-            else:
-                v = space.lo + int(rng.integers(self.size)) * space.step
-            if not self.holds(v):
-                continue
-            v = coerce_gene(v, self.type)
-            if self.contains(v):
-                return v
-        raise EmptySpace(
-            f"no value of {space!r} representable as {self.type.value} "
-            f"found in {_REDRAW_BUDGET} draws"
-        )
+        self.values, self.pool = values, pool
+        self.contains, self.sample, self.admit = contains, sample, admit
 
     def resample_excluding(self, exclude, rng) -> float:
         if self.pool is not None:
@@ -344,11 +339,7 @@ def distinct_values_fall_short(gene_space, gene_type, n: int) -> bool:
     """
     keys, genes = set(), 0
     for key in zip(*_per_gene(gene_space, gene_type, n)):
-        space = key[0]
-        if isinstance(space, DiscreteSet) or (
-            isinstance(space, ValueRange) and space.step is not None
-            and _lattice_size(space) <= _LATTICE_ENUM_CAP
-        ):
+        if _holds_values(key[0]):
             keys.add(key)
             genes += 1
     lattices = [key for key in keys if isinstance(key[0], ValueRange)]
@@ -420,7 +411,10 @@ class GeneSchema:
         return out
 
     def contains(self, j: int, v: float) -> bool:
-        """Whether v is an admissible (post-coercion) value for gene j."""
+        """Whether v is an admissible (post-coercion) value for gene j.
+
+        A value the gene's type cannot hold (PYINT beyond 2**53) is not.
+        """
         return self._rules[j].contains(v)
 
     def admit(self, j: int, v: float, rng) -> float:

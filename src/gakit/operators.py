@@ -58,12 +58,8 @@ def select_parents(kind: ParentSelection, population, fitness, n: int, rng,
         indices = np.empty(n, dtype=int)
         for i in range(n):
             entrants = rng.choice(size, size=tournament_k, replace=False)
-            best = entrants[np.argsort(-fitness[entrants], kind="stable")]
-            # np.argsort on the entrant order breaks fitness ties by draw order,
-            # not index; re-break toward the lower population index.
-            top = best[0]
-            tied = entrants[fitness[entrants] == fitness[top]]
-            indices[i] = tied.min()
+            scores = fitness[entrants]
+            indices[i] = entrants[scores == scores.max()].min()
     elif kind is ParentSelection.RANDOM:
         indices = rng.integers(0, size, size=n)
     else:
@@ -87,36 +83,38 @@ def summable(fitness: np.ndarray) -> tuple:
     return fitness / scale, scale
 
 
-def _fitness_weights(fitness: np.ndarray) -> np.ndarray:
+def _positive(fitness: np.ndarray, selection: str) -> np.ndarray:
+    """The fitness values as summable scales them, once every one is checked to be positive."""
     if np.any(fitness <= 0.0):
-        raise NonPositiveFitness(
-            "fitness-proportional selection requires every fitness value > 0"
-        )
-    fitness, _ = summable(fitness)
+        raise NonPositiveFitness(f"{selection} requires every fitness value > 0")
+    return summable(fitness)[0]
+
+
+def _fitness_weights(fitness: np.ndarray) -> np.ndarray:
+    fitness = _positive(fitness, "fitness-proportional selection")
     return fitness / fitness.sum()
 
 
 def _sus_indices(fitness: np.ndarray, n: int, rng) -> np.ndarray:
-    if np.any(fitness <= 0.0):
-        raise NonPositiveFitness(
-            "stochastic universal sampling requires every fitness value > 0"
-        )
-    cumulative = np.cumsum(summable(fitness)[0])
+    cumulative = np.cumsum(_positive(fitness, "stochastic universal sampling"))
     spacing = cumulative[-1] / n
     points = rng.uniform(0.0, spacing) + spacing * np.arange(n)
     return np.searchsorted(cumulative, points, side="right")
+
+
+def _cut_pair(length: int, rng) -> tuple:
+    """Two cut points drawn uniformly from 0..length, in ascending order."""
+    a = int(rng.integers(0, length + 1))
+    b = int(rng.integers(0, length + 1))
+    return (a, b) if a <= b else (b, a)
 
 
 def _two_cut_points(length: int, rng):
     # Uniform over cut pairs 0 <= c1 < c2 <= length, excluding the full-range
     # pair (0, length) which would copy the second parent wholesale.
     while True:
-        a = int(rng.integers(0, length + 1))
-        b = int(rng.integers(0, length + 1))
-        if a == b:
-            continue
-        c1, c2 = (a, b) if a < b else (b, a)
-        if (c1, c2) != (0, length):
+        c1, c2 = _cut_pair(length, rng)
+        if 0 < c2 - c1 < length:
             return c1, c2
 
 
@@ -154,10 +152,7 @@ def produce_offspring(kind, parents: ParentSet, count: int, rng) -> np.ndarray:
 def _pick_segment(length: int, rng):
     # Uniform over contiguous index windows [a, b) spanning at least 2 genes.
     while True:
-        a = int(rng.integers(0, length + 1))
-        b = int(rng.integers(0, length + 1))
-        if a > b:
-            a, b = b, a
+        a, b = _cut_pair(length, rng)
         if b - a >= 2:
             return a, b
 

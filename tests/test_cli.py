@@ -18,6 +18,7 @@ from gakit.cli import (
 )
 from gakit.config import AdaptivePair, NumGenes, PercentGenes, Probability
 from gakit.errors import ConfigFileError, EmptyHistory, UsageError
+from gakit.genome import GeneType, ValueRange
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -139,6 +140,58 @@ def test_unusable_initial_population_csv_exits_three(tmp_path, capsys, text):
     assert main(["solve", "--config", str(conf)]) == 3
     err = capsys.readouterr().err
     assert "config error" in err and "initial_population" in err
+
+
+def _solve_config(tmp_path, text, *flags):
+    conf = tmp_path / "run.conf"
+    conf.write_text(text)
+    cfg, _ = build_solve_config(parse_invocation(["solve", "--config", str(conf), *flags]))
+    return cfg
+
+
+@pytest.mark.parametrize("text, field, expected", [
+    ("gene_space=range:0,10", "gene_space", ValueRange(0, 10)),
+    ("gene_space=range:0,10,2.5", "gene_space", ValueRange(0, 10, 2.5)),
+    ("gene_space=unconstrained", "gene_space", None),
+    ("gene_type=int8,float32,float64", "gene_type",
+     (GeneType.INT8, GeneType.FLOAT32, GeneType.FLOAT64)),
+    ("init_range=-2,2", "init_range", (-2.0, 2.0)),
+    ("random_delta_range=-0.5,0.25", "random_delta_range", (-0.5, 0.25)),
+    ("allow_duplicate_genes=true", "allow_duplicate_genes", True),
+])
+def test_config_file_values_parse(tmp_path, text, field, expected):
+    cfg = _solve_config(tmp_path, f"problem=linear\n{text}\n")
+    assert getattr(cfg, field) == expected
+
+
+@pytest.mark.parametrize("mutation, percent, expected", [
+    ("random", "20", PercentGenes(20.0)),
+    ("adaptive", "30,5", AdaptivePair(PercentGenes(30.0), PercentGenes(5.0))),
+])
+def test_mutation_percent_flag_sets_the_rate(tmp_path, mutation, percent, expected):
+    cfg = _solve_config(tmp_path, "", "--mutation", mutation, "--mutation-percent", percent)
+    assert cfg.mutation_rate == expected
+
+
+@pytest.mark.parametrize("text, named", [
+    ("allow_duplicate_genes=maybe", "allow_duplicate_genes"),
+    ("mutation_rate=fraction:3", "mutation_rate"),
+    ("gene_space=interval:0,1", "gene_space"),
+    ("=5", "empty key"),
+    ("parallel_fitness=false", "parallel_fitness"),
+])
+def test_bad_config_file_line_exits_three(tmp_path, capsys, text, named):
+    conf = tmp_path / "run.conf"
+    conf.write_text(text + "\n")
+    assert main(["solve", "--config", str(conf)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err and "Traceback" not in err
+
+
+def test_fixed_gene_count_exits_three(capsys):
+    assert main(["solve", "--problem", "xor", "--genes", "5"]) == 3
+    err = capsys.readouterr().err
+    assert "num_genes" in err and "9 for the xor problem" in err
 
 
 def test_distinct_genes_from_too_small_a_space_exit_three(tmp_path, capsys):
@@ -297,6 +350,13 @@ def test_csv_parse_round_trip():
 def test_csv_parse_rejects_bad_header():
     with pytest.raises(ConfigFileError):
         parse_fitness_csv("nope\n0,1,2\n")
+
+
+@pytest.mark.parametrize("row, reason", [("0,1.5", "3 columns"), ("0,x,1.5", "unparsable")])
+def test_csv_parse_rejects_bad_row(row, reason):
+    with pytest.raises(ConfigFileError) as err:
+        parse_fitness_csv(f"generation,best_fitness,mean_fitness\n0,1,1\n{row}\n")
+    assert err.value.line == 3 and reason in err.value.reason
 
 
 # --- SVG ---------------------------------------------------------------------------

@@ -208,6 +208,32 @@ def test_per_gene_type_length_checked():
         validate(base_config(gene_type=[GeneType.INT8]))
 
 
+@pytest.mark.parametrize("overrides, field", [
+    (dict(num_generations=2.5), "num_generations"),
+    (dict(sol_per_pop="10"), "sol_per_pop"),
+    (dict(parent_selection="best"), "parent_selection"),
+    (dict(mutation="flip"), "mutation"),
+    (dict(init_range=(1.0,)), "init_range"),
+    (dict(random_delta_range=5.0), "random_delta_range"),
+    (dict(mutation_rate=Probability(0.0)), "mutation_rate"),
+    (dict(mutation_rate=Probability(1.5)), "mutation_rate"),
+    (dict(mutation_rate=PercentGenes(0.0)), "mutation_rate"),
+    (dict(mutation_rate=PercentGenes(100.5)), "mutation_rate"),
+    (dict(mutation_rate=NumGenes(0)), "mutation_rate"),
+    (dict(mutation_rate=NumGenes(4)), "mutation_rate"),
+    (dict(mutation_rate=NumGenes(1.5)), "mutation_rate"),
+    (dict(mutation_rate=0.1), "mutation_rate"),
+    (dict(gene_space=DiscreteSet(())), "gene_space"),
+    (dict(gene_space=[UNCONSTRAINED, 1.5, UNCONSTRAINED]), "gene_space"),
+    (dict(gene_type=5), "gene_type"),
+])
+def test_malformed_field_rejected(overrides, field):
+    # Three genes: a NumGenes rate must lie in [1, 3].
+    with pytest.raises(ConfigError) as err:
+        validate(base_config(**overrides))
+    assert err.value.field == field
+
+
 @pytest.mark.parametrize("space, gene_type", [
     (DiscreteSet((0, 1)), GeneType.INT8),
     (DiscreteSet((0.1, 0.2, 0.3)), GeneType.INT8),  # all three coerce to 0

@@ -329,6 +329,19 @@ def test_pyint_lattice_keeps_only_exact_integers(space, top):
     assert schema.admit(0, 2.0**60, rng) in expected
 
 
+@pytest.mark.parametrize("space, held, beyond", [
+    (ValueRange(2**53 - 10, 2**53 + 10, 1), 2.0**53, 2.0**53 + 2),
+    (ValueRange(0, 2**60, 2**40), 2.0**40, 2.0**54),  # 2**20 points: enumerated
+    (ValueRange(0, 2**61, 2**40), 2.0**40, 2.0**54),  # too many points to enumerate
+    (DiscreteSet((0, 2**53)), 2.0**53, 2.0**53 + 2),
+])
+def test_pyint_contains_is_false_beyond_exact_integers(space, held, beyond):
+    # A lattice point PYINT cannot hold is not admissible; asking must not raise.
+    schema = _schema(space, GeneType.PYINT)
+    assert schema.contains(0, held)
+    assert not schema.contains(0, beyond)
+
+
 def test_pyint_lattice_beyond_exact_integers_is_empty():
     with pytest.raises(EmptySpace):
         _schema(ValueRange(2**53 + 2, 2**53 + 20, 2), GeneType.PYINT)
@@ -534,3 +547,8 @@ def test_typed_lattice_enumerated_once_per_distinct_space_and_type(monkeypatch):
     run(cfg, lambda solution, idx: float(np.sum(solution)))
     assert calls == {(wide, GeneType.INT32): 1, (narrow, GeneType.INT16): 1,
                      (wide, GeneType.UINT16): 1}
+
+
+def test_schema_rejects_unequal_space_and_type_counts():
+    with pytest.raises(DimensionMismatch):
+        GeneSchema([UNCONSTRAINED] * 3, [GeneType.FLOAT64] * 2, INIT_RANGE)

@@ -162,6 +162,35 @@ def test_random_selection_is_roughly_uniform():
     assert np.all(np.abs(counts - 0.25) < 0.02)
 
 
+# sha256 over the selected indices and one trailing draw per call, so that a
+# changed pick, a moved draw, or a change in how many draws a call consumes
+# shows. Fitness values are integers in [1, 4], so ties are common.
+_SELECTION_DIGESTS = {
+    ParentSelection.STEADY_STATE: "6481962502c31e878540f60cfdecc2d8d0ad5a88cbfdab1f8a85bc29cfc86580",
+    ParentSelection.ROULETTE: "ec1c363396ee03e2f88b68cdec0e5aa9c9169a10c96f5592b7340b647ee0d632",
+    ParentSelection.STOCHASTIC_UNIVERSAL:
+        "925855c215c308a795d1477d0d1667dead704c1c44c69e24cc0f35c23526cf95",
+    ParentSelection.RANK: "0f3864208200a00bbc8c504d18d85459e1fa7d5e535137e339a6d82af110c730",
+    ParentSelection.TOURNAMENT: "ce76fa92762e9f4001a555af2e661c5d0d23f655b8543ef07c6bfdca89e0531c",
+    ParentSelection.RANDOM: "a23c57fa5ab7ddd73b1f0e954caa65db91bd3dada87229f5e26d357b504ffd47",
+}
+
+
+@pytest.mark.parametrize("kind", list(ParentSelection))
+def test_select_parents_replays_pinned_draws(kind):
+    digest = hashlib.sha256()
+    for size, n, k in itertools.product((2, 5, 50), (1, 7, 50), (2, 3, 5)):
+        n, k = min(n, size), min(k, size)
+        rng = np.random.default_rng([size, n, k])
+        pop = rng.uniform(-10, 10, size=(size, 3))
+        fitness = rng.integers(1, 5, size=size).astype(float)
+        parents = select_parents(kind, pop, fitness, n, rng, tournament_k=k)
+        assert np.array_equal(parents.rows, pop[parents.indices])
+        digest.update(parents.indices.astype(np.int64).tobytes())
+        digest.update(int(rng.integers(0, 2**62)).to_bytes(8, "little"))
+    assert digest.hexdigest() == _SELECTION_DIGESTS[kind]
+
+
 # --- crossover ------------------------------------------------------------------
 
 def _one_child(kind, p1, p2, rng):
