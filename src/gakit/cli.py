@@ -127,10 +127,18 @@ def parse_invocation(argv) -> CliInvocation:
     )
 
 
+def _read_text(path) -> str:
+    """A file's UTF-8 text; a path or file that cannot be read as one is a usage error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except ValueError as exc:  # an undecodable byte, or a NUL in the path
+        raise UsageError(f"cannot read {path}: {exc}") from None
+
+
 def load_config_file(path) -> dict:
     """Parse key=value lines; '#' starts a comment, blank lines are skipped."""
     mapping: dict = {}
-    text = Path(path).read_text()
+    text = _read_text(path)
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -221,7 +229,7 @@ _KEY_PARSERS = {
     "allow_duplicate_genes": _parse_bool,
     "gene_space": _parse_gene_space,
     "gene_type": _parse_gene_type,
-    "initial_population": lambda path: population_from_csv(Path(path).read_text()),
+    "initial_population": lambda path: population_from_csv(_read_text(path)),
     "seed": int,
 }
 
@@ -273,22 +281,18 @@ def build_solve_config(inv: CliInvocation):
         raise ConfigError("problem", f"one of {tuple(_PROBLEMS)}", problem)
 
     spec = _PROBLEMS[problem]
-    kwargs = dict(spec.preset)
     overrides = _config_from_file_map(file_map)
-    rate_overridden = "mutation_rate" in overrides
-    kwargs.update(overrides)
-    for flag, field in _FLAG_TO_FIELD.items():
-        if flag in inv.flags:
-            kwargs[field] = inv.flags[flag]
+    overrides.update((field, inv.flags[flag]) for flag, field in _FLAG_TO_FIELD.items()
+                     if flag in inv.flags)
     if "mutation_percent" in inv.flags:
-        kwargs["mutation_rate"] = _parse_mutation_percent(inv.flags["mutation_percent"])
-        rate_overridden = True
-    if not rate_overridden and isinstance(kwargs.get("mutation_rate"), AdaptivePair):
+        overrides["mutation_rate"] = _parse_mutation_percent(inv.flags["mutation_percent"])
+    kwargs = {**spec.preset, **overrides}
+    mutation = kwargs.get("mutation")
+    if ("mutation_rate" not in overrides and isinstance(kwargs.get("mutation_rate"), AdaptivePair)
+            and str(getattr(mutation, "value", mutation)).lower() != "adaptive"):
         # When the user switches a preset away from adaptive mutation, its
-        # paired rate no longer applies; fall back to the library default.
-        mutation = kwargs.get("mutation")
-        if str(getattr(mutation, "value", mutation)).lower() not in ("adaptive",):
-            kwargs["mutation_rate"] = PercentGenes(10.0)
+        # paired rate no longer applies; fall back to the GaConfig default.
+        del kwargs["mutation_rate"]
 
     fixed = spec.preset["num_genes"]
     if spec.fixed_genes and kwargs.get("num_genes") != fixed:
@@ -321,9 +325,12 @@ def parse_fitness_csv(text: str):
         if len(cells) != 3:
             raise ConfigFileError(lineno, f"expected 3 columns, got {len(cells)}")
         try:
-            history.append((int(cells[0]), float(cells[1]), float(cells[2])))
+            row = (int(cells[0]), float(cells[1]), float(cells[2]))
         except ValueError:
             raise ConfigFileError(lineno, f"unparsable row {line!r}") from None
+        if not all(abs(v) <= sys.float_info.max for v in row):  # exact for a huge int too
+            raise ConfigFileError(lineno, f"value not finite as a double in row {line!r}")
+        history.append(row)
     return history
 
 
@@ -412,20 +419,12 @@ def render_fitness_svg(history) -> str:
     parts.append(polyline(best, _BEST_COLOR))
     parts.append(polyline(mean, _MEAN_COLOR))
     legend_x = _SVG_W - _M_RIGHT - 120
-    parts.append(
-        f'<line x1="{legend_x}" y1="{_M_TOP + 12}" x2="{legend_x + 24}" '
-        f'y2="{_M_TOP + 12}" stroke="{_BEST_COLOR}" stroke-width="1.5" />'
-    )
-    parts.append(
-        f'<text x="{legend_x + 30}" y="{_M_TOP + 16}" font-size="12">best</text>'
-    )
-    parts.append(
-        f'<line x1="{legend_x}" y1="{_M_TOP + 30}" x2="{legend_x + 24}" '
-        f'y2="{_M_TOP + 30}" stroke="{_MEAN_COLOR}" stroke-width="1.5" />'
-    )
-    parts.append(
-        f'<text x="{legend_x + 30}" y="{_M_TOP + 34}" font-size="12">mean</text>'
-    )
+    for y, color, label in ((_M_TOP + 12, _BEST_COLOR, "best"), (_M_TOP + 30, _MEAN_COLOR, "mean")):
+        parts.append(
+            f'<line x1="{legend_x}" y1="{y}" x2="{legend_x + 24}" '
+            f'y2="{y}" stroke="{color}" stroke-width="1.5" />'
+        )
+        parts.append(f'<text x="{legend_x + 30}" y="{y + 4}" font-size="12">{label}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -452,7 +451,7 @@ def run_solve(inv: CliInvocation) -> int:
 
 def run_report(inv: CliInvocation) -> int:
     """Render the SVG curve for a previously exported fitness CSV."""
-    history = parse_fitness_csv(Path(inv.flags["in_path"]).read_text())
+    history = parse_fitness_csv(_read_text(inv.flags["in_path"]))
     Path(inv.flags["svg"]).write_text(render_fitness_svg(history))
     return 0
 

@@ -149,26 +149,21 @@ def _as_interval(field: str, value) -> tuple:
     return (lo, hi)
 
 
-def _check_plain_rate(field: str, rate, num_genes: int) -> None:
+def _check_plain_rate(field: str, rate, num_genes: int) -> float:
+    """Check a Probability, PercentGenes or NumGenes rate; return its magnitude."""
     if isinstance(rate, Probability):
         if not (0.0 < rate.p <= 1.0):
             raise ConfigError(field, "probability in (0, 1]", rate)
-    elif isinstance(rate, PercentGenes):
-        if not (0.0 < rate.pct <= 100.0):
-            raise ConfigError(field, "percentage in (0, 100]", rate)
-    elif isinstance(rate, NumGenes):
-        if not isinstance(rate.n, (int, np.integer)) or not (1 <= rate.n <= num_genes):
-            raise ConfigError(field, f"gene count in [1, {num_genes}]", rate)
-    else:
-        raise ConfigError(field, "a Probability, PercentGenes, or NumGenes rate", rate)
-
-
-def _rate_magnitude(rate) -> float:
-    if isinstance(rate, Probability):
         return rate.p
     if isinstance(rate, PercentGenes):
+        if not (0.0 < rate.pct <= 100.0):
+            raise ConfigError(field, "percentage in (0, 100]", rate)
         return rate.pct
-    return float(rate.n)
+    if isinstance(rate, NumGenes):
+        if not isinstance(rate.n, (int, np.integer)) or not (1 <= rate.n <= num_genes):
+            raise ConfigError(field, f"gene count in [1, {num_genes}]", rate)
+        return float(rate.n)
+    raise ConfigError(field, "a Probability, PercentGenes, or NumGenes rate", rate)
 
 
 def _check_rate(field: str, rate, num_genes: int, mutation) -> RateSpec:
@@ -183,9 +178,8 @@ def _check_rate(field: str, rate, num_genes: int, mutation) -> RateSpec:
             raise ConfigError(field, "AdaptivePair sides must not nest", rate)
         if type(rate.high) is not type(rate.low):
             raise ConfigError(field, "AdaptivePair sides of the same variant", rate)
-        _check_plain_rate(field, rate.high, num_genes)
-        _check_plain_rate(field, rate.low, num_genes)
-        if _rate_magnitude(rate.high) < _rate_magnitude(rate.low):
+        high = _check_plain_rate(field, rate.high, num_genes)
+        if high < _check_plain_rate(field, rate.low, num_genes):
             raise ConfigError(field, "AdaptivePair.high >= AdaptivePair.low", rate)
         return rate
     _check_plain_rate(field, rate, num_genes)
@@ -265,6 +259,10 @@ def validate(raw: GaConfig) -> GaConfig:
     if num_parents_mating > sol_per_pop:
         raise ConfigError("num_parents_mating", "<= sol_per_pop", raw.num_parents_mating)
     num_genes = _as_int("num_genes", raw.num_genes, minimum=1)
+    max_bytes = np.iinfo(np.intp).max  # numpy indexes no larger float64 population
+    if sol_per_pop * num_genes * 8 > max_bytes:
+        got = (sol_per_pop, num_genes)
+        raise ConfigError("num_genes", f"sol_per_pop * num_genes * 8 <= {max_bytes}", got)
     parent_selection = _as_enum("parent_selection", raw.parent_selection, ParentSelection)
     tournament_k = _as_int("tournament_k", raw.tournament_k, minimum=1)
     if parent_selection is ParentSelection.TOURNAMENT and tournament_k > sol_per_pop:

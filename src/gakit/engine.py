@@ -17,8 +17,8 @@ import numpy as np
 
 from .config import GaConfig, MutationKind
 from .errors import DimensionMismatch, FitnessError, GaError, HookError
-from .genome import GeneSchema, init_population
-from .operators import ParentSet, mutate, produce_offspring, select_parents, summable
+from .genome import GeneSchema, init_population, settle
+from .operators import mutate, produce_offspring, select_parents, summable
 
 _STAGE_INIT = 0
 _STAGE_SELECTION = 1
@@ -59,11 +59,9 @@ class LifecycleHooks:
 
 @dataclass
 class GenerationRecord:
-    """Snapshot of everything one generation produced."""
+    """What one generation produced; its fitness and parents are the state's last_generation_*."""
 
     generation_index: int
-    fitness: np.ndarray
-    parents: ParentSet
     offspring_crossover: np.ndarray
     offspring_mutation: np.ndarray
     best_solution: np.ndarray
@@ -195,14 +193,6 @@ def _check_offspring_shape(offspring, count: int, num_genes: int) -> np.ndarray:
     return offspring
 
 
-def _normalize_offspring(cfg, offspring, schema: GeneSchema, rng) -> np.ndarray:
-    # Crossover (and hook overwrites, which may also edit an array in place)
-    # can break typing or distinctness even though mutate() repairs its own
-    # output; normalize before assembly, every generation.
-    offspring = schema.coerce(offspring)
-    return offspring if cfg.allow_duplicate_genes else schema.repair(offspring, rng)
-
-
 def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunResult:
     """Evolve a population for cfg.num_generations generations.
 
@@ -284,19 +274,17 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
             state.last_generation_offspring_mutation, offspring_count, cfg.num_genes
         )
 
-        mutated = _normalize_offspring(cfg, mutated, schema, mutation_rng)
-        if cfg.keep_parents > 0:
-            population = np.vstack([parents.rows[: cfg.keep_parents], mutated])
-        else:
-            population = mutated
+        # Crossover (and hook overwrites, which may also edit an array in place)
+        # can break typing or distinctness even though mutate() repairs its own
+        # output; settle before assembly, every generation.
+        mutated = settle(cfg, schema, mutated, mutation_rng)
+        population = np.vstack([parents.rows[: cfg.keep_parents], mutated])
         population.flags.writeable = False
         state.population = population
 
         completed = g + 1
         state.last_record = GenerationRecord(
             generation_index=g,
-            fitness=fit,
-            parents=parents,
             offspring_crossover=np.asarray(state.last_generation_offspring_crossover),
             offspring_mutation=mutated,
             best_solution=best_rows[-1],

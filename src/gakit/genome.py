@@ -463,6 +463,16 @@ class GeneSchema:
         return values
 
 
+def settle(cfg: "GaConfig", schema: GeneSchema, genes, rng) -> np.ndarray:
+    """Coerce every gene to its type and, unless cfg allows duplicate genes, repair duplicates.
+
+    Every row the sampler did not draw (a user's initial population, offspring)
+    goes through this one step; it returns a copy.
+    """
+    genes = schema.coerce(genes)
+    return genes if cfg.allow_duplicate_genes else schema.repair(genes, rng)
+
+
 def init_population(cfg: "GaConfig", rng, schema: Optional[GeneSchema] = None) -> np.ndarray:
     """Build the starting population for a validated config.
 
@@ -480,8 +490,7 @@ def init_population(cfg: "GaConfig", rng, schema: Optional[GeneSchema] = None) -
                 f"initial population shape {pop.shape} != "
                 f"({cfg.sol_per_pop}, {cfg.num_genes})"
             )
-        pop = schema.coerce(pop)
-        return pop if cfg.allow_duplicate_genes else schema.repair(pop, rng)
+        return settle(cfg, schema, pop, rng)
     pop = np.empty((cfg.sol_per_pop, cfg.num_genes))
     for i in range(cfg.sol_per_pop):
         pop[i] = [schema.sample(j, rng) for j in range(cfg.num_genes)]

@@ -66,7 +66,7 @@ def select_parents(kind: ParentSelection, population, fitness, n: int, rng,
         raise ValueError(f"unknown parent selection {kind!r}")
 
     indices = np.asarray(indices, dtype=int)
-    return ParentSet(rows=population[indices].copy(), indices=indices)
+    return ParentSet(rows=population[indices], indices=indices)  # fancy indexing copies
 
 
 def summable(fitness: np.ndarray) -> tuple:

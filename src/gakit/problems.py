@@ -18,6 +18,16 @@ from .errors import LengthMismatch
 from .genome import DiscreteSet, GeneType
 
 
+def _per_row(batch):
+    """The per-row fitness(solution, index) that scores its one row with batch, carrying batch."""
+
+    def fitness(solution, _solution_idx) -> float:
+        return float(batch(solution))
+
+    fitness.batch = batch
+    return fitness
+
+
 @dataclass(frozen=True)
 class LinearEquationProblem:
     """Fit weights w so that sum(w_i * inputs_i) hits the target."""
@@ -51,11 +61,7 @@ def linear_fitness(problem: LinearEquationProblem):
         out = np.matmul(population[..., None, :], inputs)[..., 0]
         return 1.0 / (np.abs(out - target) + 1e-6)
 
-    def fitness(solution, _solution_idx) -> float:
-        return float(batch(solution))
-
-    fitness.batch = batch
-    return fitness
+    return _per_row(batch)
 
 
 @dataclass(frozen=True)
@@ -79,11 +85,7 @@ def onemax_fitness(problem: OneMaxProblem):
     def batch(population) -> np.ndarray:
         return np.sum(np.ascontiguousarray(population, dtype=float), axis=-1)
 
-    def fitness(solution, _solution_idx) -> float:
-        return float(batch(solution))
-
-    fitness.batch = batch
-    return fitness
+    return _per_row(batch)
 
 
 class Activation(Enum):
@@ -180,8 +182,8 @@ class Dataset:
     def __post_init__(self):
         object.__setattr__(self, "features", np.atleast_2d(np.asarray(self.features, float)))
         object.__setattr__(self, "labels", np.atleast_2d(np.asarray(self.labels, float)))
-        if self.features.shape[0] == 0:
-            raise LengthMismatch("dataset holds no samples")
+        if self.features.size == 0:  # [] becomes one sample of no features
+            raise LengthMismatch("dataset holds no samples or no features")
         if self.features.shape[0] != self.labels.shape[0]:
             raise LengthMismatch(
                 f"{self.features.shape[0]} feature rows vs {self.labels.shape[0]} label rows"
@@ -212,8 +214,4 @@ def classification_fitness(spec: MlpSpec, data: Dataset):
         correct = np.all((outputs >= 0.5) == targets, axis=-1)
         return np.mean(correct, axis=-1)
 
-    def fitness(weights, _solution_idx) -> float:
-        return float(batch(weights))
-
-    fitness.batch = batch
-    return fitness
+    return _per_row(batch)

@@ -158,6 +158,7 @@ def _solve_config(tmp_path, text, *flags):
     ("init_range=-2,2", "init_range", (-2.0, 2.0)),
     ("random_delta_range=-0.5,0.25", "random_delta_range", (-0.5, 0.25)),
     ("allow_duplicate_genes=true", "allow_duplicate_genes", True),
+    ("gene_type=int16", "gene_type", GeneType.INT16),
 ])
 def test_config_file_values_parse(tmp_path, text, field, expected):
     cfg = _solve_config(tmp_path, f"problem=linear\n{text}\n")
@@ -179,6 +180,7 @@ def test_mutation_percent_flag_sets_the_rate(tmp_path, mutation, percent, expect
     ("gene_space=interval:0,1", "gene_space"),
     ("=5", "empty key"),
     ("parallel_fitness=false", "parallel_fitness"),
+    ("problem=nosuch", "problem"),
 ])
 def test_bad_config_file_line_exits_three(tmp_path, capsys, text, named):
     conf = tmp_path / "run.conf"
@@ -262,6 +264,48 @@ def test_missing_input_file_exits_two(tmp_path, capsys):
     assert main(["report", "--in", str(tmp_path / "absent.csv"),
                  "--svg", str(tmp_path / "x.svg")]) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+def _undecodable_input(tmp_path, case):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"num_genes=4\n\xff\n")
+    if case == "config":
+        return ["solve", "--config", str(bad)]
+    if case == "report":
+        return ["report", "--in", str(bad), "--svg", str(tmp_path / "x.svg")]
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"problem=onemax\nnum_genes=4\ninitial_population={bad}\n")
+    return ["solve", "--config", str(conf)]
+
+
+@pytest.mark.parametrize("case", ["config", "report", "initial_population"])
+def test_undecodable_file_exits_two(tmp_path, capsys, case):
+    # Like a missing file, a file that is not UTF-8 text is a usage error.
+    assert main(_undecodable_input(tmp_path, case)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "bad.bin" in err and "Traceback" not in err
+    assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "onemax", "--genes", "99999999999999999999999"],
+    ["solve", "--problem", "linear", "--pop", "99999999999999999999999"],
+])
+def test_population_numpy_cannot_index_exits_three(capsys, argv):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "num_genes * 8" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_report_of_non_finite_csv_exits_three_and_writes_no_svg(tmp_path, capsys, cell):
+    csv = tmp_path / "run.csv"
+    csv.write_text(f"generation,best_fitness,mean_fitness\n0,1,1\n1,2,{cell}\n")
+    svg = tmp_path / "run.svg"
+    assert main(["report", "--in", str(csv), "--svg", str(svg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "line 3" in err
+    assert not svg.exists()
 
 
 def test_operator_names_accepted_from_flags_and_file(tmp_path):
@@ -352,7 +396,13 @@ def test_csv_parse_rejects_bad_header():
         parse_fitness_csv("nope\n0,1,2\n")
 
 
-@pytest.mark.parametrize("row, reason", [("0,1.5", "3 columns"), ("0,x,1.5", "unparsable")])
+@pytest.mark.parametrize("row, reason", [
+    ("0,1.5", "3 columns"),
+    ("0,x,1.5", "unparsable"),
+    ("0,nan,1.5", "not finite"),
+    ("0,1.5,-inf", "not finite"),
+    pytest.param("1" + "0" * 400 + ",1,1", "not finite", id="generation-no-double-holds"),
+])
 def test_csv_parse_rejects_bad_row(row, reason):
     with pytest.raises(ConfigFileError) as err:
         parse_fitness_csv(f"generation,best_fitness,mean_fitness\n0,1,1\n{row}\n")

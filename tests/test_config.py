@@ -151,6 +151,10 @@ def test_enum_names_accepted_as_strings():
     assert cfg.crossover is None and cfg.mutation is None
 
 
+def test_gene_type_name_accepted_as_string():
+    assert validate(base_config(gene_type="int8")).gene_type is GeneType.INT8
+
+
 def test_bad_interval_rejected():
     with pytest.raises(ConfigError) as err:
         validate(base_config(init_range=(4.0, -4.0)))
@@ -226,6 +230,11 @@ def test_per_gene_type_length_checked():
     (dict(gene_space=DiscreteSet(())), "gene_space"),
     (dict(gene_space=[UNCONSTRAINED, 1.5, UNCONSTRAINED]), "gene_space"),
     (dict(gene_type=5), "gene_type"),
+    (dict(gene_space=1.5), "gene_space"),
+    # Past numpy's index bound: sol_per_pop * num_genes * 8 > 2**63 - 1.
+    (dict(num_genes=2**60), "num_genes"),
+    (dict(sol_per_pop=2**61), "num_genes"),
+    (dict(sol_per_pop=10**23), "num_genes"),
 ])
 def test_malformed_field_rejected(overrides, field):
     # Three genes: a NumGenes rate must lie in [1, 3].
@@ -387,6 +396,12 @@ def test_resolve_count_bounds():
         assert 1 <= count <= n
         count = resolve_mutation_count(NumGenes(int(rng.integers(1, n + 1))), n, rng)
         assert 1 <= count <= n
+
+
+def test_resolve_count_refuses_an_unresolved_adaptive_pair():
+    rng = np.random.default_rng(0)
+    with pytest.raises(TypeError, match="AdaptivePair"):
+        resolve_mutation_count(AdaptivePair(NumGenes(2), NumGenes(1)), 3, rng)
 
 
 def test_resolve_count_probability_tracks_binomial_mean():

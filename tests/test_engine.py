@@ -241,6 +241,20 @@ def test_fitness_error_carries_location():
     assert err.value.generation == 0
 
 
+@pytest.mark.parametrize("batched", [False, True])
+def test_fitness_error_from_the_fitness_passes_through_unwrapped(batched):
+    raised = FitnessError("out of budget", generation=99, solution_index=7)
+
+    def give_up(*_args):
+        raise raised
+
+    fitness = _batch_fitness(give_up) if batched else give_up
+    with pytest.raises(FitnessError) as err:
+        run(demo_config(num_generations=2), fitness)
+    assert err.value is raised and err.value.__cause__ is None
+    assert (err.value.generation, err.value.solution_index) == (99, 7)
+
+
 def test_non_finite_fitness_rejected():
     def nan_fitness(solution, idx):
         return float("nan")

@@ -338,6 +338,28 @@ def test_random_changes_at_most_resolved_count():
         assert np.sum(out != genes) <= 3
 
 
+@pytest.mark.parametrize("stage", ["select_parents", "produce_offspring", "mutate"])
+def test_unknown_operator_kind_raises_value_error(stage):
+    cfg = _cfg()
+    pop = np.zeros((4, 4))
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="unknown"):
+        if stage == "select_parents":
+            select_parents("best", pop, np.ones(4), 2, rng)
+        elif stage == "produce_offspring":
+            produce_offspring("blend", ParentSet(rows=pop, indices=np.arange(4)), 2, rng)
+        else:
+            mutate("flip", pop, cfg, rng=rng, schema=GeneSchema.from_config(cfg))
+
+
+def test_adaptive_mutation_needs_the_fitness_proxy():
+    cfg = _cfg(mutation=MutationKind.ADAPTIVE,
+               mutation_rate=AdaptivePair(NumGenes(3), NumGenes(1)))
+    with pytest.raises(ValueError, match="fitness proxy"):
+        mutate(MutationKind.ADAPTIVE, np.zeros(4), cfg, pop_mean_fitness=2.0,
+               rng=np.random.default_rng(0), schema=GeneSchema.from_config(cfg))
+
+
 def test_adaptive_high_branch_below_mean():
     pair = AdaptivePair(NumGenes(3), NumGenes(1))
     cfg = _cfg(mutation=MutationKind.ADAPTIVE, mutation_rate=pair)

@@ -208,6 +208,15 @@ def test_xor_dataset_shape():
     assert data.labels.shape == (4, 1)
 
 
+@pytest.mark.parametrize("features, labels", [
+    ([], []),  # atleast_2d makes this one sample of no features
+    (np.empty((0, 2)), np.empty((0, 1))),
+])
+def test_dataset_rejects_an_empty_dataset(features, labels):
+    with pytest.raises(LengthMismatch, match="no samples"):
+        Dataset(features=features, labels=labels)
+
+
 def test_dataset_rejects_mismatched_rows():
     with pytest.raises(LengthMismatch):
         Dataset(features=[[0, 0], [1, 1]], labels=[[0]])
