@@ -7,10 +7,11 @@ during the evolution (fitness failures and other GA-domain errors).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 from . import engine, problems
 from .config import (
@@ -28,6 +29,7 @@ from .errors import (
     DimensionMismatch,
     EmptyHistory,
     GaError,
+    UnplottableHistory,
     UsageError,
 )
 from .genome import DiscreteSet, GeneType, ValueRange, population_from_csv
@@ -60,8 +62,8 @@ _PROBLEMS = {
             mutation=MutationKind.ADAPTIVE,
             mutation_rate=AdaptivePair(PercentGenes(20.0), PercentGenes(5.0)),
             keep_parents=2,
-            gene_space=DiscreteSet((0.0, 1.0)),
-            gene_type=GeneType.INT8,
+            gene_space=problems.OneMaxProblem.gene_space,
+            gene_type=problems.OneMaxProblem.gene_type,
         ),
         fixed_genes=False,
         fitness=lambda cfg: problems.onemax_fitness(problems.OneMaxProblem(cfg.num_genes)),
@@ -81,13 +83,39 @@ _PROBLEMS = {
 }
 
 
+def percent(text: str):
+    """--mutation-percent's value: P, or P_HIGH,P_LOW for an adaptive pair.
+
+    Public so that argparse's error reads "invalid percent value".
+    """
+    rates = [PercentGenes(float(p)) for p in text.split(",")]
+    if len(rates) > 2:
+        raise ValueError(f"more than two percents in {text!r}")
+    return AdaptivePair(*rates) if len(rates) == 2 else rates[0]
+
+
+# Each solve flag that sets a GaConfig field: its name in CliInvocation.flags
+# (the flag is --name, with '-' for '_') -> (the field, the parser of its value).
+_FIELD_FLAGS = {
+    "genes": ("num_genes", int),
+    "generations": ("num_generations", int),
+    "pop": ("sol_per_pop", int),
+    "parents": ("num_parents_mating", int),
+    "seed": ("seed", int),
+    "selection": ("parent_selection", str),
+    "crossover": ("crossover", str),
+    "mutation": ("mutation", str),
+    "mutation_percent": ("mutation_rate", percent),
+    "keep_parents": ("keep_parents", int),
+}
+
+
 @dataclass
 class CliInvocation:
     """One parsed command line: subcommand plus explicitly-provided flags."""
 
     subcommand: str
     flags: dict
-    config_path: Optional[str] = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,19 +130,10 @@ def parse_invocation(argv) -> CliInvocation:
 
     solve = sub.add_parser("solve", help="run a built-in problem")
     solve.add_argument("--problem", choices=tuple(_PROBLEMS))
-    solve.add_argument("--genes", type=int)
-    solve.add_argument("--generations", type=int)
-    solve.add_argument("--pop", type=int)
-    solve.add_argument("--parents", type=int)
-    solve.add_argument("--seed", type=int)
-    solve.add_argument("--selection")
-    solve.add_argument("--crossover")
-    solve.add_argument("--mutation")
-    solve.add_argument("--mutation-percent", dest="mutation_percent")
-    solve.add_argument("--keep-parents", dest="keep_parents", type=int)
-    solve.add_argument("--config")
-    solve.add_argument("--out")
-    solve.add_argument("--svg")
+    for name, (_field, parse) in _FIELD_FLAGS.items():
+        solve.add_argument("--" + name.replace("_", "-"), type=parse)
+    for name in ("--config", "--out", "--svg"):
+        solve.add_argument(name)
 
     report = sub.add_parser("report", help="render an SVG from a fitness CSV")
     report.add_argument("--in", dest="in_path", required=True)
@@ -122,9 +141,7 @@ def parse_invocation(argv) -> CliInvocation:
 
     ns = parser.parse_args(list(argv))
     flags = {k: v for k, v in vars(ns).items() if k != "subcommand" and v is not None}
-    return CliInvocation(
-        subcommand=ns.subcommand, flags=flags, config_path=flags.pop("config", None)
-    )
+    return CliInvocation(subcommand=ns.subcommand, flags=flags)
 
 
 def _read_text(path) -> str:
@@ -248,44 +265,18 @@ def _config_from_file_map(mapping: dict) -> dict:
     return kwargs
 
 
-def _parse_mutation_percent(text: str):
-    try:
-        parts = [float(p) for p in str(text).split(",")]
-    except ValueError:
-        raise UsageError(f"--mutation-percent takes numbers, got {text!r}") from None
-    if len(parts) == 1:
-        return PercentGenes(parts[0])
-    if len(parts) == 2:
-        return AdaptivePair(PercentGenes(parts[0]), PercentGenes(parts[1]))
-    raise UsageError(f"--mutation-percent takes P or P_HIGH,P_LOW, got {text!r}")
-
-
-_FLAG_TO_FIELD = {
-    "genes": "num_genes",
-    "generations": "num_generations",
-    "pop": "sol_per_pop",
-    "parents": "num_parents_mating",
-    "seed": "seed",
-    "selection": "parent_selection",
-    "crossover": "crossover",
-    "mutation": "mutation",
-    "keep_parents": "keep_parents",
-}
-
-
 def build_solve_config(inv: CliInvocation):
     """Merge preset, config file, and flags (flags win) into a validated GaConfig."""
-    file_map = load_config_file(inv.config_path) if inv.config_path else {}
+    config_path = inv.flags.get("config")
+    file_map = load_config_file(config_path) if config_path else {}
     problem = inv.flags.get("problem") or file_map.get("problem") or "linear"
     if problem not in _PROBLEMS:
         raise ConfigError("problem", f"one of {tuple(_PROBLEMS)}", problem)
 
     spec = _PROBLEMS[problem]
     overrides = _config_from_file_map(file_map)
-    overrides.update((field, inv.flags[flag]) for flag, field in _FLAG_TO_FIELD.items()
-                     if flag in inv.flags)
-    if "mutation_percent" in inv.flags:
-        overrides["mutation_rate"] = _parse_mutation_percent(inv.flags["mutation_percent"])
+    overrides.update((field, inv.flags[name]) for name, (field, _parse) in _FIELD_FLAGS.items()
+                     if name in inv.flags)
     kwargs = {**spec.preset, **overrides}
     mutation = kwargs.get("mutation")
     if ("mutation_rate" not in overrides and isinstance(kwargs.get("mutation_rate"), AdaptivePair)
@@ -331,6 +322,8 @@ def parse_fitness_csv(text: str):
         if not all(abs(v) <= sys.float_info.max for v in row):  # exact for a huge int too
             raise ConfigFileError(lineno, f"value not finite as a double in row {line!r}")
         history.append(row)
+    if not history:
+        raise ConfigFileError(2, "no data rows after the header")
     return history
 
 
@@ -339,10 +332,20 @@ _M_LEFT, _M_RIGHT, _M_TOP, _M_BOTTOM = 70, 20, 20, 45
 _BEST_COLOR, _MEAN_COLOR = "#1f77b4", "#ff7f0e"
 
 
+def _element(tag: str, body=None, **attrs) -> str:
+    """One SVG element. An attribute name's '_' is written '-', a float value with 2 decimals."""
+    text = " ".join(
+        f'{name.replace("_", "-")}="{format(value, ".2f" if isinstance(value, float) else "")}"'
+        for name, value in attrs.items()
+    )
+    return f"<{tag} {text} />" if body is None else f"<{tag} {text}>{body}</{tag}>"
+
+
 def render_fitness_svg(history) -> str:
     """Self-contained 800x500 SVG with best/mean polylines, ticks, and a legend.
 
-    Output is byte-deterministic for identical input.
+    Output is byte-deterministic for identical input. A history whose axis
+    span (padded or not) no positive double holds raises UnplottableHistory.
     """
     if not history:
         raise EmptyHistory("cannot render an empty fitness history")
@@ -360,71 +363,57 @@ def render_fitness_svg(history) -> str:
         pad = max(abs(y_max), 1.0) * 0.05
     y_min -= pad
     y_max += pad
+    if not (0.0 < x_max - x_min < math.inf and 0.0 < y_max - y_min < math.inf):
+        raise UnplottableHistory(
+            f"cannot plot generations {x_min:g}..{x_max:g} against fitness "
+            f"{y_min:g}..{y_max:g}: a span is zero or overflows a double"
+        )
 
     plot_w = _SVG_W - _M_LEFT - _M_RIGHT
     plot_h = _SVG_H - _M_TOP - _M_BOTTOM
+    axis_y = _SVG_H - _M_BOTTOM
 
     def sx(g: float) -> float:
         return _M_LEFT + (g - x_min) / (x_max - x_min) * plot_w
 
     def sy(v: float) -> float:
-        return _SVG_H - _M_BOTTOM - (v - y_min) / (y_max - y_min) * plot_h
+        return axis_y - (v - y_min) / (y_max - y_min) * plot_h
 
     def polyline(ys, color: str) -> str:
         points = " ".join(f"{sx(g):.2f},{sy(v):.2f}" for g, v in zip(gens, ys))
-        return (
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{points}" />'
-        )
+        return _element("polyline", fill="none", stroke=color, stroke_width="1.5", points=points)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
         f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
-        f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white" />',
-        f'<line x1="{_M_LEFT}" y1="{_SVG_H - _M_BOTTOM}" x2="{_SVG_W - _M_RIGHT}" '
-        f'y2="{_SVG_H - _M_BOTTOM}" stroke="black" />',
-        f'<line x1="{_M_LEFT}" y1="{_M_TOP}" x2="{_M_LEFT}" '
-        f'y2="{_SVG_H - _M_BOTTOM}" stroke="black" />',
+        _element("rect", width=_SVG_W, height=_SVG_H, fill="white"),
+        _element("line", x1=_M_LEFT, y1=axis_y, x2=_SVG_W - _M_RIGHT, y2=axis_y, stroke="black"),
+        _element("line", x1=_M_LEFT, y1=_M_TOP, x2=_M_LEFT, y2=axis_y, stroke="black"),
     ]
     for i in range(5):
         frac = i / 4
         xv = x_min + frac * (x_max - x_min)
         xpix = sx(xv)
-        parts.append(
-            f'<line x1="{xpix:.2f}" y1="{_SVG_H - _M_BOTTOM}" x2="{xpix:.2f}" '
-            f'y2="{_SVG_H - _M_BOTTOM + 5}" stroke="black" />'
-        )
-        parts.append(
-            f'<text x="{xpix:.2f}" y="{_SVG_H - _M_BOTTOM + 18}" font-size="11" '
-            f'text-anchor="middle">{xv:.6g}</text>'
-        )
+        parts.append(_element("line", x1=xpix, y1=axis_y, x2=xpix, y2=axis_y + 5, stroke="black"))
+        parts.append(_element("text", f"{xv:.6g}", x=xpix, y=axis_y + 18, font_size=11,
+                              text_anchor="middle"))
         yv = y_min + frac * (y_max - y_min)
         ypix = sy(yv)
-        parts.append(
-            f'<line x1="{_M_LEFT - 5}" y1="{ypix:.2f}" x2="{_M_LEFT}" '
-            f'y2="{ypix:.2f}" stroke="black" />'
-        )
-        parts.append(
-            f'<text x="{_M_LEFT - 8}" y="{ypix + 4:.2f}" font-size="11" '
-            f'text-anchor="end">{yv:.6g}</text>'
-        )
-    parts.append(
-        f'<text x="{_M_LEFT + plot_w / 2:.2f}" y="{_SVG_H - 8}" font-size="12" '
-        f'text-anchor="middle">generation</text>'
-    )
-    parts.append(
-        f'<text x="15" y="{_M_TOP + plot_h / 2:.2f}" font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 15 {_M_TOP + plot_h / 2:.2f})">fitness</text>'
-    )
+        parts.append(_element("line", x1=_M_LEFT - 5, y1=ypix, x2=_M_LEFT, y2=ypix, stroke="black"))
+        parts.append(_element("text", f"{yv:.6g}", x=_M_LEFT - 8, y=ypix + 4, font_size=11,
+                              text_anchor="end"))
+    parts.append(_element("text", "generation", x=_M_LEFT + plot_w / 2, y=_SVG_H - 8,
+                          font_size=12, text_anchor="middle"))
+    y_mid = _M_TOP + plot_h / 2
+    parts.append(_element("text", "fitness", x=15, y=y_mid, font_size=12, text_anchor="middle",
+                          transform=f"rotate(-90 15 {y_mid:.2f})"))
     parts.append(polyline(best, _BEST_COLOR))
     parts.append(polyline(mean, _MEAN_COLOR))
     legend_x = _SVG_W - _M_RIGHT - 120
     for y, color, label in ((_M_TOP + 12, _BEST_COLOR, "best"), (_M_TOP + 30, _MEAN_COLOR, "mean")):
-        parts.append(
-            f'<line x1="{legend_x}" y1="{y}" x2="{legend_x + 24}" '
-            f'y2="{y}" stroke="{color}" stroke-width="1.5" />'
-        )
-        parts.append(f'<text x="{legend_x + 30}" y="{y + 4}" font-size="12">{label}</text>')
+        parts.append(_element("line", x1=legend_x, y1=y, x2=legend_x + 24, y2=y, stroke=color,
+                              stroke_width="1.5"))
+        parts.append(_element("text", label, x=legend_x + 30, y=y + 4, font_size=12))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -465,7 +454,7 @@ def main(argv=None) -> int:
     except (UsageError, OSError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
-    except (ConfigError, ConfigFileError) as err:
+    except (ConfigError, ConfigFileError, UnplottableHistory) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 3
     except GaError as err:

@@ -80,5 +80,9 @@ class EmptyHistory(GaError):
     """A fitness history with no entries cannot be rendered."""
 
 
+class UnplottableHistory(GaError):
+    """A fitness history whose axis span, padded or not, no positive double holds."""
+
+
 class UsageError(GaError):
     """Invalid command-line invocation."""

@@ -69,14 +69,8 @@ class OneMaxProblem:
     """Maximize the number of 1-bits in a binary chromosome of length n."""
 
     n: int
-
-    @property
-    def gene_space(self) -> DiscreteSet:
-        return DiscreteSet((0.0, 1.0))
-
-    @property
-    def gene_type(self) -> GeneType:
-        return GeneType.INT8
+    gene_space = DiscreteSet((0.0, 1.0))  # class attributes, not dataclass fields
+    gene_type = GeneType.INT8
 
 
 def onemax_fitness(problem: OneMaxProblem):

@@ -1,11 +1,12 @@
 """CLI parsing, config files, CSV/SVG reporting, and exit codes."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gakit import engine
+from gakit import cli, engine
 from gakit.cli import (
     build_solve_config,
     format_fitness_csv,
@@ -16,8 +17,8 @@ from gakit.cli import (
     parse_rate_spec,
     render_fitness_svg,
 )
-from gakit.config import AdaptivePair, NumGenes, PercentGenes, Probability
-from gakit.errors import ConfigFileError, EmptyHistory, UsageError
+from gakit.config import AdaptivePair, GaConfig, NumGenes, PercentGenes, Probability
+from gakit.errors import ConfigFileError, EmptyHistory, UnplottableHistory, UsageError
 from gakit.genome import GeneType, ValueRange
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -116,6 +117,29 @@ def test_flags_override_config_file(tmp_path):
     assert cfg.num_generations == 7  # flag wins
     assert cfg.num_genes == 30       # file wins over preset
     assert cfg.seed == 9
+
+
+@pytest.mark.parametrize("flag, value, field, expected", [
+    ("--genes", "7", "num_genes", 7),
+    ("--generations", "3", "num_generations", 3),
+    ("--pop", "30", "sol_per_pop", 30),
+    ("--parents", "4", "num_parents_mating", 4),
+    ("--seed", "5", "seed", 5),
+    ("--selection", "rank", "parent_selection", "rank"),
+    ("--crossover", "uniform", "crossover", "uniform"),
+    ("--mutation", "swap", "mutation", "swap"),
+    ("--keep-parents", "1", "keep_parents", 1),
+])
+def test_each_field_flag_sets_its_field(flag, value, field, expected):
+    # Every value differs from the onemax preset and from the GaConfig default.
+    cfg, _ = build_solve_config(parse_invocation(["solve", "--problem", "onemax", flag, value]))
+    assert getattr(cfg, field) == expected
+
+
+def test_flag_table_and_file_keys_name_config_fields():
+    fields = {f.name for f in dataclasses.fields(GaConfig)}
+    assert {field for field, _parse in cli._FIELD_FLAGS.values()} <= fields
+    assert set(cli._KEY_PARSERS) <= fields
 
 
 def test_initial_population_loads_from_csv_path(tmp_path):
@@ -253,11 +277,12 @@ def test_usage_error_exits_two(capsys):
     assert "nosuch" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("percent", ["abc", "10,x", "1,2,3"])
+@pytest.mark.parametrize("percent", ["abc", "10,x", "1,2,3", "20;5"])
 def test_unparsable_mutation_percent_exits_two(percent, capsys):
     assert main(["solve", "--mutation-percent", percent]) == 2
     err = capsys.readouterr().err
     assert "--mutation-percent" in err and "Traceback" not in err
+    assert repr(percent) in err
 
 
 def test_missing_input_file_exits_two(tmp_path, capsys):
@@ -305,6 +330,22 @@ def test_report_of_non_finite_csv_exits_three_and_writes_no_svg(tmp_path, capsys
     assert main(["report", "--in", str(csv), "--svg", str(svg)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "line 3" in err
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize("rows, named", [
+    ("", "no data rows"),
+    ("0,1e308,1\n1,-1e308,1\n", "overflows a double"),  # the span is past a double
+    ("0,1.75e308,1\n1,0,1\n", "overflows a double"),   # the 5 % pad is past a double
+    ("100000000000000000,1,1\n", "is zero"),          # generation + 1 rounds to itself
+])
+def test_report_of_unplottable_csv_exits_three_and_writes_no_svg(tmp_path, capsys, rows, named):
+    csv = tmp_path / "run.csv"
+    csv.write_text(f"generation,best_fitness,mean_fitness\n{rows}")
+    svg = tmp_path / "run.svg"
+    assert main(["report", "--in", str(csv), "--svg", str(svg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err and "Traceback" not in err
     assert not svg.exists()
 
 
@@ -422,6 +463,11 @@ def test_svg_single_entry_has_two_one_point_polylines():
 def test_svg_empty_history_rejected():
     with pytest.raises(EmptyHistory):
         render_fitness_svg([])
+
+
+def test_svg_unplottable_span_rejected():
+    with pytest.raises(UnplottableHistory):
+        render_fitness_svg([(0, 1e308, 1.0), (1, -1e308, 1.0)])
 
 
 def test_svg_byte_deterministic():

@@ -160,6 +160,7 @@ def _report(draw):
 
 
 def _run(case) -> tuple:
+    """(exit code, stderr, {name: text} of each SVG written)."""
     argv, files = case
     with tempfile.TemporaryDirectory() as tmp:
         for name, content in files.items():
@@ -168,17 +169,20 @@ def _run(case) -> tuple:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main([arg.replace("{dir}", tmp) for arg in argv])
-        report_written = os.path.exists(f"{tmp}/report.svg")
-    return code, err.getvalue(), report_written
+        svgs = {name: open(f"{tmp}/{name}").read() for name in ("report.svg", "out.svg")
+                if os.path.isfile(f"{tmp}/{name}")}
+    return code, err.getvalue(), svgs
 
 
 _REPORT_NAN = b"generation,best_fitness,mean_fitness\n0,1,1\n1,2,nan\n"
+_REPORT_ARGV = ["report", "--in", "{dir}/fit.csv", "--svg", "{dir}/report.svg"]
 
 
 @settings(max_examples=300)
 @given(case=st.one_of(_solve(), _report()))
-# The reproduced inputs of the undecodable-file, size-cap and non-finite-report
-# fixes; the search generates each kind of value as well.
+# The reproduced inputs of the undecodable-file, size-cap, non-finite-report,
+# header-only-report and overflowing-span fixes; the search generates each kind
+# of value as well.
 @example(case=(["solve", "--config", "{dir}/run.conf"], {"run.conf": UNDECODABLE}))
 @example(case=(["report", "--in", "{dir}/fit.csv", "--svg", "{dir}/report.svg"],
                {"fit.csv": UNDECODABLE}))
@@ -189,13 +193,17 @@ _REPORT_NAN = b"generation,best_fitness,mean_fitness\n0,1,1\n1,2,nan\n"
 @example(case=(["solve", "--problem", "linear", "--pop", "99999999999999999999999"], {}))
 @example(case=(["report", "--in", "{dir}/fit.csv", "--svg", "{dir}/report.svg"],
                {"fit.csv": _REPORT_NAN}))
+@example(case=(_REPORT_ARGV, {"fit.csv": f"{_FITNESS_HEADER}\n".encode()}))
+@example(case=(_REPORT_ARGV, {"fit.csv": f"{_FITNESS_HEADER}\n0,1e308,1\n1,-1e308,1\n".encode()}))
 def test_cli_exits_with_a_contract_code_and_no_traceback(case):
-    code, err, report_written = _run(case)
+    code, err, svgs = _run(case)
     assert code in (0, 2, 3, 4), (code, err)
     assert "Traceback" not in err
     if code != 0:
         assert err.split(":", 1)[0] in ("usage error", "config error", "runtime error"), err
-        assert not report_written  # a failed report writes no SVG
+        assert "report.svg" not in svgs  # a failed report writes no SVG
+    for name, svg in svgs.items():
+        assert "nan" not in svg and "inf" not in svg, name
 
 
 def test_search_draws_every_config_file_key():
