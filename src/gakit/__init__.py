@@ -9,17 +9,14 @@ from .config import (
     ParentSelection,
     PercentGenes,
     Probability,
-    resolve_mutation_count,
     validate,
 )
 from .engine import (
     GaControl,
-    GenerationRecord,
     LifecycleHooks,
     RunResult,
     StopReason,
     best_solution,
-    evaluate_population,
     fitness_history,
     run,
 )
@@ -36,7 +33,7 @@ from .genome import (
     population_from_csv,
     population_to_csv,
 )
-from .operators import ParentSet, mutate, produce_offspring, select_parents
+from .operators import mutate, produce_offspring, select_parents
 
 __all__ = [
     "AdaptivePair",
@@ -46,13 +43,11 @@ __all__ = [
     "GaControl",
     "GeneSchema",
     "GeneType",
-    "GenerationRecord",
     "HookError",
     "LifecycleHooks",
     "MutationKind",
     "NumGenes",
     "ParentSelection",
-    "ParentSet",
     "PercentGenes",
     "Probability",
     "RunResult",
@@ -62,14 +57,12 @@ __all__ = [
     "ValueRange",
     "best_solution",
     "coerce_gene",
-    "evaluate_population",
     "fitness_history",
     "init_population",
     "mutate",
     "population_from_csv",
     "population_to_csv",
     "produce_offspring",
-    "resolve_mutation_count",
     "run",
     "select_parents",
     "validate",

@@ -27,7 +27,6 @@ from .errors import (
     ConfigError,
     ConfigFileError,
     DimensionMismatch,
-    EmptyHistory,
     GaError,
     UnplottableHistory,
     UsageError,
@@ -268,7 +267,7 @@ def _config_from_file_map(mapping: dict) -> dict:
 def build_solve_config(inv: CliInvocation):
     """Merge preset, config file, and flags (flags win) into a validated GaConfig."""
     config_path = inv.flags.get("config")
-    file_map = load_config_file(config_path) if config_path else {}
+    file_map = load_config_file(config_path) if config_path is not None else {}
     problem = inv.flags.get("problem") or file_map.get("problem") or "linear"
     if problem not in _PROBLEMS:
         raise ConfigError("problem", f"one of {tuple(_PROBLEMS)}", problem)
@@ -306,12 +305,16 @@ def format_fitness_csv(history) -> str:
 
 
 def parse_fitness_csv(text: str):
-    """Parse a fitness CSV back into (generation, best, mean) rows."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "generation,best_fitness,mean_fitness":
-        raise ConfigFileError(1, "missing fitness CSV header")
+    """Parse a fitness CSV back into (generation, best, mean) rows; blank lines are skipped.
+
+    Errors name the line of the file, blank lines counted.
+    """
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    header_line, header = lines[0] if lines else (1, "")
+    if header != "generation,best_fitness,mean_fitness":
+        raise ConfigFileError(header_line, "missing fitness CSV header")
     history = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != 3:
             raise ConfigFileError(lineno, f"expected 3 columns, got {len(cells)}")
@@ -323,7 +326,7 @@ def parse_fitness_csv(text: str):
             raise ConfigFileError(lineno, f"value not finite as a double in row {line!r}")
         history.append(row)
     if not history:
-        raise ConfigFileError(2, "no data rows after the header")
+        raise ConfigFileError(header_line + 1, "no data rows after the header")
     return history
 
 
@@ -344,11 +347,12 @@ def _element(tag: str, body=None, **attrs) -> str:
 def render_fitness_svg(history) -> str:
     """Self-contained 800x500 SVG with best/mean polylines, ticks, and a legend.
 
-    Output is byte-deterministic for identical input. A history whose axis
-    span (padded or not) no positive double holds raises UnplottableHistory.
+    Output is byte-deterministic for identical input. An empty history, or one
+    whose axis span (padded or not) no positive double holds, raises
+    UnplottableHistory.
     """
     if not history:
-        raise EmptyHistory("cannot render an empty fitness history")
+        raise UnplottableHistory("cannot render an empty fitness history")
     gens = [row[0] for row in history]
     best = [row[1] for row in history]
     mean = [row[2] for row in history]

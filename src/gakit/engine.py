@@ -59,10 +59,8 @@ class LifecycleHooks:
 
 @dataclass
 class GenerationRecord:
-    """What one generation produced; its fitness and parents are the state's last_generation_*."""
+    """One generation's best and settled offspring; the rest is the state's last_generation_*."""
 
-    generation_index: int
-    offspring_crossover: np.ndarray
     offspring_mutation: np.ndarray
     best_solution: np.ndarray
     best_fitness: float
@@ -284,8 +282,6 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
 
         completed = g + 1
         state.last_record = GenerationRecord(
-            generation_index=g,
-            offspring_crossover=np.asarray(state.last_generation_offspring_crossover),
             offspring_mutation=mutated,
             best_solution=best_rows[-1],
             best_fitness=best_fit,

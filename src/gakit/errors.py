@@ -76,12 +76,8 @@ class HookError(GaError):
         self.generation = generation
 
 
-class EmptyHistory(GaError):
-    """A fitness history with no entries cannot be rendered."""
-
-
 class UnplottableHistory(GaError):
-    """A fitness history whose axis span, padded or not, no positive double holds."""
+    """A fitness history the SVG cannot draw: empty, or an axis span no positive double holds."""
 
 
 class UsageError(GaError):

@@ -231,8 +231,9 @@ class _GeneRule:
     (a PYINT value beyond 2**53 is always a miss). A rule that holds its
     values (see _holds_values) samples one of them; any other rule samples by
     drawing from its range and keeping the first draw fit keeps. admit keeps
-    what fit keeps and samples otherwise. No call dispatches on the space or
-    the type.
+    what fit keeps and samples otherwise; NaN and infinities raise
+    NonFiniteGene. A redrawing sample raises EmptySpace after _REDRAW_BUDGET
+    misses. No call dispatches on the space or the type.
     """
 
     __slots__ = ("space", "values", "pool", "contains", "sample", "admit")
@@ -365,11 +366,14 @@ class GeneSchema:
     """Per-gene constraints of one run, compiled once from a validated config.
 
     Holds each gene's space and type, the gene columns grouped by type, and
-    one rule per distinct (space, type) pair with its coerced discrete set or
-    its enumerated typed step lattice. Compiling raises EmptySpace for a set
-    or lattice that holds no value of its gene type. Every random
-    draw of sample and repair is scalar and in the same order as one gene at a
-    time, so a run replays bit-identically whichever path it takes.
+    rules: one entry per gene, the rule compiled once for each distinct
+    (space, type) pair and shared by its genes. rules[j].contains(v),
+    .sample(rng) and .admit(v, rng) answer for gene j; a finite rule's
+    .values and .pool hold its coerced discrete set or enumerated typed step
+    lattice. Compiling raises EmptySpace for a set or lattice that holds no
+    value of its gene type. Every random draw of sample and repair is scalar
+    and in the same order as one gene at a time, so a run replays
+    bit-identically whichever path it takes.
     """
 
     def __init__(self, spaces: Sequence[GeneSpace], types: Sequence[GeneType],
@@ -383,7 +387,7 @@ class GeneSchema:
         for key in zip(self.spaces, self.types):
             if key not in rules:
                 rules[key] = _GeneRule(*key, self.init_range)
-        self._rules = tuple(rules[key] for key in zip(self.spaces, self.types))
+        self.rules = tuple(rules[key] for key in zip(self.spaces, self.types))
         columns: dict = {}
         for j, gene_type in enumerate(self.types):
             columns.setdefault(gene_type, []).append(j)
@@ -410,32 +414,6 @@ class GeneSchema:
             out[..., cols] = _coerce_array(out[..., cols], gene_type)
         return out
 
-    def contains(self, j: int, v: float) -> bool:
-        """Whether v is an admissible (post-coercion) value for gene j.
-
-        A value the gene's type cannot hold (PYINT beyond 2**53) is not.
-        """
-        return self._rules[j].contains(v)
-
-    def admit(self, j: int, v: float, rng) -> float:
-        """Coerce v to gene j's type and keep it if admissible, else draw a fresh value of gene j.
-
-        A finite value the type cannot hold (PYINT beyond 2**53) is inadmissible;
-        NaN and infinities raise NonFiniteGene.
-        """
-        return self._rules[j].admit(v, rng)
-
-    def sample(self, j: int, rng) -> float:
-        """Draw one admissible value of gene j.
-
-        Discrete sets and enumerated step lattices pick one of their admissible
-        values uniformly. Other genes draw uniformly from init_range
-        (unconstrained), [lo, hi) or the step lattice, coerce the draw, and
-        redraw until contains accepts it (a PYINT draw beyond 2**53 is a
-        miss); after _REDRAW_BUDGET misses they raise EmptySpace.
-        """
-        return self._rules[j].sample(rng)
-
     def repair(self, genes, rng) -> np.ndarray:
         """Resample duplicated genes until each chromosome's values are pairwise distinct.
 
@@ -458,7 +436,7 @@ class GeneSchema:
         for j, v in enumerate(values):
             if v in seen:
                 exclude = set(values[:j] + values[j + 1:])
-                v = values[j] = self._rules[j].resample_excluding(exclude, rng)
+                v = values[j] = self.rules[j].resample_excluding(exclude, rng)
             seen.add(v)
         return values
 
@@ -493,7 +471,7 @@ def init_population(cfg: "GaConfig", rng, schema: Optional[GeneSchema] = None) -
         return settle(cfg, schema, pop, rng)
     pop = np.empty((cfg.sol_per_pop, cfg.num_genes))
     for i in range(cfg.sol_per_pop):
-        pop[i] = [schema.sample(j, rng) for j in range(cfg.num_genes)]
+        pop[i] = [rule.sample(rng) for rule in schema.rules]
         if not cfg.allow_duplicate_genes:
             pop[i] = schema.repair(pop[i], rng)
     return pop

@@ -206,11 +206,12 @@ def mutate(kind: MutationKind, chrom, cfg: GaConfig, pop_mean_fitness: float = 0
     move = _MOVES.get(kind)
     if move is None:
         raise ValueError(f"unknown mutation kind {kind!r}")
+    rules = schema.rules
     for row in rows:
         if row.size >= 2:
             # A moved value may not fit the type and space of the gene it landed on.
             for j in move(row, rng):
-                row[j] = schema.admit(j, row[j], rng)
+                row[j] = rules[j].admit(row[j], rng)
         if not cfg.allow_duplicate_genes:
             row[:] = schema.repair(row, rng)
     return genes
@@ -238,6 +239,7 @@ def _mutate_random(kind, rows, cfg, pop_mean_fitness, own_fitness, rng, schema) 
     lo, hi = cfg.random_delta_range
     width = hi - lo  # lo + width * random() draws the same bits as uniform(lo, hi)
     by_replacement = cfg.mutation_by_replacement
+    rules = schema.rules
     unconstrained = [isinstance(space, Unconstrained) for space in schema.spaces]
     repair = not cfg.allow_duplicate_genes
     for i, side in enumerate(side_of):
@@ -254,11 +256,11 @@ def _mutate_random(kind, rows, cfg, pop_mean_fitness, own_fitness, rng, schema) 
         row = rows[i]
         for j in positions:
             if by_replacement and not unconstrained[j]:
-                row[j] = schema.sample(j, rng)
+                row[j] = rules[j].sample(rng)
                 continue
             v = lo + width * rng.random()
             if not by_replacement:
                 v += row.item(j)
-            row[j] = schema.admit(j, v, rng)
+            row[j] = rules[j].admit(v, rng)
         if repair:
             rows[i] = schema.repair(row, rng)

@@ -228,7 +228,7 @@ def test_criterion_8_constraint_closure_fuzz():
                 for j, v in enumerate(values):
                     if coerce_gene(v, schema.types[j]) != v:
                         violations += 1
-                    if not schema.contains(j, v):
+                    if not schema.rules[j].contains(v):
                         violations += 1
 
         run(cfg, lambda s, i: float(np.sum(s)),

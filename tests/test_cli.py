@@ -18,7 +18,7 @@ from gakit.cli import (
     render_fitness_svg,
 )
 from gakit.config import AdaptivePair, GaConfig, NumGenes, PercentGenes, Probability
-from gakit.errors import ConfigFileError, EmptyHistory, UnplottableHistory, UsageError
+from gakit.errors import ConfigFileError, UnplottableHistory, UsageError
 from gakit.genome import GeneType, ValueRange
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -285,6 +285,13 @@ def test_unparsable_mutation_percent_exits_two(percent, capsys):
     assert repr(percent) in err
 
 
+def test_empty_config_path_exits_two(capsys):
+    # An empty path names no file, like any other path that cannot be read.
+    assert main(["solve", "--config", "", "--generations", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err
+
+
 def test_missing_input_file_exits_two(tmp_path, capsys):
     assert main(["report", "--in", str(tmp_path / "absent.csv"),
                  "--svg", str(tmp_path / "x.svg")]) == 2
@@ -450,6 +457,12 @@ def test_csv_parse_rejects_bad_row(row, reason):
     assert err.value.line == 3 and reason in err.value.reason
 
 
+def test_csv_parse_errors_count_blank_lines():
+    with pytest.raises(ConfigFileError) as err:
+        parse_fitness_csv("generation,best_fitness,mean_fitness\n\n\n0,1,1\n1,x,1\n")
+    assert err.value.line == 5 and "'1,x,1'" in err.value.reason
+
+
 # --- SVG ---------------------------------------------------------------------------
 
 def test_svg_single_entry_has_two_one_point_polylines():
@@ -461,7 +474,7 @@ def test_svg_single_entry_has_two_one_point_polylines():
 
 
 def test_svg_empty_history_rejected():
-    with pytest.raises(EmptyHistory):
+    with pytest.raises(UnplottableHistory):
         render_fitness_svg([])
 
 

@@ -184,8 +184,8 @@ def test_bad_value_range_rejected(space):
 def test_step_wider_than_its_range_is_the_single_point_lo():
     cfg = validate(base_config(gene_space=ValueRange(2, 3, 1e13), gene_type=GeneType.INT8))
     schema = GeneSchema.from_config(cfg)
-    assert schema.sample(0, np.random.default_rng(0)) == 2.0
-    assert schema.contains(0, 2.0) and not schema.contains(0, 2.5)
+    assert schema.rules[0].sample(np.random.default_rng(0)) == 2.0
+    assert schema.rules[0].contains(2.0) and not schema.rules[0].contains(2.5)
 
 
 def test_initial_population_shape_checked():
@@ -292,7 +292,7 @@ def test_distinctness_rejection_matches_the_compiled_pools(data):
             candidate, allow_duplicate_genes=True)))
     except (EmptySpace, NonFiniteGene):
         return
-    pools = [rule.pool for rule in schema._rules if rule.pool is not None]
+    pools = [rule.pool for rule in schema.rules if rule.pool is not None]
     short = len(set().union(*pools)) < len(pools)
     try:
         validate(candidate)

@@ -507,8 +507,9 @@ def test_state_handle_exposes_stage_records():
         seen["indices"] = state.last_generation_parents_indices.copy()
 
     def on_generation(state):
-        record = state.last_record
-        seen["record"] = record
+        seen["generation"] = state.generation
+        seen["crossover"] = state.last_generation_offspring_crossover
+        seen["record"] = state.last_record
         return GaControl.STOP
 
     cfg = demo_config(num_generations=3)
@@ -517,11 +518,11 @@ def test_state_handle_exposes_stage_records():
     assert seen["fitness"].shape == (10,)
     assert seen["parents"].shape == (5, 3)
     assert seen["indices"].shape == (5,)
+    assert seen["generation"] == 0
+    assert seen["crossover"].shape == (9, 3)
     record = seen["record"]
-    assert record.generation_index == 0
     assert record.best_fitness == np.max(seen["fitness"])
     assert record.best_index == int(np.argmax(seen["fitness"]))
-    assert record.offspring_crossover.shape == (9, 3)
     assert record.offspring_mutation.shape == (9, 3)
 
 
@@ -599,6 +600,6 @@ def test_small_validated_configs_end_in_a_closed_result_or_a_ga_error(candidate,
     assert result.completed_generations == cfg.num_generations
     schema = GeneSchema.from_config(cfg)
     for row in final[0]:
-        assert all(schema.contains(j, v) for j, v in enumerate(row.tolist()))
+        assert all(schema.rules[j].contains(v) for j, v in enumerate(row.tolist()))
         if not cfg.allow_duplicate_genes:
             assert len(set(row.tolist())) == cfg.num_genes

@@ -104,7 +104,7 @@ def test_coerce_keeps_integers_past_2_52(gene_type):
 
 def test_pyint_step_lattice_near_2_53_keeps_odd_points():
     schema = _schema(ValueRange(2**53 - 10, 2**53 + 10, 1), GeneType.PYINT)
-    assert schema._rules[0].values == [2.0**53 - k for k in range(10, -1, -1)]
+    assert schema.rules[0].values == [2.0**53 - k for k in range(10, -1, -1)]
 
 
 def test_coerce_rejects_non_finite():
@@ -185,13 +185,13 @@ def test_schema_coerce_matches_coerce_gene_mixed_types(data):
 def test_sample_singleton_set():
     rng = np.random.default_rng(0)
     for _ in range(10):
-        assert _schema(DiscreteSet((7,)), GeneType.FLOAT64).sample(0, rng) == 7.0
+        assert _schema(DiscreteSet((7,)), GeneType.FLOAT64).rules[0].sample(rng) == 7.0
 
 
 def test_sample_step_lattice_with_int_type():
     rng = np.random.default_rng(1)
     seen = {
-        _schema(ValueRange(0, 10, step=5), GeneType.INT32).sample(0, rng) for _ in range(200)
+        _schema(ValueRange(0, 10, step=5), GeneType.INT32).rules[0].sample(rng) for _ in range(200)
     }
     assert seen == {0.0, 5.0}
 
@@ -199,7 +199,7 @@ def test_sample_step_lattice_with_int_type():
 def test_sample_unconstrained_respects_init_range():
     rng = np.random.default_rng(2)
     schema = _schema(UNCONSTRAINED, GeneType.FLOAT64)
-    draws = np.array([schema.sample(0, rng) for _ in range(10_000)])
+    draws = np.array([schema.rules[0].sample(rng) for _ in range(10_000)])
     assert np.all(draws >= -4.0) and np.all(draws < 4.0)
     # the draws should actually spread over the range
     assert draws.min() < -3.5 and draws.max() > 3.5
@@ -209,13 +209,13 @@ def test_sample_discrete_set_membership():
     rng = np.random.default_rng(3)
     values = (0.25, 1.5, -3.0, 2.0)
     for _ in range(200):
-        assert _schema(DiscreteSet(values), GeneType.FLOAT64).sample(0, rng) in values
+        assert _schema(DiscreteSet(values), GeneType.FLOAT64).rules[0].sample(rng) in values
 
 
 def test_sample_continuous_range_half_open():
     rng = np.random.default_rng(4)
     for _ in range(1000):
-        v = _schema(ValueRange(2.0, 3.0), GeneType.FLOAT64).sample(0, rng)
+        v = _schema(ValueRange(2.0, 3.0), GeneType.FLOAT64).rules[0].sample(rng)
         assert 2.0 <= v < 3.0
 
 
@@ -238,14 +238,14 @@ def test_typed_range_draws_only_admissible_values(space, gene_type):
     # 1.0 + k * 0.0001 rounds up to hi; such a value is never returned.
     schema = _schema(space, gene_type)
     rng = np.random.default_rng(0)
-    assert all(schema.contains(0, schema.sample(0, rng)) for _ in range(1000))
+    assert all(schema.rules[0].contains(schema.rules[0].sample(rng)) for _ in range(1000))
 
 
 def test_typed_range_without_admissible_value_raises():
     # [0.2, 0.4) holds no int8: every coerced draw is 0.0.
     schema = _schema(ValueRange(0.2, 0.4), GeneType.INT8)
     with pytest.raises(EmptySpace):
-        schema.sample(0, np.random.default_rng(0))
+        schema.rules[0].sample(np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("space", [
@@ -255,11 +255,11 @@ def test_typed_range_without_admissible_value_raises():
 def test_float64_lattice_draws_follow_the_step_formula(space):
     # An enumerated lattice (and one too large to enumerate) draws the same
     # values as lo + k * step with k uniform, from the same stream.
-    schema = _schema(space, GeneType.FLOAT64)
+    rule = _schema(space, GeneType.FLOAT64).rules[0]
     size = genome._lattice_size(space)
     enumerated, formula = np.random.default_rng(11), np.random.default_rng(11)
     for _ in range(500):
-        assert schema.sample(0, enumerated) == space.lo + int(formula.integers(size)) * space.step
+        assert rule.sample(enumerated) == space.lo + int(formula.integers(size)) * space.step
 
 
 @pytest.mark.parametrize("gene_type", list(GeneType))
@@ -285,16 +285,16 @@ def test_every_drawn_admitted_or_repaired_value_is_admissible(gene_type, space, 
     rng = np.random.default_rng(seed)
     outputs = []
     try:
-        outputs += [schema.sample(0, rng) for _ in range(10)]
-        outputs += [schema.admit(0, v, rng) for v in values]
+        outputs += [schema.rules[0].sample(rng) for _ in range(10)]
+        outputs += [schema.rules[0].admit(v, rng) for v in values]
         outputs += schema.repair([outputs[0]] * 3, rng).tolist()
     except EmptySpace:
         # A rule that redraws may find no admissible value within its budget.
-        assert schema._rules[0].values is None
+        assert schema.rules[0].values is None
     except InsufficientSpace:
         pass
     for v in outputs:
-        assert schema.contains(0, v) and coerce_gene(v, gene_type) == v
+        assert schema.rules[0].contains(v) and coerce_gene(v, gene_type) == v
 
 
 def test_pyint_draws_beyond_exact_integers_are_misses():
@@ -302,14 +302,14 @@ def test_pyint_draws_beyond_exact_integers_are_misses():
     # draws are redrawn (and those values resampled by admit), not raised.
     schema = _schema(ValueRange(0, 1e17), GeneType.PYINT)
     rng = np.random.default_rng(0)
-    drawn = [schema.sample(0, rng) for _ in range(200)]
-    drawn += [schema.admit(0, v, rng) for v in (2.0**60, -(2.0**60))]
-    assert all(schema.contains(0, v) and v <= 2.0**53 for v in drawn)
-    assert schema.admit(0, 1e12 + 0.4, rng) == 1e12
+    drawn = [schema.rules[0].sample(rng) for _ in range(200)]
+    drawn += [schema.rules[0].admit(v, rng) for v in (2.0**60, -(2.0**60))]
+    assert all(schema.rules[0].contains(v) and v <= 2.0**53 for v in drawn)
+    assert schema.rules[0].admit(1e12 + 0.4, rng) == 1e12
     with pytest.raises(NonFiniteGene):
-        schema.admit(0, float("inf"), rng)
+        schema.rules[0].admit(float("inf"), rng)
     with pytest.raises(EmptySpace):
-        _schema(ValueRange(-1e300, 1e300), GeneType.PYINT).sample(0, rng)
+        _schema(ValueRange(-1e300, 1e300), GeneType.PYINT).rules[0].sample(rng)
 
 
 @pytest.mark.parametrize("space, top", [
@@ -323,10 +323,10 @@ def test_pyint_lattice_keeps_only_exact_integers(space, top):
     schema = _schema(space, GeneType.PYINT)
     points = [space.lo + k * space.step for k in range(genome._lattice_size(space))]
     expected = sorted({p for p in points if p <= 2.0**53 and coerce_gene(p, GeneType.PYINT) == p})
-    assert schema._rules[0].values == expected and expected[-1] == top
+    assert schema.rules[0].values == expected and expected[-1] == top
     rng = np.random.default_rng(0)
-    assert all(schema.contains(0, schema.sample(0, rng)) for _ in range(100))
-    assert schema.admit(0, 2.0**60, rng) in expected
+    assert all(schema.rules[0].contains(schema.rules[0].sample(rng)) for _ in range(100))
+    assert schema.rules[0].admit(2.0**60, rng) in expected
 
 
 @pytest.mark.parametrize("space, held, beyond", [
@@ -338,8 +338,8 @@ def test_pyint_lattice_keeps_only_exact_integers(space, top):
 def test_pyint_contains_is_false_beyond_exact_integers(space, held, beyond):
     # A lattice point PYINT cannot hold is not admissible; asking must not raise.
     schema = _schema(space, GeneType.PYINT)
-    assert schema.contains(0, held)
-    assert not schema.contains(0, beyond)
+    assert schema.rules[0].contains(held)
+    assert not schema.rules[0].contains(beyond)
 
 
 def test_pyint_lattice_beyond_exact_integers_is_empty():
@@ -349,7 +349,7 @@ def test_pyint_lattice_beyond_exact_integers_is_empty():
 
 def test_space_contains_basics():
     def contains(space, v):
-        return _schema(space, GeneType.FLOAT64).contains(0, v)
+        return _schema(space, GeneType.FLOAT64).rules[0].contains(v)
 
     assert contains(UNCONSTRAINED, 123.0)
     assert contains(DiscreteSet((1, 2)), 2.0)
@@ -364,17 +364,17 @@ def test_admit_keeps_admissible_values_and_resamples_the_rest():
     schema = GeneSchema([ValueRange(0, 10, step=2), DiscreteSet((1.5, 2.5)), UNCONSTRAINED],
                         [GeneType.INT8, GeneType.FLOAT64, GeneType.UINT8], INIT_RANGE)
     rng = np.random.default_rng(0)
-    assert schema.admit(0, 3.6, rng) == 4.0  # rounds onto the lattice and stays
-    assert schema.admit(2, 300.0, rng) == 255.0  # clamps; any uint8 is admissible
-    assert schema.admit(1, 2.5, rng) == 2.5
-    kept = schema.admit(1, np.float32(2.5), rng)  # comes back a float, as from coerce_gene
+    assert schema.rules[0].admit(3.6, rng) == 4.0  # rounds onto the lattice and stays
+    assert schema.rules[2].admit(300.0, rng) == 255.0  # clamps; any uint8 is admissible
+    assert schema.rules[1].admit(2.5, rng) == 2.5
+    kept = schema.rules[1].admit(np.float32(2.5), rng)  # comes back a float, as from coerce_gene
     assert kept == 2.5 and type(kept) is float
     # An inadmissible value draws exactly what sample would, from the same stream.
     for j, v in ((0, 5.0), (0, 10.0), (1, 2.0)):
-        assert schema.admit(j, v, np.random.default_rng(7)) == schema.sample(
-            j, np.random.default_rng(7))
+        assert schema.rules[j].admit(v, np.random.default_rng(7)) == schema.rules[j].sample(
+            np.random.default_rng(7))
     with pytest.raises(NonFiniteGene):
-        schema.admit(0, float("nan"), rng)
+        schema.rules[0].admit(float("nan"), rng)
 
 
 # --- duplicate repair -----------------------------------------------------------
@@ -503,7 +503,7 @@ def test_membership_closure_over_seeded_populations():
         pop = init_population(cfg, np.random.default_rng(seed))
         for row in pop:
             for j, v in enumerate(row):
-                assert schema.contains(j, float(v))
+                assert schema.rules[j].contains(float(v))
                 assert coerce_gene(float(v), types[j]) == float(v)
 
 

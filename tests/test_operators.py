@@ -434,7 +434,7 @@ def test_mutation_closure_fuzz():
             assert len(set(out.tolist())) == out.size
             for j, v in enumerate(out):
                 assert coerce_gene(float(v), types[j]) == float(v)
-                assert schema.contains(j, float(v))
+                assert schema.rules[j].contains(float(v))
 
 
 # Mixed per-gene spaces and types: moved or perturbed values often miss the
