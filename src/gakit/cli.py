@@ -143,12 +143,15 @@ def parse_invocation(argv) -> CliInvocation:
     return CliInvocation(subcommand=ns.subcommand, flags=flags)
 
 
-def _read_text(path) -> str:
-    """A file's UTF-8 text; a path or file that cannot be read as one is a usage error."""
+def _read_text(path: str) -> str:
+    """A file's UTF-8 text; a path or file that cannot be read as one is a usage error.
+
+    The error names the path as given: Path("") would name the working directory.
+    """
     try:
         return Path(path).read_text(encoding="utf-8")
-    except ValueError as exc:  # an undecodable byte, or a NUL in the path
-        raise UsageError(f"cannot read {path}: {exc}") from None
+    except (OSError, ValueError) as exc:  # also an undecodable byte, or a NUL in the path
+        raise UsageError(f"cannot read {path!r}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def load_config_file(path) -> dict:
@@ -268,7 +271,8 @@ def build_solve_config(inv: CliInvocation):
     """Merge preset, config file, and flags (flags win) into a validated GaConfig."""
     config_path = inv.flags.get("config")
     file_map = load_config_file(config_path) if config_path is not None else {}
-    problem = inv.flags.get("problem") or file_map.get("problem") or "linear"
+    # A present but empty problem= is a value, and fails the check below.
+    problem = inv.flags.get("problem", file_map.get("problem", "linear"))
     if problem not in _PROBLEMS:
         raise ConfigError("problem", f"one of {tuple(_PROBLEMS)}", problem)
 

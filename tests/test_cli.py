@@ -286,10 +286,28 @@ def test_unparsable_mutation_percent_exits_two(percent, capsys):
 
 
 def test_empty_config_path_exits_two(capsys):
-    # An empty path names no file, like any other path that cannot be read.
+    # An empty path names no file, like any other path that cannot be read. The
+    # message names the path given, not the working directory Path("") stands for.
     assert main(["solve", "--config", "", "--generations", "1"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage error: ") and "Traceback" not in err
+    assert err.startswith("usage error: cannot read '': ") and "'.'" not in err
+    assert "Traceback" not in err
+
+
+def test_empty_input_path_exits_two_naming_it(tmp_path, capsys):
+    assert main(["report", "--in", "", "--svg", str(tmp_path / "x.svg")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: cannot read '': ") and "'.'" not in err
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_empty_problem_in_config_file_exits_three(tmp_path, capsys):
+    # An empty value is a value: it fails the problem check, it does not pick the preset.
+    conf = tmp_path / "run.conf"
+    conf.write_text("problem=\nnum_generations=1\n")
+    assert main(["solve", "--config", str(conf)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "problem" in err and "Traceback" not in err
 
 
 def test_missing_input_file_exits_two(tmp_path, capsys):
@@ -504,3 +522,12 @@ def test_golden_csv_and_svg_match(tmp_path):
                  "--out", str(out), "--svg", str(svg)]) == 0
     assert out.read_bytes() == (GOLDEN / "linear_seed7.csv").read_bytes()
     assert svg.read_bytes() == (GOLDEN / "linear_seed7.svg").read_bytes()
+
+
+def test_zero_generation_run_matches_the_golden_first_row(tmp_path):
+    # Generation 0 draws only the init stream; its row is the golden's first row.
+    out = tmp_path / "run.csv"
+    assert main(["solve", "--problem", "linear", "--generations", "0", "--seed", "7",
+                 "--out", str(out)]) == 0
+    golden = (GOLDEN / "linear_seed7.csv").read_bytes().splitlines(keepends=True)
+    assert out.read_bytes() == b"".join(golden[:2])

@@ -1,5 +1,7 @@
 """Evolution loop behavior: lifecycle, stop control, determinism, records."""
 
+import time
+
 import numpy as np
 import pytest
 from conftest import FINITE_BOUND, gene_spaces
@@ -31,7 +33,7 @@ from gakit.engine import (
     run,
 )
 from gakit.errors import ConfigError, DimensionMismatch, FitnessError, GaError, HookError
-from gakit.genome import GeneSchema, GeneType
+from gakit.genome import GeneSchema, GeneType, ValueRange
 from gakit.operators import mutate
 from gakit.problems import DEFAULT_EQUATION, linear_fitness
 
@@ -603,3 +605,67 @@ def test_small_validated_configs_end_in_a_closed_result_or_a_ga_error(candidate,
         assert all(schema.rules[j].contains(v) for j, v in enumerate(row.tolist()))
         if not cfg.allow_duplicate_genes:
             assert len(set(row.tolist())) == cfg.num_genes
+
+
+# --- stage streams ---------------------------------------------------------------------
+
+_B = engine._STREAM_BLOCK
+
+
+def _assert_stream_is_default_rng(streams, seed, generation, stage):
+    rng = streams(generation, stage)
+    reference = np.random.default_rng([seed, generation, stage])
+    assert rng.bit_generator.state == reference.bit_generator.state
+    assert np.array_equal(rng.random(3), reference.random(3))
+    assert np.array_equal(rng.integers(0, 2**40, 3), reference.integers(0, 2**40, 3))
+    assert np.array_equal(rng.choice(9, 4, replace=False), reference.choice(9, 4, replace=False))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+def test_stage_streams_equal_default_rng_on_the_edge_grid(seed):
+    # Seeds and generations at 2**32 take a second entropy word; both together take five.
+    streams = engine._StageStreams(seed)
+    for generation in (0, 1, _B - 1, _B, 2**32 - 1, 2**32):
+        for stage in range(4):
+            _assert_stream_is_default_rng(streams, seed, generation, stage)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), generation=st.integers(0, 2**33),
+       stage=st.integers(0, 3))
+def test_stage_streams_equal_default_rng(seed, generation, stage):
+    _assert_stream_is_default_rng(engine._StageStreams(seed), seed, generation, stage)
+
+
+@pytest.mark.parametrize("mutation, duplicates", [
+    (MutationKind.RANDOM, False), (MutationKind.ADAPTIVE, True), (MutationKind.SCRAMBLE, False),
+])
+def test_run_draws_what_fresh_default_rng_streams_draw(monkeypatch, mutation, duplicates):
+    # One reused generator must give each stage the draws a fresh generator gives,
+    # across a block boundary and with settle drawing after mutate.
+    rate = (AdaptivePair(Probability(0.5), Probability(0.2))
+            if mutation is MutationKind.ADAPTIVE else Probability(0.3))
+    cfg = demo_config(num_generations=_B + 5, num_genes=6, seed=2**64 - 1, mutation=mutation,
+                      mutation_rate=rate, allow_duplicate_genes=duplicates,
+                      gene_space=[ValueRange(0, 9, step=1)] * 6)
+    fast = run(cfg, sum_fitness)
+    monkeypatch.setattr(engine, "_StageStreams", lambda seed: (
+        lambda generation, stage: np.random.default_rng([seed, generation, stage])))
+    assert _result_bits(run(cfg, sum_fitness)) == _result_bits(fast)
+
+
+def test_streams_are_built_as_the_run_reaches_them():
+    # A run that may last 10**9 generations and stops at generation 2 costs three
+    # generations, and draws what a 3-generation run draws.
+    def stop_at_two(state):
+        return GaControl.STOP if state.generation == 2 else None
+
+    start = time.perf_counter()
+    long_run = run(demo_config(num_generations=10**9), sum_fitness,
+                   LifecycleHooks(on_generation=stop_at_two))
+    assert time.perf_counter() - start < 5.0
+    assert long_run.completed_generations == 3
+    assert long_run.stop_reason is StopReason.CALLBACK_STOP
+    three = run(demo_config(num_generations=3), sum_fitness)
+    assert _result_bits(long_run)[:-1] == _result_bits(three)[:-1]
+    assert fitness_history(long_run) == fitness_history(three)
