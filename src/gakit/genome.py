@@ -10,11 +10,18 @@ already coerced to its gene's type, each typed step lattice enumerated, and
 the gene columns grouped by type, so a whole population is coerced with one
 numpy pass per type. `coerce_gene` stays the scalar definition that the
 vectorized coercion reproduces bit for bit.
+
+The schema also compiles a row sampler: the initial population is drawn in
+whole-row numpy calls that consume the stream exactly as one scalar draw per
+gene, row by row, would, so every gene gets the value its rule's scalar sample
+gives. Only rules that redraw (continuous ranges, lattices too large to
+enumerate, unconstrained PYINT genes) still draw one gene at a time.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -22,7 +29,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySpace, InsufficientSpace, NonFiniteGene
+from .errors import DimensionMismatch, EmptySpace, GaError, InsufficientSpace, NonFiniteGene
 
 if TYPE_CHECKING:
     from .config import GaConfig
@@ -192,12 +199,12 @@ def _lattice_size(space: ValueRange) -> int:
     return max(1, int(math.ceil((space.hi - space.lo) / space.step - 1e-12)))
 
 
-def _typed_lattice(space: ValueRange, gene_type: GeneType) -> list:
+def _typed_lattice(space: ValueRange, gene_type: GeneType) -> np.ndarray:
     """The step-lattice points that _GeneRule.contains accepts, sorted and distinct."""
     return _typed_points(space, gene_type, _lattice_size(space))
 
 
-def _typed_points(space: ValueRange, gene_type: GeneType, count: int) -> list:
+def _typed_points(space: ValueRange, gene_type: GeneType, count: int) -> np.ndarray:
     """The admissible points among the first count of the lattice, sorted and distinct.
 
     A point lo + k*step counts when rounding has left it below hi (the last
@@ -208,7 +215,7 @@ def _typed_points(space: ValueRange, gene_type: GeneType, count: int) -> list:
     points = points[points < space.hi]
     if gene_type is GeneType.PYINT:
         points = points[np.abs(points) <= _EXACT_INT_LIMIT]
-    return np.unique(points[_coerce_array(points, gene_type) == points]).tolist()
+    return np.unique(points[_coerce_array(points, gene_type) == points])
 
 
 def _holds_values(space: GeneSpace) -> bool:
@@ -229,22 +236,24 @@ class _GeneRule:
     The space and the type's coercer are picked once, into one fit step:
     fit(v) coerces finite v and keeps it if contains accepts it, or gives None
     (a PYINT value beyond 2**53 is always a miss). A rule that holds its
-    values (see _holds_values) samples one of them; any other rule samples by
-    drawing from its range and keeping the first draw fit keeps. admit keeps
+    values (see _holds_values) samples one of them and keeps them also as a
+    float64 array for the row sampler; any other rule samples by drawing from
+    its range and keeping the first draw fit keeps. admit keeps
     what fit keeps and samples otherwise; NaN and infinities raise
     NonFiniteGene. A redrawing sample raises EmptySpace after _REDRAW_BUDGET
     misses. No call dispatches on the space or the type.
     """
 
-    __slots__ = ("space", "values", "pool", "contains", "sample", "admit")
+    __slots__ = ("space", "values", "pool", "array", "contains", "sample", "admit")
 
     def __init__(self, space: GeneSpace, gene_type: GeneType, init_range) -> None:
         self.space = space
         coerce = _COERCERS[gene_type]
-        values = pool = None  # a finite rule's admissible values: in draw order; distinct, sorted
+        values = pool = array = None  # a finite rule's values: in draw order; distinct, sorted
         if isinstance(space, DiscreteSet):
             values = tuple(coerce_gene(v, gene_type) for v in space.values)
             pool = sorted(set(values))
+            array = np.array(values)
             contains = frozenset(values).__contains__
         elif isinstance(space, Unconstrained):
             lo, hi = init_range
@@ -267,7 +276,8 @@ class _GeneRule:
                 return lo + int(rng.integers(size)) * step
 
             if _holds_values(space):
-                values = pool = _typed_lattice(space, gene_type)
+                array = _typed_lattice(space, gene_type)
+                values = pool = array.tolist()
 
         def fit(v: float) -> Optional[float]:
             v = coerce(v)
@@ -296,15 +306,17 @@ class _GeneRule:
             v = fit(v)
             return sample(rng) if v is None else v
 
-        self.values, self.pool = values, pool
+        self.values, self.pool, self.array = values, pool, array
         self.contains, self.sample, self.admit = contains, sample, admit
 
     def resample_excluding(self, exclude, rng) -> float:
         if self.pool is not None:
             pool = [v for v in self.pool if v not in exclude]
             if not pool:
+                count = len(self.pool)
                 raise InsufficientSpace(
-                    f"space {self.space!r} has no admissible value outside {sorted(exclude)}"
+                    f"space {self.space!r} has {count} admissible value{'s' * (count != 1)}, "
+                    f"none outside {sorted(exclude)}"
                 )
             return pool[int(rng.integers(len(pool)))]
         for _ in range(_REDRAW_BUDGET):
@@ -351,15 +363,95 @@ def distinct_values_fall_short(gene_space, gene_type, n: int) -> bool:
     except (EmptySpace, NonFiniteGene):
         return False
     for space, t in lattices:
-        union.update(_typed_points(space, t, min(_lattice_size(space), genes)))
+        union.update(_typed_points(space, t, min(_lattice_size(space), genes)).tolist())
     for space, t in lattices:
         if len(union) >= genes:
             return False
         pool = _typed_lattice(space, t)
-        if not pool:
+        if not pool.size:
             return False
-        union.update(pool)
+        union.update(pool.tolist())
     return len(union) < genes
+
+
+def _type_groups(types: Sequence[GeneType]) -> tuple:
+    """(type, columns) for each type but FLOAT64, whose coercion is the identity.
+
+    A type covering every gene indexes with a slice, so its pass works on a view.
+    """
+    columns: dict = {}
+    for j, gene_type in enumerate(types):
+        columns.setdefault(gene_type, []).append(j)
+    return tuple(
+        (gene_type, slice(None) if len(cols) == len(types) else np.array(cols))
+        for gene_type, cols in columns.items()
+        if gene_type is not GeneType.FLOAT64
+    )
+
+
+# A segment fill draws its genes of every row of a (rows, genes) block in
+# row-major order, with the draws the rules' scalar samples would make.
+
+def _finite_fill(rules: Sequence[_GeneRule]):
+    """Finite rules: one integers call picks each gene's index into one flat table of values."""
+    distinct = list(dict.fromkeys(rules))
+    starts = dict(zip(distinct, np.cumsum([0] + [len(r.values) for r in distinct]).tolist()))
+    # A lone rule's own array is the table: a 2**20-point lattice is not copied.
+    table = distinct[0].array if len(distinct) == 1 else np.concatenate([r.array for r in distinct])
+    sizes = np.array([len(rule.values) for rule in rules])
+    offsets = np.array([starts[rule] for rule in rules])
+
+    def fill(rng, out: np.ndarray) -> None:
+        picks = rng.integers(0, sizes, size=out.shape)
+        picks += offsets
+        out[...] = table[picks]
+
+    return fill
+
+
+def _uniform_fill(types: Sequence[GeneType], init_range):
+    """Rules that never miss: one uniform call over init_range, coerced one numpy pass per type."""
+    lo, hi = init_range
+    groups = _type_groups(types)
+
+    def fill(rng, out: np.ndarray) -> None:
+        out[...] = rng.uniform(lo, hi, size=out.shape)
+        for gene_type, cols in groups:
+            out[:, cols] = _coerce_array(out[:, cols], gene_type)
+
+    return fill
+
+
+def _redraw_fill(rules: Sequence[_GeneRule]):
+    """Rules that may miss and redraw: one scalar sample per gene."""
+    def fill(rng, out: np.ndarray) -> None:
+        for row in out:
+            row[...] = [rule.sample(rng) for rule in rules]
+
+    return fill
+
+
+def _row_segments(rules: Sequence[_GeneRule], types: Sequence[GeneType], init_range) -> tuple:
+    """A row split into (columns, fill) segments of consecutive genes that draw alike."""
+    def kind(j: int) -> str:
+        if rules[j].values is not None:
+            return "finite"
+        if isinstance(rules[j].space, Unconstrained) and types[j] is not GeneType.PYINT:
+            return "uniform"  # coerce never misses and contains holds everything
+        return "redraw"
+
+    segments = []
+    for key, genes in itertools.groupby(range(len(rules)), key=kind):
+        genes = list(genes)
+        cols = slice(genes[0], genes[-1] + 1)
+        if key == "finite":
+            fill = _finite_fill(rules[cols])
+        elif key == "uniform":
+            fill = _uniform_fill(types[cols], init_range)
+        else:
+            fill = _redraw_fill(rules[cols])
+        segments.append((cols, fill))
+    return tuple(segments)
 
 
 class GeneSchema:
@@ -371,8 +463,16 @@ class GeneSchema:
     .sample(rng) and .admit(v, rng) answer for gene j; a finite rule's
     .values and .pool hold its coerced discrete set or enumerated typed step
     lattice. Compiling raises EmptySpace for a set or lattice that holds no
-    value of its gene type. Every random draw of sample and repair is scalar
-    and in the same order as one gene at a time, so a run replays
+    value of its gene type.
+
+    The compiled row sampler splits a row into segments of consecutive genes
+    that draw alike: finite rules draw one integers call per segment,
+    unconstrained genes of any type but PYINT one uniform call, and redrawing
+    rules one scalar sample per gene. numpy's vector draws consume the stream
+    exactly as the matching sequence of scalar calls does, so the rows hold
+    what rules[j].sample(rng) gives gene by gene, row by row, and leave the
+    generator in the same state.
+    Every draw of sample, admit and repair is scalar, so a run replays
     bit-identically whichever path it takes.
     """
 
@@ -388,16 +488,8 @@ class GeneSchema:
             if key not in rules:
                 rules[key] = _GeneRule(*key, self.init_range)
         self.rules = tuple(rules[key] for key in zip(self.spaces, self.types))
-        columns: dict = {}
-        for j, gene_type in enumerate(self.types):
-            columns.setdefault(gene_type, []).append(j)
-        # FLOAT64 coercion is the identity; a type covering every gene indexes
-        # with a slice so its pass works on a view.
-        self._groups = tuple(
-            (gene_type, slice(None) if len(cols) == len(self.types) else np.array(cols))
-            for gene_type, cols in columns.items()
-            if gene_type is not GeneType.FLOAT64
-        )
+        self._groups = _type_groups(self.types)
+        self._segments = _row_segments(self.rules, self.types, self.init_range)
 
     @classmethod
     def from_config(cls, cfg: "GaConfig") -> "GeneSchema":
@@ -412,6 +504,16 @@ class GeneSchema:
             raise NonFiniteGene(f"gene value {float(out[~finite][0])!r} is not finite")
         for gene_type, cols in self._groups:
             out[..., cols] = _coerce_array(out[..., cols], gene_type)
+        return out
+
+    def _sample_rows(self, rng, rows: int) -> np.ndarray:
+        """rows chromosomes from the row sampler, each gene drawn from its rule."""
+        out = np.empty((rows, len(self.rules)))
+        # With one segment the rows' draws are contiguous: the whole block is one call.
+        blocks = out[np.newaxis] if len(self._segments) == 1 else out[:, np.newaxis]
+        for block in blocks:
+            for cols, fill in self._segments:
+                fill(rng, block[:, cols])
         return out
 
     def repair(self, genes, rng) -> np.ndarray:
@@ -436,7 +538,10 @@ class GeneSchema:
         for j, v in enumerate(values):
             if v in seen:
                 exclude = set(values[:j] + values[j + 1:])
-                v = values[j] = self.rules[j].resample_excluding(exclude, rng)
+                try:
+                    v = values[j] = self.rules[j].resample_excluding(exclude, rng)
+                except InsufficientSpace as err:
+                    raise InsufficientSpace(f"gene {j} ({self.types[j].value}): {err}") from None
             seen.add(v)
         return values
 
@@ -456,8 +561,10 @@ def init_population(cfg: "GaConfig", rng, schema: Optional[GeneSchema] = None) -
 
     A user-supplied initial population is coerced to the gene types (and repaired
     for duplicates when required) but is never rejected for lying outside the
-    gene space. Otherwise every gene is sampled from its admissible set. The
-    schema defaults to the one compiled from cfg.
+    gene space. Otherwise every gene is sampled from its admissible set by the
+    schema's row sampler; without duplicate genes each row is repaired before
+    the next is drawn. A population the host cannot allocate raises GaError.
+    The schema defaults to the one compiled from cfg.
     """
     if schema is None:
         schema = GeneSchema.from_config(cfg)
@@ -469,11 +576,18 @@ def init_population(cfg: "GaConfig", rng, schema: Optional[GeneSchema] = None) -
                 f"({cfg.sol_per_pop}, {cfg.num_genes})"
             )
         return settle(cfg, schema, pop, rng)
-    pop = np.empty((cfg.sol_per_pop, cfg.num_genes))
-    for i in range(cfg.sol_per_pop):
-        pop[i] = [rule.sample(rng) for rule in schema.rules]
-        if not cfg.allow_duplicate_genes:
-            pop[i] = schema.repair(pop[i], rng)
+    shape = (cfg.sol_per_pop, cfg.num_genes)
+    try:
+        if cfg.allow_duplicate_genes:
+            return schema._sample_rows(rng, cfg.sol_per_pop)
+        pop = np.empty(shape)
+    except MemoryError as err:
+        raise GaError(f"init: cannot allocate a population of shape {shape}") from err
+    for i, row in enumerate(pop):
+        try:
+            row[...] = schema.repair(schema._sample_rows(rng, 1), rng)
+        except InsufficientSpace as err:
+            raise InsufficientSpace(f"init row {i}, {err}") from None
     return pop
 
 

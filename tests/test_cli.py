@@ -1,6 +1,7 @@
 """CLI parsing, config files, CSV/SVG reporting, and exit codes."""
 
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +228,32 @@ def test_distinct_genes_from_too_small_a_space_exit_three(tmp_path, capsys):
     assert main(["solve", "--problem", "onemax", "--genes", "5", "--config", str(conf)]) == 3
     err = capsys.readouterr().err
     assert "config error" in err and "gene_space" in err
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_duplicate_repair_failure_names_row_gene_and_type(tmp_path, capsys, seed):
+    # int8 coerces 0.2 to 0.0, so gene 1 holds one value and a row whose gene 0
+    # drew 0.0 has no distinct value left for it.
+    conf = tmp_path / "run.conf"
+    conf.write_text("gene_space=set:0,0.2\ngene_type=float64,int8\nallow_duplicate_genes=false\n")
+    argv = ["solve", "--problem", "onemax", "--genes", "2", "--seed", str(seed),
+            "--config", str(conf)]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert re.match(r"runtime error: init row \d+, gene 1 \(int8\): space DiscreteSet"
+                    r"\(values=\(0\.0, 0\.2\)\) has 1 admissible value, "
+                    r"none outside \[0\.0\]$", err)
+
+
+def test_unallocatable_population_exits_four_naming_init(capsys):
+    # 710 PiB is past any 64-bit address space, so the allocation fails before
+    # any memory is touched whatever the host's overcommit policy.
+    argv = ["solve", "--problem", "onemax", "--genes", "100000", "--pop", str(10**12),
+            "--parents", "2"]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err == ("runtime error: init: cannot allocate a population of shape "
+                   "(1000000000000, 100000)\n")
 
 
 # --- solve/report runs -------------------------------------------------------------

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from conftest import gene_spaces
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -17,6 +17,7 @@ from gakit.errors import (
     ConfigError,
     DimensionMismatch,
     EmptySpace,
+    GaError,
     InsufficientSpace,
     NonFiniteGene,
 )
@@ -505,6 +506,111 @@ def test_membership_closure_over_seeded_populations():
             for j, v in enumerate(row):
                 assert schema.rules[j].contains(float(v))
                 assert coerce_gene(float(v), types[j]) == float(v)
+
+
+def _per_gene_init(cfg, schema, rng):
+    """The per-gene init loop the row sampler replaced: the reference it must match."""
+    pop = np.empty((cfg.sol_per_pop, cfg.num_genes))
+    for i in range(cfg.sol_per_pop):
+        pop[i] = [rule.sample(rng) for rule in schema.rules]
+        if not cfg.allow_duplicate_genes:
+            pop[i] = schema.repair(pop[i], rng)
+    return pop
+
+
+_NON_PYINT = [t for t in GeneType if t is not GeneType.PYINT]
+
+# Genes by how the row sampler draws them: an index into a finite rule's values
+# (size-1 sets, sets whose values coerce to repeats, enumerated lattices), one
+# uniform draw (an unconstrained gene of any type but int), or scalar redraws.
+_FINITE_GENES = st.tuples(
+    st.one_of(
+        st.lists(st.sampled_from([0.0, 0.2, 0.5, 1.0, 2.5, -3.0, 7.0, 300.0]),
+                 min_size=1, max_size=4, unique=True).map(lambda v: DiscreteSet(tuple(v))),
+        st.sampled_from([ValueRange(0, 10, 1), ValueRange(-2, 2, 0.5), ValueRange(0, 3000, 7)]),
+    ),
+    st.sampled_from(list(GeneType)),
+)
+_UNIFORM_GENES = st.tuples(st.just(UNCONSTRAINED), st.sampled_from(_NON_PYINT))
+_REDRAW_GENES = st.one_of(
+    st.tuples(st.sampled_from([ValueRange(-1, 1), ValueRange(0, 100)]),
+              st.sampled_from(list(GeneType))),
+    st.tuples(st.just(ValueRange(0, 2**21, 1)),  # too many points to enumerate
+              st.sampled_from([GeneType.FLOAT64, GeneType.INT32, GeneType.PYINT])),
+    st.just((UNCONSTRAINED, GeneType.PYINT)),
+)
+_ANY_GENES = st.one_of(_FINITE_GENES, _UNIFORM_GENES, _REDRAW_GENES)
+# Rows of one kind draw the whole population in one call; mixed rows, segment by segment.
+_GENE_ROWS = st.one_of(*(st.lists(genes, min_size=1, max_size=8)
+                         for genes in (_FINITE_GENES, _UNIFORM_GENES, _REDRAW_GENES, _ANY_GENES)))
+
+
+@settings(max_examples=300)
+@given(genes=_GENE_ROWS,
+       rows=st.integers(1, 6), distinct=st.booleans(), half_word=st.booleans(),
+       init_range=st.sampled_from([(-4.0, 4.0), (-1000.0, 1000.0), (-1e300, 1e300)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_init_population_draws_what_the_per_gene_loop_draws(genes, rows, distinct, half_word,
+                                                           init_range, seed):
+    spaces, types = zip(*genes)
+    try:
+        cfg = validate(GaConfig(num_generations=1, sol_per_pop=rows, num_parents_mating=1,
+                                num_genes=len(genes), crossover=None, mutation=None,
+                                keep_parents=0, init_range=init_range,
+                                allow_duplicate_genes=not distinct,
+                                gene_space=list(spaces), gene_type=list(types)))
+        schema = GeneSchema.from_config(cfg)
+    except (ConfigError, EmptySpace, NonFiniteGene):
+        assume(False)
+
+    def outcome(init):
+        rng = np.random.default_rng(seed)
+        if half_word:
+            rng.integers(2)  # a 32-bit draw leaves the other half of its word buffered
+            assert rng.bit_generator.state["has_uint32"] == 1
+        try:
+            pop = init(rng)
+        except GaError as err:
+            pop = type(err)
+        return pop, rng.bit_generator.state
+
+    pop, state = outcome(lambda rng: init_population(cfg, rng, schema))
+    expected, expected_state = outcome(lambda rng: _per_gene_init(cfg, schema, rng))
+    if isinstance(expected, np.ndarray):
+        assert isinstance(pop, np.ndarray) and pop.tobytes() == expected.tobytes()
+    else:
+        assert pop is expected
+    assert state == expected_state
+
+
+@pytest.mark.parametrize("sizes", [[2] * 7, [1, 2, 3, 7, 2**20, 1, 100]])
+@pytest.mark.parametrize("half_word", [False, True])
+def test_vector_draws_consume_the_stream_as_scalar_draws(sizes, half_word):
+    # The row sampler rests on this numpy contract; there is no fallback if a
+    # numpy release breaks it.
+    for seed in range(100):
+        vector, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        if half_word:
+            vector.integers(2)
+            scalar.integers(2)
+        drawn = vector.integers(0, np.array(sizes), size=(4, len(sizes)))
+        assert drawn.tolist() == [[int(scalar.integers(n)) for n in sizes] for _ in range(4)]
+        assert vector.bit_generator.state == scalar.bit_generator.state
+        drawn = vector.uniform(-4.0, 4.0, size=(3, len(sizes)))
+        assert drawn.tolist() == [[scalar.uniform(-4.0, 4.0) for _ in sizes] for _ in range(3)]
+        assert vector.bit_generator.state == scalar.bit_generator.state
+
+
+def test_unallocatable_population_raises_ga_error_naming_init_and_shape():
+    # 710 PiB is past any 64-bit address space, so the allocation fails before
+    # any memory is touched whatever the host's overcommit policy.
+    cfg = validate(GaConfig(num_generations=1, sol_per_pop=10**12, num_parents_mating=2,
+                            num_genes=100_000))
+    for start in (lambda: init_population(cfg, np.random.default_rng(0)),
+                  lambda: run(cfg, lambda solution, idx: 0.0)):
+        with pytest.raises(GaError, match=r"^init: .*\(1000000000000, 100000\)$") as info:
+            start()
+        assert type(info.value) is GaError
 
 
 # --- CSV ------------------------------------------------------------------------
