@@ -480,6 +480,55 @@ def test_mutate_replays_pinned_draws(kind):
     assert digest.hexdigest() == _REPLAY_DIGESTS[kind]
 
 
+# Rates whose rows mutate every gene, or exactly one. choice(n, n, replace=False)
+# starts with a Floyd step of bound 0, which draws nothing; a row entered with
+# a pending half-word shows a draw that spends it there.
+_EDGE_RATES = {
+    "every gene by percent": (PercentGenes(100), AdaptivePair(PercentGenes(100), PercentGenes(1))),
+    "every gene by count": (NumGenes(8), AdaptivePair(NumGenes(8), NumGenes(1))),
+    "one gene": (NumGenes(1), AdaptivePair(NumGenes(1), NumGenes(1))),
+}
+
+# sha256 over the mutated rows and the generator's end state. 100 % of 8 genes
+# is all 8, and both adaptive sides of the one-gene pair are NumGenes(1), so
+# those cases draw alike.
+_EVERY_GENE = {
+    MutationKind.RANDOM: "20b71e03a807c7752899e052c4759e815d1dd2b71cf525e9f6dab911dac467e5",
+    MutationKind.ADAPTIVE: "bd616d28ef7d09fa9d55a16c70facb4373695582faa035a11841789e601b77b5",
+}
+_ONE_GENE = "f3b95329228acbc352c2e2a2f5def15ea7985a525c64cd4e774a734002da5d54"
+_EDGE_DIGESTS = {
+    "every gene by percent": _EVERY_GENE,
+    "every gene by count": _EVERY_GENE,
+    "one gene": dict.fromkeys(_EVERY_GENE, _ONE_GENE),
+}
+
+
+@pytest.mark.parametrize("kind", [MutationKind.RANDOM, MutationKind.ADAPTIVE])
+@pytest.mark.parametrize("rates", list(_EDGE_RATES))
+def test_mutate_pins_whole_row_and_one_gene_draws(rates, kind):
+    rate = _EDGE_RATES[rates][kind is MutationKind.ADAPTIVE]
+    digest = hashlib.sha256()
+    for by_replacement, duplicates in itertools.product((False, True), repeat=2):
+        cfg = validate(GaConfig(
+            num_generations=1, sol_per_pop=30, num_parents_mating=2, num_genes=8,
+            mutation=kind, mutation_rate=rate, mutation_by_replacement=by_replacement,
+            random_delta_range=(-2.5, 2.5), allow_duplicate_genes=duplicates,
+            gene_space=_REPLAY_SPACES, gene_type=_REPLAY_TYPES,
+        ))
+        schema = GeneSchema.from_config(cfg)
+        seed = [by_replacement, duplicates]
+        pop = init_population(cfg, np.random.default_rng(seed), schema)
+        rng = np.random.default_rng(seed)
+        rng.integers(2)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        own = np.arange(len(pop)) % 3 - 1.0  # against a mean of 0: both adaptive rates
+        out = mutate(kind, pop, cfg, 0.0, own, rng, schema=schema)
+        digest.update(out.tobytes())
+        digest.update(repr(rng.bit_generator.state).encode())
+    assert digest.hexdigest() == _EDGE_DIGESTS[rates][kind]
+
+
 # --- whole-generation mutation ------------------------------------------------------
 
 _FREE_SPACES = {
