@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .config import GaConfig, MutationKind
-from .errors import DimensionMismatch, FitnessError, GaError, HookError
+from .errors import DimensionMismatch, FitnessError, GaError, HookError, InsufficientSpace
 from .genome import GeneSchema, init_population, settle
 from .operators import mutate, produce_offspring, select_parents, summable
 
@@ -368,8 +368,11 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
             # Child i was bred from parent i mod P, whose fitness is its adaptive proxy.
             own = (fit[parents.indices[np.arange(offspring_count) % len(parents.indices)]]
                    if adaptive else None)
-            mutated = mutate(cfg.mutation, offspring, cfg, mean_fit, own, mutation_rng,
-                             schema=schema)
+            try:
+                mutated = mutate(cfg.mutation, offspring, cfg, mean_fit, own, mutation_rng,
+                                 schema=schema)
+            except InsufficientSpace as err:
+                raise InsufficientSpace(f"generation {g}, {err}") from None
         else:
             mutated = offspring
         state.last_generation_offspring_mutation = mutated
@@ -381,7 +384,10 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
         # Crossover (and hook overwrites, which may also edit an array in place)
         # can break typing or distinctness even though mutate() repairs its own
         # output; settle before assembly, every generation.
-        mutated = settle(cfg, schema, mutated, mutation_rng)
+        try:
+            mutated = settle(cfg, schema, mutated, mutation_rng)
+        except InsufficientSpace as err:
+            raise InsufficientSpace(f"generation {g}, settle {err}") from None
         population = np.vstack([parents.rows[: cfg.keep_parents], mutated])
         population.flags.writeable = False
         state.population = population

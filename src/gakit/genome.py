@@ -236,24 +236,25 @@ class _GeneRule:
     The space and the type's coercer are picked once, into one fit step:
     fit(v) coerces finite v and keeps it if contains accepts it, or gives None
     (a PYINT value beyond 2**53 is always a miss). A rule that holds its
-    values (see _holds_values) samples one of them and keeps them also as a
-    float64 array for the row sampler; any other rule samples by drawing from
-    its range and keeping the first draw fit keeps. admit keeps
-    what fit keeps and samples otherwise; NaN and infinities raise
-    NonFiniteGene. A redrawing sample raises EmptySpace after _REDRAW_BUDGET
-    misses. No call dispatches on the space or the type.
+    values (see _holds_values) keeps them as float64 arrays only: array in
+    draw order (a discrete set's coerced values, repeats kept), pool sorted
+    and distinct (for an enumerated lattice, the same array). It samples
+    array at one drawn index; any other rule samples by drawing from its
+    range and keeping the first draw fit keeps. admit keeps what fit keeps
+    and samples otherwise; NaN and infinities raise NonFiniteGene. A
+    redrawing sample raises EmptySpace after _REDRAW_BUDGET misses. No call
+    dispatches on the space or the type.
     """
 
-    __slots__ = ("space", "values", "pool", "array", "contains", "sample", "admit")
+    __slots__ = ("space", "pool", "array", "contains", "sample", "admit")
 
     def __init__(self, space: GeneSpace, gene_type: GeneType, init_range) -> None:
         self.space = space
         coerce = _COERCERS[gene_type]
-        values = pool = array = None  # a finite rule's values: in draw order; distinct, sorted
+        pool = array = None
         if isinstance(space, DiscreteSet):
             values = tuple(coerce_gene(v, gene_type) for v in space.values)
-            pool = sorted(set(values))
-            array = np.array(values)
+            array, pool = np.array(values), np.array(sorted(set(values)))
             contains = frozenset(values).__contains__
         elif isinstance(space, Unconstrained):
             lo, hi = init_range
@@ -276,14 +277,13 @@ class _GeneRule:
                 return lo + int(rng.integers(size)) * step
 
             if _holds_values(space):
-                array = _typed_lattice(space, gene_type)
-                values = pool = array.tolist()
+                array = pool = _typed_lattice(space, gene_type)
 
         def fit(v: float) -> Optional[float]:
             v = coerce(v)
             return None if v is None or not contains(v) else v
 
-        if values is None:
+        if array is None:
             def sample(rng) -> float:
                 for _ in range(_REDRAW_BUDGET):
                     v = fit(draw(rng))
@@ -293,11 +293,11 @@ class _GeneRule:
                     f"no value of {space!r} representable as {gene_type.value} "
                     f"found in {_REDRAW_BUDGET} draws"
                 )
-        elif not values:
+        elif not array.size:
             raise EmptySpace(f"no value of {space!r} is representable as {gene_type.value}")
         else:
             def sample(rng) -> float:
-                return values[int(rng.integers(len(values)))]
+                return array.item(int(rng.integers(array.size)))
 
         def admit(v, rng) -> float:
             v = float(v)
@@ -306,19 +306,29 @@ class _GeneRule:
             v = fit(v)
             return sample(rng) if v is None else v
 
-        self.values, self.pool, self.array = values, pool, array
+        self.pool, self.array = pool, array
         self.contains, self.sample, self.admit = contains, sample, admit
 
     def resample_excluding(self, exclude, rng) -> float:
-        if self.pool is not None:
-            pool = [v for v in self.pool if v not in exclude]
-            if not pool:
-                count = len(self.pool)
+        pool = self.pool
+        if pool is not None:
+            # One draw indexes the pool without the excluded values: it moves
+            # past each excluded place at or below it, in ascending order.
+            values = np.fromiter(exclude, float, len(exclude))
+            places = np.searchsorted(pool, values)
+            places = np.sort(places[pool[np.minimum(places, pool.size - 1)] == values])
+            free = pool.size - places.size
+            if not free:
                 raise InsufficientSpace(
-                    f"space {self.space!r} has {count} admissible value{'s' * (count != 1)}, "
-                    f"none outside {sorted(exclude)}"
+                    f"space {self.space!r} has {pool.size} admissible "
+                    f"value{'s' * (pool.size != 1)}, none outside {sorted(exclude)}"
                 )
-            return pool[int(rng.integers(len(pool)))]
+            k = int(rng.integers(free))
+            for place in places.tolist():
+                if place > k:
+                    break
+                k += 1
+            return pool.item(k)
         for _ in range(_REDRAW_BUDGET):
             v = self.sample(rng)
             if v not in exclude:
@@ -359,7 +369,8 @@ def distinct_values_fall_short(gene_space, gene_type, n: int) -> bool:
     union: set = set()
     try:
         for key in keys.difference(lattices):
-            union.update(_GeneRule(*key, None).pool)  # a finite rule never draws init values
+            # a finite rule never draws init values
+            union.update(_GeneRule(*key, None).pool.tolist())
     except (EmptySpace, NonFiniteGene):
         return False
     for space, t in lattices:
@@ -395,10 +406,10 @@ def _type_groups(types: Sequence[GeneType]) -> tuple:
 def _finite_fill(rules: Sequence[_GeneRule]):
     """Finite rules: one integers call picks each gene's index into one flat table of values."""
     distinct = list(dict.fromkeys(rules))
-    starts = dict(zip(distinct, np.cumsum([0] + [len(r.values) for r in distinct]).tolist()))
+    starts = dict(zip(distinct, np.cumsum([0] + [r.array.size for r in distinct]).tolist()))
     # A lone rule's own array is the table: a 2**20-point lattice is not copied.
     table = distinct[0].array if len(distinct) == 1 else np.concatenate([r.array for r in distinct])
-    sizes = np.array([len(rule.values) for rule in rules])
+    sizes = np.array([rule.array.size for rule in rules])
     offsets = np.array([starts[rule] for rule in rules])
 
     def fill(rng, out: np.ndarray) -> None:
@@ -434,7 +445,7 @@ def _redraw_fill(rules: Sequence[_GeneRule]):
 def _row_segments(rules: Sequence[_GeneRule], types: Sequence[GeneType], init_range) -> tuple:
     """A row split into (columns, fill) segments of consecutive genes that draw alike."""
     def kind(j: int) -> str:
-        if rules[j].values is not None:
+        if rules[j].array is not None:
             return "finite"
         if isinstance(rules[j].space, Unconstrained) and types[j] is not GeneType.PYINT:
             return "uniform"  # coerce never misses and contains holds everything
@@ -461,8 +472,8 @@ class GeneSchema:
     rules: one entry per gene, the rule compiled once for each distinct
     (space, type) pair and shared by its genes. rules[j].contains(v),
     .sample(rng) and .admit(v, rng) answer for gene j; a finite rule's
-    .values and .pool hold its coerced discrete set or enumerated typed step
-    lattice. Compiling raises EmptySpace for a set or lattice that holds no
+    float64 .array and .pool hold its coerced discrete set or enumerated typed
+    step lattice. Compiling raises EmptySpace for a set or lattice that holds no
     value of its gene type.
 
     The compiled row sampler splits a row into segments of consecutive genes
@@ -524,13 +535,20 @@ class GeneSchema:
         occurrence of each value; a later duplicate is redrawn from its own
         admissible set excluding every value currently present in the row.
         Rows are repaired in order, and a row that is already distinct draws
-        nothing, so one sort finds the rows that need the scan.
+        nothing, so one sort finds the rows that need the scan. A gene with no
+        distinct value left raises InsufficientSpace naming the gene, its type
+        and, for a population, its row.
         """
         out = np.array(genes, dtype=float)
         rows = out.reshape(-1, out.shape[-1])
         ordered = np.sort(rows, axis=1)
         for i in np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1)):
-            rows[i] = self._repair_row(rows[i].tolist(), rng)
+            try:
+                rows[i] = self._repair_row(rows[i].tolist(), rng)
+            except InsufficientSpace as err:
+                if out.ndim == 1:
+                    raise
+                raise InsufficientSpace(f"row {i}, {err}") from None
         return out
 
     def _repair_row(self, values: list, rng) -> list:
@@ -575,7 +593,10 @@ def init_population(cfg: "GaConfig", rng, schema: Optional[GeneSchema] = None) -
                 f"initial population shape {pop.shape} != "
                 f"({cfg.sol_per_pop}, {cfg.num_genes})"
             )
-        return settle(cfg, schema, pop, rng)
+        try:
+            return settle(cfg, schema, pop, rng)
+        except InsufficientSpace as err:
+            raise InsufficientSpace(f"init {err}") from None
     shape = (cfg.sol_per_pop, cfg.num_genes)
     try:
         if cfg.allow_duplicate_genes:
@@ -585,7 +606,7 @@ def init_population(cfg: "GaConfig", rng, schema: Optional[GeneSchema] = None) -
         raise GaError(f"init: cannot allocate a population of shape {shape}") from err
     for i, row in enumerate(pop):
         try:
-            row[...] = schema.repair(schema._sample_rows(rng, 1), rng)
+            row[...] = schema.repair(schema._sample_rows(rng, 1)[0], rng)
         except InsufficientSpace as err:
             raise InsufficientSpace(f"init row {i}, {err}") from None
     return pop

@@ -2,6 +2,12 @@
 
 All operators are pure functions over explicit arguments plus a numpy
 Generator; ties anywhere break toward the lower population index.
+
+Selection and crossover call the Generator directly. Mutation draws through
+draws.Words (see draws.replayed): for one call, the Generator's raw words are
+pulled in bulk and numpy's draws rebuilt from them, so the rules' samples,
+admits and repairs it calls cost a few integer operations each instead of a
+call into numpy, and the Generator ends in the state the direct calls leave.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ from .config import (
     Probability,
     resolve_mutation_count,
 )
-from .errors import NonPositiveFitness
+from .draws import replayed
+from .errors import InsufficientSpace, NonPositiveFitness
 from .genome import GeneSchema, Unconstrained
 
 
@@ -192,29 +199,45 @@ def mutate(kind: MutationKind, chrom, cfg: GaConfig, pop_mean_fitness: float = 0
     population mean, the low rate otherwise, and then applies Random
     semantics. Output genes always satisfy their type, space, and (when
     configured) distinctness constraints, as compiled in schema
-    (GeneSchema.from_config(cfg)); a run compiles it once.
+    (GeneSchema.from_config(cfg)); a run compiles it once. A row whose
+    duplicates cannot be repaired raises InsufficientSpace naming the row.
 
     Rows are mutated in order, and each row makes exactly the draws one call
     on that row alone would make, so mutating a generation at once gives the
     same rows and leaves rng in the same state as stacking per-row calls.
+    Every draw, the rules' and the repair's included, goes through
+    draws.replayed(rng), which gives the values and end state of the direct
+    numpy calls.
     """
     genes = np.array(chrom, dtype=float)
     rows = genes.reshape(-1, genes.shape[-1])
-    if kind in (MutationKind.RANDOM, MutationKind.ADAPTIVE):
-        _mutate_random(kind, rows, cfg, pop_mean_fitness, own_fitness, rng, schema)
-        return genes
+    with replayed(rng) as rng:
+        if kind in (MutationKind.RANDOM, MutationKind.ADAPTIVE):
+            _mutate_random(kind, rows, cfg, pop_mean_fitness, own_fitness, rng, schema)
+        else:
+            _mutate_structure(kind, rows, cfg, rng, schema)
+    return genes
+
+
+def _repaired(schema: GeneSchema, row, i: int, rng) -> np.ndarray:
+    try:
+        return schema.repair(row, rng)
+    except InsufficientSpace as err:
+        raise InsufficientSpace(f"mutation row {i}, {err}") from None
+
+
+def _mutate_structure(kind, rows, cfg, rng, schema) -> None:
     move = _MOVES.get(kind)
     if move is None:
         raise ValueError(f"unknown mutation kind {kind!r}")
     rules = schema.rules
-    for row in rows:
+    for i, row in enumerate(rows):
         if row.size >= 2:
             # A moved value may not fit the type and space of the gene it landed on.
             for j in move(row, rng):
                 row[j] = rules[j].admit(row[j], rng)
         if not cfg.allow_duplicate_genes:
-            row[:] = schema.repair(row, rng)
-    return genes
+            row[:] = _repaired(schema, row, i, rng)
 
 
 def _mutate_random(kind, rows, cfg, pop_mean_fitness, own_fitness, rng, schema) -> None:
@@ -246,15 +269,8 @@ def _mutate_random(kind, rows, cfg, pop_mean_fitness, own_fitness, rng, schema) 
         count = fixed[side]
         if count is None:
             count = resolve_mutation_count(sides[side], n, rng)
-        if count == 1:
-            # integers(length) draws the same bits as choice(length, 1, replace=False).
-            positions = (int(rng.integers(length)),)
-        elif count > 1:
-            positions = rng.choice(length, size=count, replace=False).tolist()
-        else:
-            positions = ()
         row = rows[i]
-        for j in positions:
+        for j in rng.choice(length, count, replace=False):
             if by_replacement and not unconstrained[j]:
                 row[j] = rules[j].sample(rng)
                 continue
@@ -263,4 +279,4 @@ def _mutate_random(kind, rows, cfg, pop_mean_fitness, own_fitness, rng, schema) 
                 v += row.item(j)
             row[j] = rules[j].admit(v, rng)
         if repair:
-            rows[i] = schema.repair(row, rng)
+            rows[i] = _repaired(schema, row, i, rng)

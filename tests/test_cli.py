@@ -245,6 +245,25 @@ def test_duplicate_repair_failure_names_row_gene_and_type(tmp_path, capsys, seed
                     r"none outside \[0\.0\]$", err)
 
 
+@pytest.mark.parametrize("seed, generation, row", [(1, 3, 0), (6, 1, 1)])
+def test_duplicate_repair_failure_in_mutation_names_generation_and_row(tmp_path, capsys, seed,
+                                                                       generation, row):
+    # Every given row is distinct, but a replaced gene 0 of 0.0 leaves gene 1
+    # (int8 coerces 0.2 to 0.0) no distinct value.
+    pop = tmp_path / "pop.csv"
+    pop.write_text("0.2,0.0\n" * 4)
+    conf = tmp_path / "run.conf"
+    conf.write_text("gene_space=set:0,0.2\ngene_type=float64,int8\nallow_duplicate_genes=false\n"
+                    f"mutation=random\nmutation_by_replacement=true\ninitial_population={pop}\n")
+    argv = ["solve", "--problem", "onemax", "--genes", "2", "--pop", "4", "--parents", "2",
+            "--seed", str(seed), "--config", str(conf)]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == (
+        f"runtime error: generation {generation}, mutation row {row}, gene 1 (int8): space "
+        "DiscreteSet(values=(0.0, 0.2)) has 1 admissible value, none outside [0.0]\n"
+    )
+
+
 def test_unallocatable_population_exits_four_naming_init(capsys):
     # 710 PiB is past any 64-bit address space, so the allocation fails before
     # any memory is touched whatever the host's overcommit policy.

@@ -1,19 +1,25 @@
 """What the package depends on, and what depends on the package's public names.
 
 numpy is the only runtime dependency: the package imports nothing else from
-outside itself. The benchmark harness under perfbench/ reads names off
-gakit and gakit.cli, so a cut to the public surface must keep those.
+outside itself. The tests import only what pyproject.toml declares, as a
+dependency or in the test extra. The benchmark harness under perfbench/
+reads names off gakit and gakit.cli, so a cut to the public surface must
+keep those.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
+
+import pytest
 
 import gakit
 from gakit import cli
 
 ROOT = Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "gakit").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "gakit"}
 
@@ -34,6 +40,23 @@ def test_package_imports_only_stdlib_numpy_and_itself():
         if name not in ALLOWED
     }
     assert not outside
+
+
+def _declared(requirements) -> set:
+    """The names of the distributions in PEP 508 requirement strings."""
+    return {re.match(r"[A-Za-z0-9._-]+", req).group().lower() for req in requirements}
+
+
+def test_tests_import_only_declared_distributions():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = _declared(project["dependencies"])
+    declared |= _declared(project["optional-dependencies"]["test"])
+    # Every distribution imported here installs a module of its own name.
+    local = {path.stem for path in TESTS} | {"gakit"}
+    imported = {name for path in TESTS for name in _imported_modules(path)}
+    assert {"pytest", "hypothesis", "numpy"} <= imported
+    assert not imported - set(sys.stdlib_module_names) - local - declared
 
 
 def _module_reads(path: Path):

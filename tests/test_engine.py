@@ -1,5 +1,6 @@
 """Evolution loop behavior: lifecycle, stop control, determinism, records."""
 
+import re
 import time
 
 import numpy as np
@@ -32,8 +33,15 @@ from gakit.engine import (
     fitness_history,
     run,
 )
-from gakit.errors import ConfigError, DimensionMismatch, FitnessError, GaError, HookError
-from gakit.genome import GeneSchema, GeneType, ValueRange
+from gakit.errors import (
+    ConfigError,
+    DimensionMismatch,
+    FitnessError,
+    GaError,
+    HookError,
+    InsufficientSpace,
+)
+from gakit.genome import DiscreteSet, GeneSchema, GeneType, ValueRange
 from gakit.operators import mutate
 from gakit.problems import DEFAULT_EQUATION, linear_fitness
 
@@ -669,3 +677,35 @@ def test_streams_are_built_as_the_run_reaches_them():
     three = run(demo_config(num_generations=3), sum_fitness)
     assert _result_bits(long_run)[:-1] == _result_bits(three)[:-1]
     assert fitness_history(long_run) == fitness_history(three)
+
+
+def _one_value_gene_config(population):
+    # Gene 1 holds the single value 1.0, so a row whose gene 0 is 1.0 cannot be repaired.
+    return validate(GaConfig(
+        num_generations=3, sol_per_pop=3, num_parents_mating=2, num_genes=2, crossover=None,
+        mutation=None, keep_parents=0, gene_space=[DiscreteSet((0, 1)), DiscreteSet((1,))],
+        allow_duplicate_genes=False, initial_population=population,
+    ))
+
+
+_NO_VALUE_LEFT = ("gene 1 (float64): space DiscreteSet(values=(1.0,)) has 1 admissible value, "
+                  "none outside [1.0]")
+
+
+def test_failed_repair_of_a_given_population_names_init_and_row():
+    cfg = _one_value_gene_config([[0, 1], [1, 1], [0, 1]])
+    with pytest.raises(InsufficientSpace, match=f"^init row 1, {re.escape(_NO_VALUE_LEFT)}$"):
+        run(cfg, lambda solution, idx: 1.0)
+
+
+def test_failed_repair_after_the_hooks_names_generation_settle_and_row():
+    def duplicate_last_child(state):
+        if state.generation == 1:
+            offspring = state.last_generation_offspring_mutation.copy()
+            offspring[2] = [1, 1]
+            state.last_generation_offspring_mutation = offspring
+
+    cfg = _one_value_gene_config([[0, 1]] * 3)
+    with pytest.raises(InsufficientSpace,
+                       match=f"^generation 1, settle row 2, {re.escape(_NO_VALUE_LEFT)}$"):
+        run(cfg, lambda solution, idx: 1.0, LifecycleHooks(on_mutation=duplicate_last_child))

@@ -105,7 +105,7 @@ def test_coerce_keeps_integers_past_2_52(gene_type):
 
 def test_pyint_step_lattice_near_2_53_keeps_odd_points():
     schema = _schema(ValueRange(2**53 - 10, 2**53 + 10, 1), GeneType.PYINT)
-    assert schema.rules[0].values == [2.0**53 - k for k in range(10, -1, -1)]
+    assert schema.rules[0].array.tolist() == [2.0**53 - k for k in range(10, -1, -1)]
 
 
 def test_coerce_rejects_non_finite():
@@ -291,7 +291,7 @@ def test_every_drawn_admitted_or_repaired_value_is_admissible(gene_type, space, 
         outputs += schema.repair([outputs[0]] * 3, rng).tolist()
     except EmptySpace:
         # A rule that redraws may find no admissible value within its budget.
-        assert schema.rules[0].values is None
+        assert schema.rules[0].array is None
     except InsufficientSpace:
         pass
     for v in outputs:
@@ -324,7 +324,7 @@ def test_pyint_lattice_keeps_only_exact_integers(space, top):
     schema = _schema(space, GeneType.PYINT)
     points = [space.lo + k * space.step for k in range(genome._lattice_size(space))]
     expected = sorted({p for p in points if p <= 2.0**53 and coerce_gene(p, GeneType.PYINT) == p})
-    assert schema.rules[0].values == expected and expected[-1] == top
+    assert schema.rules[0].array.tolist() == expected and expected[-1] == top
     rng = np.random.default_rng(0)
     assert all(schema.rules[0].contains(schema.rules[0].sample(rng)) for _ in range(100))
     assert schema.rules[0].admit(2.0**60, rng) in expected

@@ -6,6 +6,10 @@ import itertools
 import numpy as np
 import pytest
 from conftest import StubRng
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from gakit import operators
 
 from gakit.config import (
     AdaptivePair,
@@ -16,9 +20,17 @@ from gakit.config import (
     ParentSelection,
     PercentGenes,
     Probability,
+    resolve_mutation_count,
     validate,
 )
-from gakit.errors import NonPositiveFitness
+from gakit.errors import (
+    ConfigError,
+    EmptySpace,
+    GaError,
+    InsufficientSpace,
+    NonFiniteGene,
+    NonPositiveFitness,
+)
 from gakit.genome import (
     UNCONSTRAINED,
     DiscreteSet,
@@ -602,3 +614,124 @@ def test_mutation_draw_swaps_draw_the_same_bits(seed):
             assert old.integers(2) == new.integers(2)
             assert old.uniform(lo, hi) == lo + (hi - lo) * new.random()
         assert old.bit_generator.state == new.bit_generator.state
+
+
+# --- mutation against its per-call reference ------------------------------------------
+
+def _reference_mutate(kind, chrom, cfg, pop_mean_fitness, own_fitness, rng, *, schema):
+    """mutate as it was before its draws were replayed: each draw one numpy call.
+
+    It spells one position as choice(n, 1) and a delta as uniform(lo, hi),
+    the numpy calls whose bits the per-row loop's integers(n) and
+    lo + (hi - lo) * random() drew (test_mutation_draw_swaps_draw_the_same_bits).
+    """
+    genes = np.array(chrom, dtype=float)
+    rows = genes.reshape(-1, genes.shape[-1])
+    rules = schema.rules
+    if kind not in (MutationKind.RANDOM, MutationKind.ADAPTIVE):
+        for row in rows:
+            if row.size >= 2:
+                for j in operators._MOVES[kind](row, rng):
+                    row[j] = rules[j].admit(row[j], rng)
+            if not cfg.allow_duplicate_genes:
+                row[:] = schema.repair(row, rng)
+        return genes
+    if kind is MutationKind.ADAPTIVE:
+        sides = (cfg.mutation_rate.low, cfg.mutation_rate.high)
+        below = np.asarray(own_fitness, dtype=float) < pop_mean_fitness
+        side_of = np.broadcast_to(below, rows.shape[:1]).astype(int).tolist()
+    else:
+        sides = (cfg.mutation_rate,)
+        side_of = [0] * rows.shape[0]
+    n = cfg.num_genes
+    fixed = [None if isinstance(rate, Probability) else resolve_mutation_count(rate, n, rng)
+             for rate in sides]
+    lo, hi = cfg.random_delta_range
+    for i, side in enumerate(side_of):
+        count = fixed[side]
+        if count is None:
+            count = resolve_mutation_count(sides[side], n, rng)
+        row = rows[i]
+        for j in rng.choice(row.size, size=count, replace=False).tolist():
+            if cfg.mutation_by_replacement and schema.spaces[j] != UNCONSTRAINED:
+                row[j] = rules[j].sample(rng)
+                continue
+            v = rng.uniform(lo, hi)
+            if not cfg.mutation_by_replacement:
+                v += row.item(j)
+            row[j] = rules[j].admit(v, rng)
+        if not cfg.allow_duplicate_genes:
+            rows[i] = schema.repair(row, rng)
+    return genes
+
+
+# Every rule kind: unconstrained, discrete sets, ranges, enumerated lattices
+# and a lattice too large to enumerate, each under any gene type.
+_MUTATED_GENES = st.tuples(
+    st.one_of(
+        st.just(UNCONSTRAINED),
+        st.lists(st.sampled_from([0.0, 0.2, 0.5, 1.0, 2.5, -3.0, 7.0, 300.0]),
+                 min_size=1, max_size=5, unique=True).map(lambda v: DiscreteSet(tuple(v))),
+        st.sampled_from([ValueRange(-1, 1), ValueRange(0, 100), ValueRange(0, 10, 1),
+                         ValueRange(-2, 2, 0.5), ValueRange(0, 2**21, 1)]),
+    ),
+    st.sampled_from(list(GeneType)),
+)
+
+# (variant, high, low): one side is a plain rate, both make an adaptive pair.
+# Probability rates on rows of over 30 genes reach numpy's BTPE binomial, the
+# rest its inversion; counts over 16 genes reach numpy's own choice.
+_MUTATION_RATES = st.one_of(
+    st.tuples(st.just(Probability), *[st.sampled_from([0.05, 0.2, 0.45, 0.6, 0.95])] * 2),
+    st.tuples(st.just(PercentGenes), *[st.sampled_from([1.0, 10.0, 50.0, 100.0])] * 2),
+    st.tuples(st.just(NumGenes), *[st.integers(1, 40)] * 2),
+)
+
+
+def _rate(kind, variant, high, low, num_genes):
+    if variant is NumGenes:
+        high, low = min(high, num_genes), min(low, num_genes)
+    high, low = max(high, low), min(high, low)
+    if kind is MutationKind.ADAPTIVE:
+        return AdaptivePair(variant(high), variant(low))
+    return variant(high)
+
+
+@settings(max_examples=250)
+@given(kind=st.sampled_from(list(MutationKind)),
+       genes=st.lists(_MUTATED_GENES, min_size=1, max_size=6),
+       copies=st.sampled_from([1, 1, 8, 40]), rate=_MUTATION_RATES,
+       by_replacement=st.booleans(), distinct=st.booleans(), half_word=st.booleans(),
+       delta=st.sampled_from([(-1.0, 1.0), (-2.5, 2.5), (-1000.0, 1000.0)]),
+       rows=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+@example(kind=MutationKind.RANDOM, genes=[(ValueRange(0, 10, 1), GeneType.INT8)] * 2, copies=40,
+         rate=(Probability, 0.45, 0.45), by_replacement=False, distinct=False, half_word=True,
+         delta=(-1.0, 1.0), rows=3, seed=5)
+def test_mutate_draws_what_the_per_call_reference_draws(kind, genes, copies, rate, by_replacement,
+                                                       distinct, half_word, delta, rows, seed):
+    spaces, types = zip(*(genes * copies))
+    try:
+        cfg = validate(GaConfig(
+            num_generations=1, sol_per_pop=rows, num_parents_mating=1, num_genes=len(spaces),
+            crossover=None, keep_parents=0, mutation=kind,
+            mutation_rate=_rate(kind, *rate, len(spaces)),
+            mutation_by_replacement=by_replacement, random_delta_range=delta,
+            allow_duplicate_genes=not distinct, gene_space=list(spaces), gene_type=list(types),
+        ))
+        schema = GeneSchema.from_config(cfg)
+        pop = init_population(cfg, np.random.default_rng(seed + 1), schema)
+    except (ConfigError, EmptySpace, NonFiniteGene, InsufficientSpace):
+        assume(False)
+    own = np.random.default_rng(seed + 2).uniform(-1.0, 1.0, size=rows)
+
+    def outcome(mutation):
+        rng = np.random.default_rng(seed)
+        if half_word:
+            rng.integers(2)  # a 32-bit draw leaves the other half of its word buffered
+        try:
+            out = mutation(kind, pop, cfg, 0.0, own, rng, schema=schema).tobytes()
+        except GaError as err:
+            out = type(err)
+        return out, rng.bit_generator.state
+
+    assert outcome(mutate) == outcome(_reference_mutate)
