@@ -10,7 +10,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gakit import operators
-
 from gakit.config import (
     AdaptivePair,
     CrossoverKind,
