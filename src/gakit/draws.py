@@ -154,8 +154,7 @@ class Words:
 
     def integers(self, low: int, high=None) -> int:
         """Generator.integers(low, high) for scalar int64 bounds: a draw from [low, high)."""
-        if high is None:
-            low, high = 0, low
+        low, high = (0, int(low)) if high is None else (int(low), int(high))
         if not -_INT64 <= low < high <= _INT64:
             raise ValueError(f"integers({low}, {high}) holds no int64")
         return low + self._bounded(high - low - 1)
@@ -163,9 +162,11 @@ class Words:
     def choice(self, a: int, size: int, replace: bool = True) -> list:
         """Generator.choice(a, size, replace) for an int a, as a list.
 
-        numpy draws a choice with replacement, or of more than _SHORT picks.
+        numpy draws a choice with replacement, of more than _SHORT picks, or
+        with bounds that are not Python ints (numpy's own integers, say).
         """
-        if replace or not 0 <= size <= min(a, _SHORT) or a > _MASK32:
+        if (replace or type(a) is not int or type(size) is not int
+                or not 0 <= size <= min(a, _SHORT) or a > _MASK32):
             return self._numpy(self._gen.choice, a, size, replace=replace).tolist()
         if size == 1:  # Floyd's one step, with no shuffle after it: a third of the loop's cost
             return [self._bounded(a - 1)]

@@ -42,6 +42,19 @@ def test_integers_replay(n, half_word):
 
 
 @pytest.mark.parametrize("half_word", [False, True])
+def test_numpy_integer_bounds_replay(half_word):
+    # numpy's own integers as bounds: Python ints must hold the Lemire products
+    for seed in _SEEDS:
+        _replays(lambda g: [int(g.integers(np.int64(2**32 - 1))) for _ in range(20)],
+                 seed, half_word)
+        _replays(lambda g: [int(g.integers(np.uint32(0), np.uint64(7))) for _ in range(20)],
+                 seed, half_word)
+        for k in (1, 3):
+            _replays(lambda g: [int(v) for v in g.choice(np.int64(2**32 - 1), k, replace=False)],
+                     seed, half_word)
+
+
+@pytest.mark.parametrize("half_word", [False, True])
 def test_random_and_uniform_replay(half_word):
     bounds = [(-1.0, 1.0), (-2.5, 2.5), (0.0, 0.5), (-1e300, 1e300), (3.0, 3.0)]
     for seed in _SEEDS:
