@@ -30,10 +30,8 @@ from .genome import (
     ValueRange,
     coerce_gene,
     init_population,
-    population_from_csv,
-    population_to_csv,
 )
-from .operators import mutate, produce_offspring, select_parents
+from .operators import mutate
 
 __all__ = [
     "AdaptivePair",
@@ -60,10 +58,6 @@ __all__ = [
     "fitness_history",
     "init_population",
     "mutate",
-    "population_from_csv",
-    "population_to_csv",
-    "produce_offspring",
     "run",
-    "select_parents",
     "validate",
 ]

@@ -1,4 +1,8 @@
-"""The draws mutation makes, replayed bit for bit from raw PCG64 words.
+"""numpy's RNG rebuilt bit for bit: the stage streams' seeding, and mutation's draws.
+
+StageStreams sets one reused PCG64 generator to the state of
+np.random.default_rng([seed, g, stage]), hashing SeedSequence for a block of
+generations at once in uint32 numpy arithmetic.
 
 A scalar draw from a numpy Generator costs a call into numpy: over 1 us for
 integers(n) and about 10 us for choice(n, k, replace=False), while the work
@@ -9,10 +13,10 @@ return and consume:
 
 - random(): the top 53 bits of a word times 2**-53; uniform(lo, hi) is
   lo + (hi - lo) * random(), with numpy's checks on hi - lo.
-- integers(n) and integers(lo, hi): Lemire's bounded integers. A bound
-  below 2**32 - 1 draws 32-bit halves, served low half first with the high
-  half kept for the next one, as PCG64's next_uint32 does; a bound of
-  exactly 2**32 - 1 is one raw half; larger bounds draw whole words.
+- integers(n) and integers(lo, hi): Lemire's bounded integers. A span up
+  to 2**32 draws 32-bit halves, served low half first with the high half
+  kept for the next one, as PCG64's next_uint32 does; a larger span draws
+  whole words.
 - choice(n, k, replace=False) for k <= _SHORT: Floyd's algorithm (step j
   draws from [0, j], so a step with bound 0 draws nothing), then the
   Lemire shuffle of the k picks.
@@ -27,9 +31,9 @@ words only and leaves the buffer alone.
 
 close() rewinds the unread words and hands the buffer back, so the
 Generator ends in exactly the state the direct calls leave. NEP 19 keeps
-PCG64's word stream stable across numpy releases; the algorithms above are
-numpy's own, and tests/test_draws.py compares each method with numpy,
-values and end state, so a numpy release that changes one fails there.
+these algorithms stable across numpy releases; tests/test_draws.py compares
+each with numpy, values and end state, so a release that changes one fails
+there.
 """
 
 from __future__ import annotations
@@ -37,13 +41,27 @@ from __future__ import annotations
 import itertools
 import math
 from contextlib import contextmanager
+from typing import Optional
 
 import numpy as np
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_MASK128 = 2**128 - 1
 _INT64 = 2**63
 _DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53
+
+# SeedSequence's hash constants and PCG64's 128-bit LCG multiplier.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+# Generations hashed at once. It divides 2**32, so the generations of one
+# aligned block have the same number of uint32 words.
+_STREAM_BLOCK = 256
+# Streams per generation: one for each of the engine's stages.
+_STAGES = 4
 
 # Words per pull from the bit generator; close() rewinds what is left over.
 _PULL = 64
@@ -52,6 +70,98 @@ _PULL = 64
 # one costs more than numpy's own call plus the hand-over of the generator:
 # about 0.6 us a value against about 12 us, on a 2-vCPU x86-64 host.
 _SHORT = 16
+
+
+def _uint32_words(n: int) -> list:
+    """n as SeedSequence reads an int: little-endian uint32 words, [0] for 0."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's running hash: xor the constant, step it, multiply, fold the high half."""
+    const = init
+
+    def step(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> _XSHIFT)
+
+    return step
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return mixed ^ (mixed >> _XSHIFT)
+
+
+def _block_seed_words(seed: int, first: int) -> np.ndarray:
+    """SeedSequence([seed, g, stage]).generate_state(4, uint64) for one block of generations.
+
+    Returns shape (_STREAM_BLOCK, _STAGES, 4): generation first + row, every
+    stage. The uint32 arithmetic wraps as SeedSequence's C code does.
+    """
+    shape = (_STREAM_BLOCK, _STAGES)
+    g_words = _uint32_words(first)
+    low = np.arange(g_words[0], g_words[0] + _STREAM_BLOCK, dtype=np.uint32)[:, None]
+    entropy = ([np.full(shape, w, np.uint32) for w in _uint32_words(seed)]
+               + [np.broadcast_to(low, shape)]
+               + [np.full(shape, w, np.uint32) for w in g_words[1:]]
+               + [np.broadcast_to(np.arange(_STAGES, dtype=np.uint32), shape)])
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(shape, np.uint32))
+            for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+
+    output = _hasher(_INIT_B, _MULT_B)
+    state = np.empty(shape + (8,), "<u4")
+    for i in range(8):
+        state[..., i] = output(pool[i % 4])
+    return state.view("<u8")
+
+
+class StageStreams:
+    """One reused generator, set per call to the state of default_rng([seed, g, stage]).
+
+    The stages of a generation draw one after another, and none keeps its
+    generator past its turn, so one generator serves them all. Seeds are hashed
+    one aligned block of generations at a time, when the run first reaches it.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._seed = int(seed)
+        self._bit_generator = np.random.PCG64(0)
+        self._rng = np.random.Generator(self._bit_generator)
+        self._block = -1
+        self._words: Optional[np.ndarray] = None
+
+    def __call__(self, generation: int, stage: int) -> np.random.Generator:
+        block, row = divmod(generation, _STREAM_BLOCK)
+        if block != self._block:
+            self._words = _block_seed_words(self._seed, block * _STREAM_BLOCK)
+            self._block = block
+        # PCG64's srandom: the 4 words are (state high, low, increment high, low).
+        s_hi, s_lo, i_hi, i_lo = self._words[row, stage].tolist()
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        self._bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0,
+        }
+        return self._rng
 
 
 class Words:
@@ -113,20 +223,16 @@ class Words:
 
     def _bounded(self, top: int) -> int:
         """numpy's random_bounded_uint64(0, top): Lemire's method on [0, top]."""
-        if top < _MASK32:
+        if top <= _MASK32:
             if not top:
                 return 0
             span = top + 1
             m = self._half_word() * span
             if m & _MASK32 < span:
-                threshold = (_MASK32 - top) % span  # 2**32 % span
+                threshold = (_MASK32 - top) % span  # 2**32 % span: 0 for span 2**32
                 while m & _MASK32 < threshold:
                     m = self._half_word() * span
             return m >> 32
-        if top == _MASK32:
-            return self._half_word()
-        if top == _MASK64:
-            return self._word()
         span = top + 1
         m = self._word() * span
         if m & _MASK64 < span:

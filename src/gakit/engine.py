@@ -1,12 +1,9 @@
 """The evolution loop: lifecycle callbacks, elitism, per-generation records, results.
 
 One run executes on one logical thread; hooks are invoked synchronously on
-that thread. Every stochastic stage draws from its own substream derived from
-(seed, generation, stage), so toggling one operator never perturbs the random
-draws of the others and identical configs replay bit-identically. Each
-substream is bit-identical to np.random.default_rng([seed, generation, stage]);
-the engine computes that generator's state directly, a block of generations
-at a time, and sets it on one reused generator.
+that thread. One seed replays one run: each stochastic stage draws what
+np.random.default_rng([seed, generation, stage]) draws (draws.StageStreams
+builds that generator), so toggling one operator never perturbs the others.
 """
 
 from __future__ import annotations
@@ -19,28 +16,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from .config import GaConfig, MutationKind
-from .errors import DimensionMismatch, FitnessError, GaError, HookError, InsufficientSpace
-from .genome import GeneSchema, init_population, settle
+from .draws import StageStreams
+from .errors import DimensionMismatch, FitnessError, GaError, HookError
+from .genome import _GENE_ERRORS, GeneSchema, init_population, settle
 from .operators import mutate, produce_offspring, select_parents, summable
 
 _STAGE_INIT = 0
 _STAGE_SELECTION = 1
 _STAGE_CROSSOVER = 2
 _STAGE_MUTATION = 3
-_STAGES = 4
-
-# SeedSequence's hash constants and PCG64's 128-bit LCG multiplier; NEP 19
-# keeps numpy's seeding of a bit generator stable across releases.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
-_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK32 = 2**32 - 1
-_MASK128 = 2**128 - 1
-# Generations hashed at once. It divides 2**32, so the generations of one
-# aligned block have the same number of uint32 words.
-_STREAM_BLOCK = 256
 
 
 class GaControl(Enum):
@@ -120,98 +104,6 @@ class EngineState:
         self.last_generation_offspring_crossover: Optional[np.ndarray] = None
         self.last_generation_offspring_mutation: Optional[np.ndarray] = None
         self.last_record: Optional[GenerationRecord] = None
-
-
-def _uint32_words(n: int) -> list:
-    """n as SeedSequence reads an int: little-endian uint32 words, [0] for 0."""
-    words = [n & _MASK32]
-    n >>= 32
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
-
-
-def _hasher(init: int, mult: int):
-    """SeedSequence's running hash: xor the constant, step it, multiply, fold the high half."""
-    const = init
-
-    def step(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> _XSHIFT)
-
-    return step
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    mixed = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return mixed ^ (mixed >> _XSHIFT)
-
-
-def _block_seed_words(seed: int, first: int) -> np.ndarray:
-    """SeedSequence([seed, g, stage]).generate_state(4, uint64) for one block of generations.
-
-    Returns shape (_STREAM_BLOCK, _STAGES, 4): generation first + row, every
-    stage. The uint32 arithmetic wraps as SeedSequence's C code does.
-    """
-    shape = (_STREAM_BLOCK, _STAGES)
-    g_words = _uint32_words(first)
-    low = np.arange(g_words[0], g_words[0] + _STREAM_BLOCK, dtype=np.uint32)[:, None]
-    entropy = ([np.full(shape, w, np.uint32) for w in _uint32_words(seed)]
-               + [np.broadcast_to(low, shape)]
-               + [np.full(shape, w, np.uint32) for w in g_words[1:]]
-               + [np.broadcast_to(np.arange(_STAGES, dtype=np.uint32), shape)])
-
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(shape, np.uint32))
-            for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-
-    output = _hasher(_INIT_B, _MULT_B)
-    state = np.empty(shape + (8,), "<u4")
-    for i in range(8):
-        state[..., i] = output(pool[i % 4])
-    return state.view("<u8")
-
-
-class _StageStreams:
-    """One reused generator, set per call to the state of default_rng([seed, g, stage]).
-
-    The stages of a generation draw one after another, and none keeps its
-    generator past its turn, so one generator serves them all. Seeds are hashed
-    one aligned block of generations at a time, when the run first reaches it.
-    """
-
-    def __init__(self, seed: int) -> None:
-        self._seed = int(seed)
-        self._bit_generator = np.random.PCG64(0)
-        self._rng = np.random.Generator(self._bit_generator)
-        self._block = -1
-        self._words: Optional[np.ndarray] = None
-
-    def __call__(self, generation: int, stage: int) -> np.random.Generator:
-        block, row = divmod(generation, _STREAM_BLOCK)
-        if block != self._block:
-            self._words = _block_seed_words(self._seed, block * _STREAM_BLOCK)
-            self._block = block
-        # PCG64's srandom: the 4 words are (state high, low, increment high, low).
-        s_hi, s_lo, i_hi, i_lo = self._words[row, stage].tolist()
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        self._bit_generator.state = {
-            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0,
-        }
-        return self._rng
 
 
 def evaluate_population(population, fitness, generation=None) -> np.ndarray:
@@ -309,7 +201,7 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
     """
     hooks = hooks or LifecycleHooks()
     schema = GeneSchema.from_config(cfg)
-    stage_rng = _StageStreams(cfg.seed)
+    stage_rng = StageStreams(cfg.seed)
 
     population = init_population(cfg, stage_rng(0, _STAGE_INIT), schema)
     population.flags.writeable = False
@@ -371,8 +263,8 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
             try:
                 mutated = mutate(cfg.mutation, offspring, cfg, mean_fit, own, mutation_rng,
                                  schema=schema)
-            except InsufficientSpace as err:
-                raise InsufficientSpace(f"generation {g}, {err}") from None
+            except _GENE_ERRORS as err:
+                raise type(err)(f"generation {g}, mutation {err}") from None
         else:
             mutated = offspring
         state.last_generation_offspring_mutation = mutated
@@ -386,8 +278,8 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
         # output; settle before assembly, every generation.
         try:
             mutated = settle(cfg, schema, mutated, mutation_rng)
-        except InsufficientSpace as err:
-            raise InsufficientSpace(f"generation {g}, settle {err}") from None
+        except _GENE_ERRORS as err:
+            raise type(err)(f"generation {g}, settle {err}") from None
         population = np.vstack([parents.rows[: cfg.keep_parents], mutated])
         population.flags.writeable = False
         state.population = population

@@ -84,6 +84,8 @@ _INTEGRAL_MAGNITUDE = 2.0**52
 _LATTICE_ENUM_CAP = 1 << 20
 
 _REDRAW_BUDGET = 100
+# The errors a gene's constraints raise; each stage re-raises one naming itself.
+_GENE_ERRORS = (InsufficientSpace, EmptySpace, NonFiniteGene)
 
 
 @dataclass(frozen=True)
@@ -595,8 +597,8 @@ def init_population(cfg: "GaConfig", rng, schema: Optional[GeneSchema] = None) -
             )
         try:
             return settle(cfg, schema, pop, rng)
-        except InsufficientSpace as err:
-            raise InsufficientSpace(f"init {err}") from None
+        except _GENE_ERRORS as err:
+            raise type(err)(f"init {err}") from None
     shape = (cfg.sol_per_pop, cfg.num_genes)
     try:
         if cfg.allow_duplicate_genes:
@@ -604,11 +606,13 @@ def init_population(cfg: "GaConfig", rng, schema: Optional[GeneSchema] = None) -
         pop = np.empty(shape)
     except MemoryError as err:
         raise GaError(f"init: cannot allocate a population of shape {shape}") from err
+    except _GENE_ERRORS as err:
+        raise type(err)(f"init {err}") from None
     for i, row in enumerate(pop):
         try:
             row[...] = schema.repair(schema._sample_rows(rng, 1)[0], rng)
-        except InsufficientSpace as err:
-            raise InsufficientSpace(f"init row {i}, {err}") from None
+        except _GENE_ERRORS as err:
+            raise type(err)(f"init row {i}, {err}") from None
     return pop
 
 

@@ -223,7 +223,7 @@ def _repaired(schema: GeneSchema, row, i: int, rng) -> np.ndarray:
     try:
         return schema.repair(row, rng)
     except InsufficientSpace as err:
-        raise InsufficientSpace(f"mutation row {i}, {err}") from None
+        raise InsufficientSpace(f"row {i}, {err}") from None
 
 
 def _mutate_structure(kind, rows, cfg, rng, schema) -> None:

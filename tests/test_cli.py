@@ -264,6 +264,16 @@ def test_duplicate_repair_failure_in_mutation_names_generation_and_row(tmp_path,
     )
 
 
+def test_space_with_no_value_of_its_type_exits_four_naming_init(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("gene_space=range:0.2,0.4\ngene_type=int8\n")
+    assert main(["solve", "--problem", "onemax", "--config", str(conf)]) == 4
+    assert capsys.readouterr().err == (
+        "runtime error: init no value of ValueRange(lo=0.2, hi=0.4, step=None) representable "
+        "as int8 found in 100 draws\n"
+    )
+
+
 def test_unallocatable_population_exits_four_naming_init(capsys):
     # 710 PiB is past any 64-bit address space, so the allocation fails before
     # any memory is touched whatever the host's overcommit policy.

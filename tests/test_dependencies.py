@@ -4,7 +4,8 @@ numpy is the only runtime dependency: the package imports nothing else from
 outside itself. The tests import only what pyproject.toml declares, as a
 dependency or in the test extra. The benchmark harness under perfbench/
 reads names off gakit and gakit.cli, so a cut to the public surface must
-keep those.
+keep those. Only draws.py touches numpy's bit generators, so a numpy
+release that changes their algorithms can break only that module.
 """
 
 import ast
@@ -40,6 +41,30 @@ def test_package_imports_only_stdlib_numpy_and_itself():
         if name not in ALLOWED
     }
     assert not outside
+
+
+# The names through which code reaches numpy's seeding or a generator's raw words.
+BIT_GENERATOR_NAMES = {"PCG64", "SeedSequence", "random_raw", "advance", "bit_generator"}
+
+
+def _identifiers(path: Path):
+    """Every name, attribute and imported name that path's code spells out."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+
+
+def test_only_draws_touches_numpy_bit_generators():
+    assert "draws.py" in {path.name for path in SOURCES}
+    touching = {
+        (path.name, name) for path in SOURCES if path.name != "draws.py"
+        for name in _identifiers(path) if name in BIT_GENERATOR_NAMES
+    }
+    assert not touching
 
 
 def _declared(requirements) -> set:

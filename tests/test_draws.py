@@ -1,14 +1,18 @@
-"""The word replay: each replayed Generator method against numpy, values and end state.
+"""numpy's RNG as gakit rebuilds it or relies on it, against numpy: values and end state.
 
-Mutation draws every value through draws.Words. These tests are the guard
-on the numpy algorithms it rebuilds: if a numpy release changes one, it
-fails here.
+The run's stage streams (draws.StageStreams) against default_rng, the word
+replay (draws.Words) method by method, and the numpy equalities the init row
+sampler and mutation's draws rest on. This file is the guard on every numpy
+algorithm gakit depends on: if a numpy release changes one, it fails here.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gakit.draws import Words, replayed
+from gakit import draws
+from gakit.draws import StageStreams, Words, replayed
 
 _SEEDS = range(12)
 
@@ -29,9 +33,9 @@ def _replays(draw, seed, half_word):
     assert words_rng.bit_generator.state == direct.bit_generator.state
 
 
-# Bounds 2**31 + 1 reject about half of their 32-bit draws; 2**32 - 1 is the
-# largest bound drawn from halves, 2**32 one raw half, 2**32 + 3 and up whole
-# words.
+# Bounds 2**31 + 1 reject about half of their 32-bit draws; 2**32 is the
+# largest span drawn from halves, one raw half a draw; 2**32 + 3 and up draw
+# whole words.
 @pytest.mark.parametrize("n", [1, 2, 3, 100, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 3, 2**62, 2**63])
 @pytest.mark.parametrize("half_word", [False, True])
 def test_integers_replay(n, half_word):
@@ -39,6 +43,13 @@ def test_integers_replay(n, half_word):
         # 150 draws run past one pull of words
         _replays(lambda g: [int(g.integers(n)) for _ in range(150)], seed, half_word)
         _replays(lambda g: [int(g.integers(-3, n)) for _ in range(20)], seed, half_word)
+
+
+@pytest.mark.parametrize("half_word", [False, True])
+def test_full_int64_span_replays(half_word):
+    # span 2**64, the largest: one raw word a draw
+    for seed in _SEEDS:
+        _replays(lambda g: [int(g.integers(-2**63, 2**63)) for _ in range(150)], seed, half_word)
 
 
 @pytest.mark.parametrize("half_word", [False, True])
@@ -154,3 +165,76 @@ def test_replay_closes_when_the_block_raises():
             rng.random()
             raise KeyError
     assert words_rng.bit_generator.state == direct.bit_generator.state
+
+
+# --- stage streams ---------------------------------------------------------------------
+
+_B = draws._STREAM_BLOCK
+
+
+def _assert_stream_is_default_rng(streams, seed, generation, stage):
+    rng = streams(generation, stage)
+    reference = np.random.default_rng([seed, generation, stage])
+    assert rng.bit_generator.state == reference.bit_generator.state
+    assert np.array_equal(rng.random(3), reference.random(3))
+    assert np.array_equal(rng.integers(0, 2**40, 3), reference.integers(0, 2**40, 3))
+    assert np.array_equal(rng.choice(9, 4, replace=False), reference.choice(9, 4, replace=False))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+def test_stage_streams_equal_default_rng_on_the_edge_grid(seed):
+    # Seeds and generations at 2**32 take a second entropy word; both together take five.
+    streams = StageStreams(seed)
+    for generation in (0, 1, _B - 1, _B, 2**32 - 1, 2**32):
+        for stage in range(4):
+            _assert_stream_is_default_rng(streams, seed, generation, stage)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), generation=st.integers(0, 2**33),
+       stage=st.integers(0, 3))
+def test_stage_streams_equal_default_rng(seed, generation, stage):
+    _assert_stream_is_default_rng(StageStreams(seed), seed, generation, stage)
+
+
+# --- numpy equalities the draws rest on ------------------------------------------------
+
+@pytest.mark.parametrize("sizes", [[2] * 7, [1, 2, 3, 7, 2**20, 1, 100]])
+@pytest.mark.parametrize("half_word", [False, True])
+def test_vector_draws_consume_the_stream_as_scalar_draws(sizes, half_word):
+    # The row sampler rests on this numpy contract; there is no fallback if a
+    # numpy release breaks it.
+    for seed in range(100):
+        vector, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        if half_word:
+            vector.integers(2)
+            scalar.integers(2)
+        drawn = vector.integers(0, np.array(sizes), size=(4, len(sizes)))
+        assert drawn.tolist() == [[int(scalar.integers(n)) for n in sizes] for _ in range(4)]
+        assert vector.bit_generator.state == scalar.bit_generator.state
+        drawn = vector.uniform(-4.0, 4.0, size=(3, len(sizes)))
+        assert drawn.tolist() == [[scalar.uniform(-4.0, 4.0) for _ in sizes] for _ in range(3)]
+        assert vector.bit_generator.state == scalar.bit_generator.state
+
+
+# Both sides of numpy's choice split: without replacement it shuffles a full
+# index array once n > 10,000 and k > n // 50, and runs Floyd's algorithm
+# otherwise (always, for k = 1).
+_SWAP_SIZES = (1, 2, 3, 9, 100, 9_999, 10_000, 10_001, 20_000, 2**31, 2**32 + 3)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_mutation_draw_swaps_draw_the_same_bits(seed):
+    # mutate draws integers(n) for choice(n, 1, replace=False) and
+    # lo + (hi - lo) * random() for uniform(lo, hi); each pair must give equal
+    # values and leave the generator in the same state. The integers(2) draws
+    # in between leave PCG64 holding half of a 64-bit output, so a swap that
+    # used or dropped that buffered half would show.
+    old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n in _SWAP_SIZES:
+        for lo, hi in ((-1.0, 1.0), (-3.0, 3.0), (0.0, 0.5), (-1e300, 1e300), (2.5, 1e3)):
+            assert old.integers(2) == new.integers(2)
+            assert old.choice(n, 1, replace=False)[0] == new.integers(n)
+            assert old.integers(2) == new.integers(2)
+            assert old.uniform(lo, hi) == lo + (hi - lo) * new.random()
+        assert old.bit_generator.state == new.bit_generator.state

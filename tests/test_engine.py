@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gakit
-from gakit import engine
+from gakit import draws, engine
 from gakit.cli import build_solve_config, parse_invocation
 from gakit.config import (
     AdaptivePair,
@@ -36,10 +36,12 @@ from gakit.engine import (
 from gakit.errors import (
     ConfigError,
     DimensionMismatch,
+    EmptySpace,
     FitnessError,
     GaError,
     HookError,
     InsufficientSpace,
+    NonFiniteGene,
 )
 from gakit.genome import DiscreteSet, GeneSchema, GeneType, ValueRange
 from gakit.operators import mutate
@@ -617,32 +619,7 @@ def test_small_validated_configs_end_in_a_closed_result_or_a_ga_error(candidate,
 
 # --- stage streams ---------------------------------------------------------------------
 
-_B = engine._STREAM_BLOCK
-
-
-def _assert_stream_is_default_rng(streams, seed, generation, stage):
-    rng = streams(generation, stage)
-    reference = np.random.default_rng([seed, generation, stage])
-    assert rng.bit_generator.state == reference.bit_generator.state
-    assert np.array_equal(rng.random(3), reference.random(3))
-    assert np.array_equal(rng.integers(0, 2**40, 3), reference.integers(0, 2**40, 3))
-    assert np.array_equal(rng.choice(9, 4, replace=False), reference.choice(9, 4, replace=False))
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
-def test_stage_streams_equal_default_rng_on_the_edge_grid(seed):
-    # Seeds and generations at 2**32 take a second entropy word; both together take five.
-    streams = engine._StageStreams(seed)
-    for generation in (0, 1, _B - 1, _B, 2**32 - 1, 2**32):
-        for stage in range(4):
-            _assert_stream_is_default_rng(streams, seed, generation, stage)
-
-
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**64 - 1), generation=st.integers(0, 2**33),
-       stage=st.integers(0, 3))
-def test_stage_streams_equal_default_rng(seed, generation, stage):
-    _assert_stream_is_default_rng(engine._StageStreams(seed), seed, generation, stage)
+_B = draws._STREAM_BLOCK
 
 
 @pytest.mark.parametrize("mutation, duplicates", [
@@ -657,7 +634,7 @@ def test_run_draws_what_fresh_default_rng_streams_draw(monkeypatch, mutation, du
                       mutation_rate=rate, allow_duplicate_genes=duplicates,
                       gene_space=[ValueRange(0, 9, step=1)] * 6)
     fast = run(cfg, sum_fitness)
-    monkeypatch.setattr(engine, "_StageStreams", lambda seed: (
+    monkeypatch.setattr(engine, "StageStreams", lambda seed: (
         lambda generation, stage: np.random.default_rng([seed, generation, stage])))
     assert _result_bits(run(cfg, sum_fitness)) == _result_bits(fast)
 
@@ -709,3 +686,35 @@ def test_failed_repair_after_the_hooks_names_generation_settle_and_row():
     with pytest.raises(InsufficientSpace,
                        match=f"^generation 1, settle row 2, {re.escape(_NO_VALUE_LEFT)}$"):
         run(cfg, lambda solution, idx: 1.0, LifecycleHooks(on_mutation=duplicate_last_child))
+
+
+def test_non_finite_gene_from_a_hook_names_generation_and_settle():
+    def write_nan(state):
+        if state.generation == 1:
+            offspring = state.last_generation_offspring_mutation.copy()
+            offspring[0, 0] = np.nan
+            state.last_generation_offspring_mutation = offspring
+
+    with pytest.raises(NonFiniteGene, match=r"^generation 1, settle gene value nan is not finite$"):
+        run(demo_config(), sum_fitness, LifecycleHooks(on_mutation=write_nan))
+
+
+# int8 holds no value in [0.2, 0.4], so every draw of the range misses.
+_NO_INT8 = dict(gene_space=ValueRange(0.2, 0.4), gene_type=GeneType.INT8)
+_NO_INT8_FOUND = ("no value of ValueRange(lo=0.2, hi=0.4, step=None) representable as int8 "
+                  "found in 100 draws")
+
+
+@pytest.mark.parametrize("duplicates, where", [(True, "init"), (False, "init row 0,")])
+def test_space_with_no_value_of_its_type_names_init(duplicates, where):
+    cfg = demo_config(allow_duplicate_genes=duplicates, **_NO_INT8)
+    with pytest.raises(EmptySpace, match=f"^{where} {re.escape(_NO_INT8_FOUND)}$"):
+        run(cfg, sum_fitness)
+
+
+def test_space_with_no_value_of_its_type_names_generation_and_mutation():
+    # A given population is coerced, not resampled, so the first draw is mutation's.
+    cfg = demo_config(initial_population=[[0, 0, 0]] * 10, **_NO_INT8)
+    with pytest.raises(EmptySpace,
+                       match=f"^generation 0, mutation {re.escape(_NO_INT8_FOUND)}$"):
+        run(cfg, sum_fitness)

@@ -583,24 +583,6 @@ def test_init_population_draws_what_the_per_gene_loop_draws(genes, rows, distinc
     assert state == expected_state
 
 
-@pytest.mark.parametrize("sizes", [[2] * 7, [1, 2, 3, 7, 2**20, 1, 100]])
-@pytest.mark.parametrize("half_word", [False, True])
-def test_vector_draws_consume_the_stream_as_scalar_draws(sizes, half_word):
-    # The row sampler rests on this numpy contract; there is no fallback if a
-    # numpy release breaks it.
-    for seed in range(100):
-        vector, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
-        if half_word:
-            vector.integers(2)
-            scalar.integers(2)
-        drawn = vector.integers(0, np.array(sizes), size=(4, len(sizes)))
-        assert drawn.tolist() == [[int(scalar.integers(n)) for n in sizes] for _ in range(4)]
-        assert vector.bit_generator.state == scalar.bit_generator.state
-        drawn = vector.uniform(-4.0, 4.0, size=(3, len(sizes)))
-        assert drawn.tolist() == [[scalar.uniform(-4.0, 4.0) for _ in sizes] for _ in range(3)]
-        assert vector.bit_generator.state == scalar.bit_generator.state
-
-
 def test_unallocatable_population_raises_ga_error_naming_init_and_shape():
     # 710 PiB is past any 64-bit address space, so the allocation fails before
     # any memory is touched whatever the host's overcommit policy.

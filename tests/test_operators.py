@@ -592,29 +592,6 @@ def test_mutate_leaves_its_input_generation_untouched():
     assert np.array_equal(pop, before) and not np.array_equal(out, before)
 
 
-# Both sides of numpy's choice split: without replacement it shuffles a full
-# index array once n > 10,000 and k > n // 50, and runs Floyd's algorithm
-# otherwise (always, for k = 1).
-_SWAP_SIZES = (1, 2, 3, 9, 100, 9_999, 10_000, 10_001, 20_000, 2**31, 2**32 + 3)
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_mutation_draw_swaps_draw_the_same_bits(seed):
-    # mutate draws integers(n) for choice(n, 1, replace=False) and
-    # lo + (hi - lo) * random() for uniform(lo, hi); each pair must give equal
-    # values and leave the generator in the same state. The integers(2) draws
-    # in between leave PCG64 holding half of a 64-bit output, so a swap that
-    # used or dropped that buffered half would show.
-    old, new = np.random.default_rng(seed), np.random.default_rng(seed)
-    for n in _SWAP_SIZES:
-        for lo, hi in ((-1.0, 1.0), (-3.0, 3.0), (0.0, 0.5), (-1e300, 1e300), (2.5, 1e3)):
-            assert old.integers(2) == new.integers(2)
-            assert old.choice(n, 1, replace=False)[0] == new.integers(n)
-            assert old.integers(2) == new.integers(2)
-            assert old.uniform(lo, hi) == lo + (hi - lo) * new.random()
-        assert old.bit_generator.state == new.bit_generator.state
-
-
 # --- mutation against its per-call reference ------------------------------------------
 
 def _reference_mutate(kind, chrom, cfg, pop_mean_fitness, own_fitness, rng, *, schema):
@@ -622,7 +599,8 @@ def _reference_mutate(kind, chrom, cfg, pop_mean_fitness, own_fitness, rng, *, s
 
     It spells one position as choice(n, 1) and a delta as uniform(lo, hi),
     the numpy calls whose bits the per-row loop's integers(n) and
-    lo + (hi - lo) * random() drew (test_mutation_draw_swaps_draw_the_same_bits).
+    lo + (hi - lo) * random() drew (test_mutation_draw_swaps_draw_the_same_bits in
+    tests/test_draws.py).
     """
     genes = np.array(chrom, dtype=float)
     rows = genes.reshape(-1, genes.shape[-1])
