@@ -29,6 +29,13 @@ the unread words are rewound with advance, and for choice and permutation
 the half-word buffer is handed over and read back. binomial reads whole
 words only and leaves the buffer alone.
 
+mutation_draws serves a generation of rows that each draw only
+choice(length, k, replace=False) and k random() from one exact pull: the
+choice's steps take 32-bit halves and the deltas whole words, so the words
+read follow from the rows' k and the half-word buffer alone. It gives up,
+having drawn nothing, where a Lemire step would reject (about span / 2**32
+a step) or choice() would hand the choice to numpy.
+
 close() rewinds the unread words and hands the buffer back, so the
 Generator ends in exactly the state the direct calls leave. NEP 19 keeps
 these algorithms stable across numpy releases; tests/test_draws.py compares
@@ -164,6 +171,10 @@ class StageStreams:
         return self._rng
 
 
+class _Rejected(Exception):
+    """A Lemire step of Words.mutation_draws would redraw."""
+
+
 class Words:
     """A numpy Generator over PCG64 whose scalar draws are rebuilt from its raw words.
 
@@ -171,7 +182,7 @@ class Words:
     then leaves the Generator where the direct calls would have.
     """
 
-    __slots__ = ("_gen", "_bits", "_words", "_next", "_has_half", "_half")
+    __slots__ = ("_gen", "_bits", "_words", "_next", "_has_half", "_half", "_entry")
 
     def __init__(self, gen: np.random.Generator) -> None:
         self._gen = gen
@@ -307,6 +318,71 @@ class Words:
                 picks[top], picks[v] = picks[v], picks[top]
         self._words, self._next, self._has_half, self._half = words, at, has_half, half
         return picks
+
+    def mutation_draws(self, length: int, counts: list):
+        """choice(length, k, replace=False), then k random(), for each row's k in counts, in order.
+
+        Returns the flat positions (row * length + gene, in draw order) and
+        each one's random(), from one pull of exactly the words they read;
+        or None, having drawn nothing (see the module's docstring).
+        """
+        if length > _MASK32 or max(counts, default=0) > min(length, _SHORT):
+            return None
+        self._rewind()
+        has_half, half = self._has_half, self._half
+        # A row's nonzero bounds: k of Floyd's (not j = 0 when k == length), k - 1 of the shuffle's
+        halves = 2 * sum(counts) - len(counts) + counts.count(0) - counts.count(length)
+        total = max(0, halves - has_half + 1) // 2 + sum(counts)
+        raw = self._bits.random_raw(total)
+        words, at, fresh = raw.tolist(), 0, []
+
+        def bounded(top: int) -> int:
+            # choice()'s Lemire step on [0, top], which gives up where it would redraw
+            nonlocal has_half, half, at
+            if not top:
+                return 0
+            span = top + 1
+            if has_half:
+                has_half, m = 0, half * span
+            else:
+                word = words[at]
+                fresh.append(at)
+                at += 1
+                has_half, half, m = 1, word >> 32, (word & _MASK32) * span
+            if m & _MASK32 < span and m & _MASK32 < (_MASK32 - top) % span:
+                raise _Rejected
+            return m >> 32
+
+        positions: list = []
+        try:
+            for base, k in zip(range(0, len(counts) * length, length), counts):
+                if k == 1:  # Floyd's one step, with no list: most rows, at a low rate
+                    positions.append(base + bounded(length - 1))
+                else:
+                    picks: list = []
+                    for top in range(length - k, length):
+                        v = bounded(top)
+                        picks.append(top if v in picks else v)
+                    for top in range(k - 1, 0, -1):
+                        v = bounded(top)
+                        picks[top], picks[v] = picks[v], picks[top]
+                    positions += [base + j for j in picks]
+                at += k  # the row's deltas
+        except _Rejected:
+            self._bits.advance(-total)
+            self.close()  # advance clears the generator's half-word buffer: hand it back
+            return None
+        deltas = np.ones(total, bool)
+        deltas[fresh] = False
+        self._entry = self._has_half, self._half
+        self._words, self._next, self._has_half, self._half = words, total, has_half, half
+        return np.array(positions, dtype=np.intp), (raw[deltas] >> 11) * _DOUBLE_UNIT
+
+    def undo_mutation_draws(self) -> None:
+        """Move back to where the mutation_draws just made began, as if it had drawn nothing."""
+        self._next = 0
+        self._rewind()
+        self._has_half, self._half = self._entry
 
     def permutation(self, x) -> np.ndarray:
         """Generator.permutation(x): a shuffled copy; numpy draws one of more than _SHORT values."""

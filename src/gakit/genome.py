@@ -444,14 +444,17 @@ def _redraw_fill(rules: Sequence[_GeneRule]):
     return fill
 
 
+def _never_misses(space: GeneSpace, gene_type: GeneType) -> bool:
+    """Whether a rule's fit keeps every finite value: coerce never misses and contains holds all."""
+    return isinstance(space, Unconstrained) and gene_type is not GeneType.PYINT
+
+
 def _row_segments(rules: Sequence[_GeneRule], types: Sequence[GeneType], init_range) -> tuple:
     """A row split into (columns, fill) segments of consecutive genes that draw alike."""
     def kind(j: int) -> str:
         if rules[j].array is not None:
             return "finite"
-        if isinstance(rules[j].space, Unconstrained) and types[j] is not GeneType.PYINT:
-            return "uniform"  # coerce never misses and contains holds everything
-        return "redraw"
+        return "uniform" if _never_misses(rules[j].space, types[j]) else "redraw"
 
     segments = []
     for key, genes in itertools.groupby(range(len(rules)), key=kind):
@@ -476,7 +479,9 @@ class GeneSchema:
     .sample(rng) and .admit(v, rng) answer for gene j; a finite rule's
     float64 .array and .pool hold its coerced discrete set or enumerated typed
     step lattice. Compiling raises EmptySpace for a set or lattice that holds no
-    value of its gene type.
+    value of its gene type. unconstrained[j] tells whether gene j's space is
+    Unconstrained; never_misses, whether every gene's is and none is PYINT,
+    so that admit keeps every finite value as coerced and never draws.
 
     The compiled row sampler splits a row into segments of consecutive genes
     that draw alike: finite rules draw one integers call per segment,
@@ -501,6 +506,8 @@ class GeneSchema:
             if key not in rules:
                 rules[key] = _GeneRule(*key, self.init_range)
         self.rules = tuple(rules[key] for key in zip(self.spaces, self.types))
+        self.unconstrained = tuple(isinstance(space, Unconstrained) for space in self.spaces)
+        self.never_misses = all(map(_never_misses, self.spaces, self.types))
         self._groups = _type_groups(self.types)
         self._segments = _row_segments(self.rules, self.types, self.init_range)
 
@@ -514,10 +521,19 @@ class GeneSchema:
         out = np.array(values, dtype=float)
         finite = np.isfinite(out)
         if not finite.all():
-            raise NonFiniteGene(f"gene value {float(out[~finite][0])!r} is not finite")
+            *row, j = np.argwhere(~finite)[0].tolist()  # the first, row by row
+            where = "".join(f"row {i}, " for i in row) + f"gene {j} ({self.types[j].value})"
+            raise NonFiniteGene(f"{where}: gene value {float(out[(*row, j)])!r} is not finite")
         for gene_type, cols in self._groups:
             out[..., cols] = _coerce_array(out[..., cols], gene_type)
         return out
+
+    def coerce_at(self, values: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """coerce_gene, in place, on finite values bound for flat positions of (rows, genes)."""
+        for gene_type, cols in self._groups:
+            at = cols if isinstance(cols, slice) else np.isin(positions % len(self.types), cols)
+            values[at] = _coerce_array(values[at], gene_type)
+        return values
 
     def _sample_rows(self, rng, rows: int) -> np.ndarray:
         """rows chromosomes from the row sampler, each gene drawn from its rule."""

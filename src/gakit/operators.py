@@ -8,6 +8,13 @@ draws.Words (see draws.replayed): for one call, the Generator's raw words are
 pulled in bulk and numpy's draws rebuilt from them, so the rules' samples,
 admits and repairs it calls cost a few integer operations each instead of a
 call into numpy, and the Generator ends in the state the direct calls leave.
+
+Genes that never miss (GeneSchema.never_misses) draw nothing in admit, so
+a generation of them draws its positions and deltas from one exact pull
+(Words.mutation_draws) and is written in a few numpy calls. The per-row
+loop runs instead where that pull gives up (a Lemire rejection, more than
+16 picks, over 2**32 - 1 genes), where a value is not finite (it raises
+there), and for repaired duplicates, Probability rates and other generators.
 """
 
 from __future__ import annotations
@@ -25,9 +32,9 @@ from .config import (
     Probability,
     resolve_mutation_count,
 )
-from .draws import replayed
+from .draws import Words, replayed
 from .errors import InsufficientSpace, NonPositiveFitness
-from .genome import GeneSchema, Unconstrained
+from .genome import GeneSchema
 
 
 @dataclass
@@ -262,9 +269,12 @@ def _mutate_random(kind, rows, cfg, pop_mean_fitness, own_fitness, rng, schema) 
     lo, hi = cfg.random_delta_range
     width = hi - lo  # lo + width * random() draws the same bits as uniform(lo, hi)
     by_replacement = cfg.mutation_by_replacement
-    rules = schema.rules
-    unconstrained = [isinstance(space, Unconstrained) for space in schema.spaces]
     repair = not cfg.allow_duplicate_genes
+    if (schema.never_misses and not repair and None not in fixed and isinstance(rng, Words)
+            and _mutate_at_once(rows, [fixed[side] for side in side_of], cfg, schema, rng)):
+        return
+    rules = schema.rules
+    unconstrained = schema.unconstrained
     for i, side in enumerate(side_of):
         count = fixed[side]
         if count is None:
@@ -280,3 +290,25 @@ def _mutate_random(kind, rows, cfg, pop_mean_fitness, own_fitness, rng, schema) 
             row[j] = rules[j].admit(v, rng)
         if repair:
             rows[i] = _repaired(schema, row, i, rng)
+
+
+def _mutate_at_once(rows, counts, cfg, schema, rng) -> bool:
+    """The per-row loop's result for genes that never miss, from one pull of words.
+
+    False, with nothing written or drawn, where the loop must run instead.
+    """
+    drawn = rng.mutation_draws(rows.shape[1], counts)
+    if drawn is None:
+        return False
+    at, units = drawn
+    lo, hi = cfg.random_delta_range
+    flat = rows.reshape(-1)  # a view: mutate's rows are its own contiguous copy
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = lo + (hi - lo) * units
+        if not cfg.mutation_by_replacement:
+            values += flat[at]
+    if not np.isfinite(values).all():
+        rng.undo_mutation_draws()
+        return False
+    flat[at] = schema.coerce_at(values, at)
+    return True

@@ -167,6 +167,67 @@ def test_replay_closes_when_the_block_raises():
     assert words_rng.bit_generator.state == direct.bit_generator.state
 
 
+# --- a generation's mutation draws from one pull ------------------------------------
+
+def _prepared(seed, half_word, lead):
+    """A generator after lead random() draws, with a pending half-word if half_word."""
+    rng = np.random.default_rng(seed)
+    if half_word:
+        rng.integers(2)
+    for _ in range(lead):
+        rng.random()
+    return rng
+
+
+@settings(max_examples=80)
+@given(length=st.integers(1, 20), ks=st.lists(st.integers(0, 16), max_size=30),
+       half_word=st.booleans(), lead=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_mutation_draws_are_each_rows_choice_then_randoms(length, ks, half_word, lead, seed):
+    counts = [min(k, length) for k in ks]
+    direct = _prepared(seed, half_word, lead)
+    positions, units = [], []
+    for row, k in enumerate(counts):
+        positions += (row * length + direct.choice(length, k, replace=False)).tolist()
+        units += [direct.random() for _ in range(k)]
+    words_rng = _prepared(seed, half_word, 0)
+    words = Words(words_rng)
+    for _ in range(lead):
+        words.random()  # leaves pulled words unread, which the pull must first rewind
+    got = words.mutation_draws(length, counts)
+    words.close()
+    assert got is not None
+    assert got[0].tolist() == positions and got[1].tolist() == units
+    assert words_rng.bit_generator.state == direct.bit_generator.state
+
+
+# A bound of 2**31 rejects about half of its 32-bit draws, so 64 rows of one
+# pick reject somewhere; 17 picks, a length past 2**32 - 1 and more picks than
+# genes are choices that Words.choice hands to numpy.
+@pytest.mark.parametrize("length, counts", [
+    (2**31 + 1, [1] * 64), (2**31 + 1, [2, 16] * 8), (20, [1, 17]), (2**32, [1]), (3, [4]),
+])
+@pytest.mark.parametrize("half_word", [False, True])
+def test_mutation_draws_give_up_having_drawn_nothing(length, counts, half_word):
+    rng, direct = _prepared(7, half_word, 0), _prepared(7, half_word, 0)
+    entry = rng.bit_generator.state
+    words = Words(rng)
+    assert words.mutation_draws(length, counts) is None
+    assert rng.bit_generator.state == entry  # has_uint32 and uinteger included
+    assert [words.random(), words.integers(5)] == [direct.random(), direct.integers(5)]
+    words.close()
+    assert rng.bit_generator.state == direct.bit_generator.state
+
+
+@pytest.mark.parametrize("half_word", [False, True])
+def test_undone_mutation_draws_leave_the_generator_where_they_began(half_word):
+    rng, entry = _prepared(3, half_word, 0), _prepared(3, half_word, 0).bit_generator.state
+    words = Words(rng)
+    assert words.mutation_draws(9, [4, 1, 9, 1]) is not None
+    words.undo_mutation_draws()
+    words.close()
+    assert rng.bit_generator.state == entry
+
+
 # --- stage streams ---------------------------------------------------------------------
 
 _B = draws._STREAM_BLOCK

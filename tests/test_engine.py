@@ -695,7 +695,8 @@ def test_non_finite_gene_from_a_hook_names_generation_and_settle():
             offspring[0, 0] = np.nan
             state.last_generation_offspring_mutation = offspring
 
-    with pytest.raises(NonFiniteGene, match=r"^generation 1, settle gene value nan is not finite$"):
+    message = r"^generation 1, settle row 0, gene 0 \(float64\): gene value nan is not finite$"
+    with pytest.raises(NonFiniteGene, match=message):
         run(demo_config(), sum_fitness, LifecycleHooks(on_mutation=write_nan))
 
 

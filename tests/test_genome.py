@@ -1,6 +1,7 @@
 """Gene coercion, sampling, duplicate repair, and population construction."""
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -112,6 +113,17 @@ def test_coerce_rejects_non_finite():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(NonFiniteGene):
             coerce_gene(bad, GeneType.FLOAT64)
+
+
+@pytest.mark.parametrize("values, message", [
+    ([1.0, float("inf"), float("nan")], "gene 1 (float32): gene value inf is not finite"),
+    ([[1.0, 2.0, 3.0], [4.0, 5.0, float("-inf")], [float("nan")] * 3],
+     "row 1, gene 2 (float32): gene value -inf is not finite"),
+])
+def test_schema_coerce_names_the_first_non_finite_gene(values, message):
+    # A chromosome names only the gene; a (rows, genes) array names its row too.
+    with pytest.raises(NonFiniteGene, match=f"^{re.escape(message)}$"):
+        _schema(UNCONSTRAINED, GeneType.FLOAT32, 3).coerce(values)
 
 
 def test_coerce_idempotent():

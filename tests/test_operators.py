@@ -2,6 +2,9 @@
 
 import hashlib
 import itertools
+from contextlib import contextmanager
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from conftest import StubRng
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gakit import operators
+from gakit import cli, draws, operators
 from gakit.config import (
     AdaptivePair,
     CrossoverKind,
@@ -712,3 +715,122 @@ def test_mutate_draws_what_the_per_call_reference_draws(kind, genes, copies, rat
         return out, rng.bit_generator.state
 
     assert outcome(mutate) == outcome(_reference_mutate)
+
+
+# --- a generation of never-missing genes from one pull ---------------------------------
+
+@contextmanager
+def _mutation_draws_spy():
+    """Words.mutation_draws, recording for each call whether it drew (True) or gave up."""
+    taken = []
+    original = draws.Words.mutation_draws
+
+    def spy(self, length, counts):
+        drawn = original(self, length, counts)
+        taken.append(drawn is not None)
+        return drawn
+
+    with mock.patch.object(draws.Words, "mutation_draws", spy):
+        yield taken
+
+
+_NEVER_MISSING_TYPES = [t for t in GeneType if t is not GeneType.PYINT]
+
+
+@settings(max_examples=150)
+@given(kind=st.sampled_from([MutationKind.RANDOM, MutationKind.ADAPTIVE]),
+       types=st.one_of(st.lists(st.sampled_from(_NEVER_MISSING_TYPES), min_size=1, max_size=20),
+                       st.lists(st.sampled_from(list(GeneType)), min_size=1, max_size=20)),
+       rate=st.one_of(_MUTATION_RATES, st.tuples(st.just(NumGenes), st.just(17), st.just(1))),
+       by_replacement=st.booleans(), distinct=st.booleans(), half_word=st.booleans(),
+       delta=st.sampled_from([(-1.0, 1.0), (-2.5, 2.5), (-300.0, 300.0)]),
+       scale=st.sampled_from([1.0, 1e40]), rows=st.integers(1, 60),
+       seed=st.integers(0, 2**32 - 1))
+@example(kind=MutationKind.RANDOM, types=[GeneType.FLOAT64] * 18, rate=(NumGenes, 17, 1),
+         by_replacement=False, distinct=False, half_word=True, delta=(-1.0, 1.0), scale=1.0,
+         rows=3, seed=0)
+@example(kind=MutationKind.ADAPTIVE, types=[GeneType.INT8], rate=(NumGenes, 1, 1),
+         by_replacement=True, distinct=False, half_word=True, delta=(-300.0, 300.0), scale=1e40,
+         rows=60, seed=1)
+def test_never_missing_genes_mutate_as_the_reference_does(kind, types, rate, by_replacement,
+                                                          distinct, half_word, delta, scale,
+                                                          rows, seed):
+    n = len(types)
+    cfg = validate(GaConfig(
+        num_generations=1, sol_per_pop=rows, num_parents_mating=1, num_genes=n,
+        crossover=None, keep_parents=0, mutation=kind, mutation_rate=_rate(kind, *rate, n),
+        mutation_by_replacement=by_replacement, random_delta_range=delta,
+        allow_duplicate_genes=not distinct, gene_type=list(types),
+    ))
+    schema = GeneSchema.from_config(cfg)
+    # 1e40 is past float32's range and every integer type's, so coercion clamps.
+    pop = np.random.default_rng(seed + 1).uniform(-4.0, 4.0, size=(rows, n)) * scale
+    own = np.random.default_rng(seed + 2).uniform(-1.0, 1.0, size=rows)
+
+    def outcome(mutation):
+        rng = np.random.default_rng(seed)
+        if half_word:
+            rng.integers(2)  # a 32-bit draw leaves the other half of its word buffered
+        try:
+            out = mutation(kind, pop, cfg, 0.0, own, rng, schema=schema).tobytes()
+        except GaError as err:
+            out = type(err)  # the reference's repair errors do not name the row
+        return out, rng.bit_generator.state
+
+    with _mutation_draws_spy() as taken:
+        assert outcome(mutate) == outcome(_reference_mutate)
+    # The rates the rows take: an adaptive row below the mean fitness takes the high one.
+    rates = {cfg.mutation_rate}
+    if kind is MutationKind.ADAPTIVE:
+        rates = {(cfg.mutation_rate.low, cfg.mutation_rate.high)[b] for b in (own < 0.0).tolist()}
+    if schema.never_misses and not distinct and not any(isinstance(r, Probability) for r in rates):
+        # One call; it gives up only for more than 16 picks (a Lemire rejection is ~1e-9 a step).
+        assert taken == [max(resolve_mutation_count(r, n, None) for r in rates) <= 16]
+    else:
+        assert taken == []
+
+
+@pytest.mark.parametrize("half_word", [False, True])
+def test_a_value_that_overflows_raises_where_the_reference_raises(half_word):
+    cfg = _cfg(num_genes=3, sol_per_pop=5, mutation_rate=NumGenes(2),
+               random_delta_range=(1e308, 1.5e308))
+    schema = GeneSchema.from_config(cfg)
+    pop = np.ones((5, 3))
+    pop[3] = 1.7e308  # 1e308 or more added to it is past the largest double
+
+    def outcome(mutation):
+        rng = np.random.default_rng(4)
+        if half_word:
+            rng.integers(2)
+        with pytest.raises(NonFiniteGene) as err:
+            mutation(MutationKind.RANDOM, pop, cfg, 0.0, None, rng, schema=schema)
+        return str(err.value), rng.bit_generator.state
+
+    with _mutation_draws_spy() as taken:
+        assert outcome(mutate) == outcome(_reference_mutate)
+    assert taken == [True]  # drawn at once, then undone for the per-row loop to raise
+
+
+def _preset_run(argv):
+    cfg, fitness = cli.build_solve_config(cli.parse_invocation(["solve", *argv]))
+    with _mutation_draws_spy() as taken:
+        run(cfg, fitness)
+    return cfg.num_generations, taken
+
+
+@pytest.mark.parametrize("problem", ["xor", "linear"])
+def test_unconstrained_presets_mutate_every_generation_at_once(problem):
+    generations, taken = _preset_run(["--problem", problem, "--generations", "40"])
+    assert taken == [True] * generations
+
+
+_LATTICE_CFG = Path(__file__).parent.parent / "perfbench" / "lattice.cfg"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--problem", "onemax", "--generations", "20"],
+    ["--problem", "onemax", "--genes", "40", "--pop", "20", "--parents", "6",
+     "--generations", "10", "--config", str(_LATTICE_CFG)],
+])
+def test_constrained_genes_never_mutate_at_once(argv):
+    assert _preset_run(argv)[1] == []
