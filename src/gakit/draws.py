@@ -12,22 +12,24 @@ bit_generator.random_raw and rebuilds from them what these Generator methods
 return and consume:
 
 - random(): the top 53 bits of a word times 2**-53; uniform(lo, hi) is
-  lo + (hi - lo) * random(), with numpy's checks on hi - lo.
-- integers(n) and integers(lo, hi): Lemire's bounded integers. A span up
-  to 2**32 draws 32-bit halves, served low half first with the high half
-  kept for the next one, as PCG64's next_uint32 does; a larger span draws
-  whole words.
+  lo + (hi - lo) * random() for a finite, non-negative hi - lo.
+- integers(n) and integers(lo, hi) for Python-int bounds within int64 and a
+  span of at most 2**32: Lemire's bounded integers on 32-bit halves, served
+  low half first with the high half kept for the next one, as PCG64's
+  next_uint32 does.
 - choice(n, k, replace=False) for k <= _SHORT: Floyd's algorithm (step j
   draws from [0, j], so a step with bound 0 draws nothing), then the
   Lemire shuffle of the k picks.
 - permutation(x) for len(x) <= _SHORT: Fisher-Yates on masked rejection
   (numpy's random_interval).
 
-Longer choices and permutations cost more in Python than numpy's one call,
-so numpy draws them, and every binomial(n, p), from the replay's position:
-the unread words are rewound with advance, and for choice and permutation
-the half-word buffer is handed over and read back. binomial reads whole
-words only and leaves the buffer alone.
+numpy draws, or rejects with its own error, every other call of these
+methods from the replay's position: the unread words are rewound with
+advance, and the half-word buffer is handed over and read back. Longer
+choices and permutations cost more in Python than numpy's one call; the
+other calls are ones no workload makes. numpy also draws every
+binomial(n, p), after the rewind alone: it reads whole words only and
+leaves the buffer alone.
 
 mutation_draws serves a generation of rows that each draw only
 choice(length, k, replace=False) and k random() from one exact pull: the
@@ -45,15 +47,12 @@ there.
 
 from __future__ import annotations
 
-import itertools
-import math
 from contextlib import contextmanager
 from typing import Optional
 
 import numpy as np
 
 _MASK32 = 0xFFFFFFFF
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 _MASK128 = 2**128 - 1
 _INT64 = 2**63
 _DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53
@@ -216,65 +215,57 @@ class Words:
         self._take_back()
         return out
 
-    def _word(self) -> int:
-        i = self._next
-        if i == len(self._words):
-            self._words, i = self._bits.random_raw(_PULL).tolist(), 0
-        self._next = i + 1
-        return self._words[i]
-
     def _half_word(self) -> int:
         # PCG64's next_uint32: the low half of a fresh word, then its high half.
         if self._has_half:
             self._has_half = 0
             return self._half
-        word = self._word()
+        i = self._next
+        if i == len(self._words):
+            self._words, i = self._bits.random_raw(_PULL).tolist(), 0
+        self._next = i + 1
+        word = self._words[i]
         self._has_half, self._half = 1, word >> 32
         return word & _MASK32
 
     def _bounded(self, top: int) -> int:
-        """numpy's random_bounded_uint64(0, top): Lemire's method on [0, top]."""
-        if top <= _MASK32:
-            if not top:
-                return 0
-            span = top + 1
-            m = self._half_word() * span
-            if m & _MASK32 < span:
-                threshold = (_MASK32 - top) % span  # 2**32 % span: 0 for span 2**32
-                while m & _MASK32 < threshold:
-                    m = self._half_word() * span
-            return m >> 32
+        """numpy's random_bounded_uint64(0, top) for top < 2**32: Lemire's method on [0, top]."""
+        if not top:
+            return 0
         span = top + 1
-        m = self._word() * span
-        if m & _MASK64 < span:
-            threshold = (_MASK64 - top) % span
-            while m & _MASK64 < threshold:
-                m = self._word() * span
-        return m >> 64
+        m = self._half_word() * span
+        if m & _MASK32 < span:
+            threshold = (_MASK32 - top) % span  # 2**32 % span: 0 for span 2**32
+            while m & _MASK32 < threshold:
+                m = self._half_word() * span
+        return m >> 32
 
     def random(self) -> float:
         """Generator.random()."""
-        i = self._next  # _word, inlined: a mutated gene's delta is the most common draw
+        i = self._next
         if i == len(self._words):
             self._words, i = self._bits.random_raw(_PULL).tolist(), 0
         self._next = i + 1
         return (self._words[i] >> 11) * _DOUBLE_UNIT
 
     def uniform(self, low: float, high: float) -> float:
-        """Generator.uniform(low, high) for scalar bounds."""
+        """Generator.uniform(low, high) for scalar bounds; numpy takes a width not in [0, inf)."""
         width = high - low
-        if not math.isfinite(width):
-            raise OverflowError("high - low range exceeds valid bounds")
-        if width < 0:
-            raise ValueError("high - low < 0")
-        return low + width * self.random()
+        if 0 <= width < np.inf:
+            return low + width * self.random()
+        return self._numpy(self._gen.uniform, low, high)
 
     def integers(self, low: int, high=None) -> int:
-        """Generator.integers(low, high) for scalar int64 bounds: a draw from [low, high)."""
-        low, high = (0, int(low)) if high is None else (int(low), int(high))
-        if not -_INT64 <= low < high <= _INT64:
-            raise ValueError(f"integers({low}, {high}) holds no int64")
-        return low + self._bounded(high - low - 1)
+        """Generator.integers(low, high): a draw from [low, high).
+
+        Python-int bounds within int64 and a span of at most 2**32 are
+        replayed; numpy draws (or rejects) every other call.
+        """
+        lo, hi = (0, low) if high is None else (low, high)
+        if (type(lo) is int and type(hi) is int
+                and -_INT64 <= lo < hi <= _INT64 and hi - lo <= 1 << 32):
+            return lo + self._bounded(hi - lo - 1)
+        return self._numpy(self._gen.integers, low, high)
 
     def choice(self, a: int, size: int, replace: bool = True) -> list:
         """Generator.choice(a, size, replace) for an int a, as a list.
@@ -285,38 +276,15 @@ class Words:
         if (replace or type(a) is not int or type(size) is not int
                 or not 0 <= size <= min(a, _SHORT) or a > _MASK32):
             return self._numpy(self._gen.choice, a, size, replace=replace).tolist()
-        if size == 1:  # Floyd's one step, with no shuffle after it: a third of the loop's cost
-            return [self._bounded(a - 1)]
-        # Floyd's steps j = a - size .. a - 1 draw from [0, j], then the
-        # shuffle's steps i = size - 1 .. 1 from [0, i]; a bound of 0 draws
-        # nothing. Each draw is _bounded's 32-bit path, inlined on local state.
-        words, at, has_half, half = self._words, self._next, self._has_half, self._half
+        # Floyd's steps j = a - size .. a - 1 draw from [0, j], then the shuffle's
+        # steps i = size - 1 .. 1 from [0, i]; a bound of 0 draws nothing.
         picks: list = []
-        steps = itertools.chain(range(a - size, a), range(size - 1, 0, -1))
-        for step, top in enumerate(steps):
-            v = 0
-            if top:
-                span = top + 1
-                if has_half:
-                    has_half, m = 0, half * span
-                else:
-                    if at == len(words):
-                        words, at = self._bits.random_raw(_PULL).tolist(), 0
-                    word = words[at]
-                    at += 1
-                    has_half, half, m = 1, word >> 32, (word & _MASK32) * span
-                if m & _MASK32 < span:  # Lemire may reject: redraw on the shared state
-                    self._words, self._next, self._has_half, self._half = words, at, has_half, half
-                    threshold = (_MASK32 - top) % span
-                    while m & _MASK32 < threshold:
-                        m = self._half_word() * span
-                    words, at, has_half, half = self._words, self._next, self._has_half, self._half
-                v = m >> 32
-            if step < size:
-                picks.append(top if v in picks else v)
-            else:
-                picks[top], picks[v] = picks[v], picks[top]
-        self._words, self._next, self._has_half, self._half = words, at, has_half, half
+        for top in range(a - size, a):
+            v = self._bounded(top)
+            picks.append(top if v in picks else v)
+        for top in range(size - 1, 0, -1):
+            v = self._bounded(top)
+            picks[top], picks[v] = picks[v], picks[top]
         return picks
 
     def mutation_draws(self, length: int, counts: list):

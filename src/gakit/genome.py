@@ -519,11 +519,17 @@ class GeneSchema:
     def coerce(self, values) -> np.ndarray:
         """coerce_gene applied to every gene of a chromosome or (rows, genes) array, as a copy."""
         out = np.array(values, dtype=float)
-        finite = np.isfinite(out)
-        if not finite.all():
-            *row, j = np.argwhere(~finite)[0].tolist()  # the first, row by row
+        bad = ~np.isfinite(out)
+        for gene_type, cols in self._groups:
+            if gene_type is GeneType.PYINT:
+                bad[..., cols] |= np.abs(out[..., cols]) > _EXACT_INT_LIMIT
+        if bad.any():
+            *row, j = np.argwhere(bad)[0].tolist()  # the first, row by row
             where = "".join(f"row {i}, " for i in row) + f"gene {j} ({self.types[j].value})"
-            raise NonFiniteGene(f"{where}: gene value {float(out[(*row, j)])!r} is not finite")
+            value = float(out[(*row, j)])
+            fault = ("is not finite" if not math.isfinite(value)
+                     else "exceeds the exact double-precision integer range")
+            raise NonFiniteGene(f"{where}: gene value {value!r} {fault}")
         for gene_type, cols in self._groups:
             out[..., cols] = _coerce_array(out[..., cols], gene_type)
         return out

@@ -8,6 +8,8 @@ draws.Words (see draws.replayed): for one call, the Generator's raw words are
 pulled in bulk and numpy's draws rebuilt from them, so the rules' samples,
 admits and repairs it calls cost a few integer operations each instead of a
 call into numpy, and the Generator ends in the state the direct calls leave.
+A draw outside the set Words replays (see draws) is numpy's own call, made
+from the replay's position.
 
 Genes that never miss (GeneSchema.never_misses) draw nothing in admit, so
 a generation of them draws its positions and deltas from one exact pull

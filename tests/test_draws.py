@@ -34,9 +34,10 @@ def _replays(draw, seed, half_word):
 
 
 # Bounds 2**31 + 1 reject about half of their 32-bit draws; 2**32 is the
-# largest span drawn from halves, one raw half a draw; 2**32 + 3 and up draw
-# whole words.
-@pytest.mark.parametrize("n", [1, 2, 3, 100, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 3, 2**62, 2**63])
+# largest span replayed, one raw half a draw. numpy draws a wider span and a
+# bound of numpy's own integer type.
+@pytest.mark.parametrize("n", [1, 2, 3, 100, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 3, 2**62, 2**63,
+                               np.uint64(5)])
 @pytest.mark.parametrize("half_word", [False, True])
 def test_integers_replay(n, half_word):
     for seed in _SEEDS:
@@ -47,14 +48,14 @@ def test_integers_replay(n, half_word):
 
 @pytest.mark.parametrize("half_word", [False, True])
 def test_full_int64_span_replays(half_word):
-    # span 2**64, the largest: one raw word a draw
+    # span 2**64, the largest, which numpy draws
     for seed in _SEEDS:
         _replays(lambda g: [int(g.integers(-2**63, 2**63)) for _ in range(150)], seed, half_word)
 
 
 @pytest.mark.parametrize("half_word", [False, True])
 def test_numpy_integer_bounds_replay(half_word):
-    # numpy's own integers as bounds: Python ints must hold the Lemire products
+    # numpy's own integers as bounds, which numpy draws
     for seed in _SEEDS:
         _replays(lambda g: [int(g.integers(np.int64(2**32 - 1))) for _ in range(20)],
                  seed, half_word)
@@ -131,6 +132,8 @@ def test_interleaved_draws_replay():
     lambda g: g.integers(0), lambda g: g.integers(5, 5), lambda g: g.integers(2**63 + 1),
     lambda g: g.uniform(1.0, 0.0), lambda g: g.uniform(-1e308, 1e308),
     lambda g: g.choice(3, 4, replace=False), lambda g: g.choice(3, -1, replace=False),
+    lambda g: g.integers(2**63, 2**63 + 5), lambda g: g.integers(-2**63 - 2, -2**63 + 3),
+    lambda g: g.uniform(np.nan, 1.0), lambda g: g.uniform(0.0, np.inf),
 ])
 def test_rejected_draws_raise_what_numpy_raises_and_draw_nothing(call):
     direct, words_rng = np.random.default_rng(1), np.random.default_rng(1)

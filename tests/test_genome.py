@@ -126,6 +126,14 @@ def test_schema_coerce_names_the_first_non_finite_gene(values, message):
         _schema(UNCONSTRAINED, GeneType.FLOAT32, 3).coerce(values)
 
 
+def test_schema_coerce_names_a_pyint_gene_past_2_53():
+    schema = GeneSchema([UNCONSTRAINED] * 3, [GeneType.PYINT] * 3, (-4, 4))
+    message = ("row 1, gene 1 (int): gene value 1.152921504606847e+18 exceeds the exact "
+               "double-precision integer range")
+    with pytest.raises(NonFiniteGene, match=f"^{re.escape(message)}$"):
+        schema.coerce([[1, 2, 3], [1, 2.0**60, 1]])
+
+
 def test_coerce_idempotent():
     rng = np.random.default_rng(5)
     types = list(GeneType)

@@ -834,3 +834,20 @@ _LATTICE_CFG = Path(__file__).parent.parent / "perfbench" / "lattice.cfg"
 ])
 def test_constrained_genes_never_mutate_at_once(argv):
     assert _preset_run(argv)[1] == []
+
+
+# The benchmark's workloads (perfbench/harness.py): onemax, xor and lattice.
+@pytest.mark.parametrize("argv", [
+    ["--problem", "onemax", "--generations", "200"],
+    ["--problem", "xor"],
+    ["--problem", "onemax", "--genes", "40", "--pop", "20", "--parents", "6",
+     "--generations", "100", "--config", str(_LATTICE_CFG)],
+])
+def test_benchmark_presets_hand_no_draw_to_numpy(argv):
+    # Words replays only the draws these runs make; a draw outside that set goes to numpy.
+    words = draws.Words
+    with mock.patch.object(words, "_numpy", autospec=True, side_effect=words._numpy) as handed, \
+            mock.patch.object(words, "close", autospec=True, side_effect=words.close) as closed:
+        generations = _preset_run(argv)[0]
+    assert handed.call_args_list == []
+    assert closed.call_count == generations  # every generation's mutation ran on the replay
