@@ -36,7 +36,8 @@ choice(length, k, replace=False) and k random() from one exact pull: the
 choice's steps take 32-bit halves and the deltas whole words, so the words
 read follow from the rows' k and the half-word buffer alone. It gives up,
 having drawn nothing, where a Lemire step would reject (about span / 2**32
-a step) or choice() would hand the choice to numpy.
+a step) or choice() would hand the choice to numpy. Its draws are final:
+mutate rules out a value past the largest double before the call.
 
 close() rewinds the unread words and hands the buffer back, so the
 Generator ends in exactly the state the direct calls leave. NEP 19 keeps
@@ -181,7 +182,7 @@ class Words:
     then leaves the Generator where the direct calls would have.
     """
 
-    __slots__ = ("_gen", "_bits", "_words", "_next", "_has_half", "_half", "_entry")
+    __slots__ = ("_gen", "_bits", "_words", "_next", "_has_half", "_half")
 
     def __init__(self, gen: np.random.Generator) -> None:
         self._gen = gen
@@ -342,15 +343,8 @@ class Words:
             return None
         deltas = np.ones(total, bool)
         deltas[fresh] = False
-        self._entry = self._has_half, self._half
         self._words, self._next, self._has_half, self._half = words, total, has_half, half
         return np.array(positions, dtype=np.intp), (raw[deltas] >> 11) * _DOUBLE_UNIT
-
-    def undo_mutation_draws(self) -> None:
-        """Move back to where the mutation_draws just made began, as if it had drawn nothing."""
-        self._next = 0
-        self._rewind()
-        self._has_half, self._half = self._entry
 
     def permutation(self, x) -> np.ndarray:
         """Generator.permutation(x): a shuffled copy; numpy draws one of more than _SHORT values."""

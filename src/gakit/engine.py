@@ -17,14 +17,18 @@ import numpy as np
 
 from .config import GaConfig, MutationKind
 from .draws import StageStreams
-from .errors import DimensionMismatch, FitnessError, GaError, HookError
-from .genome import _GENE_ERRORS, GeneSchema, init_population, settle
+from .errors import (_GENE_ERRORS, DimensionMismatch, FitnessError, GaError, HookError,
+                     NonPositiveFitness, context)
+from .genome import GeneSchema, init_population, settle
 from .operators import mutate, produce_offspring, select_parents, summable
 
 _STAGE_INIT = 0
 _STAGE_SELECTION = 1
 _STAGE_CROSSOVER = 2
 _STAGE_MUTATION = 3
+
+# What a stage after init may raise, re-raised naming the generation and the stage.
+_STAGE_ERRORS = _GENE_ERRORS + (NonPositiveFitness, MemoryError)
 
 
 class GaControl(Enum):
@@ -177,14 +181,12 @@ def _should_stop(control) -> bool:
     return control is GaControl.STOP or control == "stop"
 
 
-def _check_offspring_shape(offspring, count: int, num_genes: int) -> np.ndarray:
+def _check_offspring_shape(offspring, shape: tuple, where: str) -> np.ndarray:
     # Hooks may replace offspring arrays but must preserve their shape, or the
     # population would drift away from sol_per_pop rows.
     offspring = np.asarray(offspring, dtype=float)
-    if offspring.shape != (count, num_genes):
-        raise DimensionMismatch(
-            f"offspring array shape {offspring.shape} != ({count}, {num_genes})"
-        )
+    if offspring.shape != shape:
+        raise DimensionMismatch(f"{where}: offspring array shape {offspring.shape} != {shape}")
     return offspring
 
 
@@ -197,13 +199,15 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
     keep_parents elites plus the offspring. The crossover and mutation hooks
     fire even when their operator is disabled. After the loop the final
     population is evaluated and appended to the history, so a 0-generation run
-    still reports the initial population's best.
+    still reports the initial population's best. A gene error, a selection's
+    NonPositiveFitness or a MemoryError after init names the generation and
+    the stage; a hook's wrong offspring shape names the generation and the hook.
     """
     hooks = hooks or LifecycleHooks()
-    schema = GeneSchema.from_config(cfg)
     stage_rng = StageStreams(cfg.seed)
-
-    population = init_population(cfg, stage_rng(0, _STAGE_INIT), schema)
+    with context("init "):
+        schema = GeneSchema.from_config(cfg)
+        population = init_population(cfg, stage_rng(0, _STAGE_INIT), schema)
     population.flags.writeable = False
     state = EngineState(cfg, population)
 
@@ -227,6 +231,7 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
     completed = 0
     adaptive = cfg.mutation is MutationKind.ADAPTIVE
     offspring_count = cfg.sol_per_pop - cfg.keep_parents
+    offspring_shape = (offspring_count, cfg.num_genes)
 
     for g in range(cfg.num_generations):
         state.generation = g
@@ -237,50 +242,43 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
 
         best_index, best_fit, mean_fit = record_entry(fit)
 
-        parents = select_parents(
-            cfg.parent_selection, population, fit, cfg.num_parents_mating,
-            stage_rng(g, _STAGE_SELECTION), cfg.tournament_k,
-        )
+        with context(f"generation {g}, selection ", _STAGE_ERRORS):
+            parents = select_parents(cfg.parent_selection, population, fit,
+                                     cfg.num_parents_mating, stage_rng(g, _STAGE_SELECTION),
+                                     cfg.tournament_k)
         state.last_generation_parents = parents.rows
         state.last_generation_parents_indices = parents.indices
         _fire(hooks, "on_parents", state)
 
-        offspring = produce_offspring(
-            cfg.crossover, parents, offspring_count,
-            stage_rng(g, _STAGE_CROSSOVER),
-        )
+        with context(f"generation {g}, crossover ", _STAGE_ERRORS):
+            offspring = produce_offspring(cfg.crossover, parents, offspring_count,
+                                          stage_rng(g, _STAGE_CROSSOVER))
         state.last_generation_offspring_crossover = offspring
         _fire(hooks, "on_crossover", state)
-        offspring = _check_offspring_shape(
-            state.last_generation_offspring_crossover, offspring_count, cfg.num_genes
-        )
+        offspring = _check_offspring_shape(state.last_generation_offspring_crossover,
+                                           offspring_shape, f"generation {g}, on_crossover hook")
 
         mutation_rng = stage_rng(g, _STAGE_MUTATION)
         if cfg.mutation is not None:
             # Child i was bred from parent i mod P, whose fitness is its adaptive proxy.
             own = (fit[parents.indices[np.arange(offspring_count) % len(parents.indices)]]
                    if adaptive else None)
-            try:
+            with context(f"generation {g}, mutation ", _STAGE_ERRORS):
                 mutated = mutate(cfg.mutation, offspring, cfg, mean_fit, own, mutation_rng,
                                  schema=schema)
-            except _GENE_ERRORS as err:
-                raise type(err)(f"generation {g}, mutation {err}") from None
         else:
             mutated = offspring
         state.last_generation_offspring_mutation = mutated
         _fire(hooks, "on_mutation", state)
-        mutated = _check_offspring_shape(
-            state.last_generation_offspring_mutation, offspring_count, cfg.num_genes
-        )
+        mutated = _check_offspring_shape(state.last_generation_offspring_mutation,
+                                         offspring_shape, f"generation {g}, on_mutation hook")
 
         # Crossover (and hook overwrites, which may also edit an array in place)
         # can break typing or distinctness even though mutate() repairs its own
         # output; settle before assembly, every generation.
-        try:
+        with context(f"generation {g}, settle ", _STAGE_ERRORS):
             mutated = settle(cfg, schema, mutated, mutation_rng)
-        except _GENE_ERRORS as err:
-            raise type(err)(f"generation {g}, settle {err}") from None
-        population = np.vstack([parents.rows[: cfg.keep_parents], mutated])
+            population = np.vstack([parents.rows[: cfg.keep_parents], mutated])
         population.flags.writeable = False
         state.population = population
 

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all gakit modules."""
+"""Exception hierarchy shared by all gakit modules, and context, which names where one came from."""
+
+from contextlib import AbstractContextManager
 
 
 class GaError(Exception):
@@ -82,3 +84,27 @@ class UnplottableHistory(GaError):
 
 class UsageError(GaError):
     """Invalid command-line invocation."""
+
+
+# The errors a gene's constraints raise; each step that meets one names itself.
+_GENE_ERRORS = (InsufficientSpace, EmptySpace, NonFiniteGene)
+
+
+class context(AbstractContextManager):
+    """with context(f"generation {g}, mutation "): re-raise an error of errors with prefix added.
+
+    The error keeps its type and loses its cause, except that a MemoryError
+    becomes a GaError caused by it. Other errors pass through unchanged.
+    """
+
+    __slots__ = ("prefix", "errors")
+
+    def __init__(self, prefix: str, errors: tuple = _GENE_ERRORS) -> None:
+        self.prefix, self.errors = prefix, errors
+
+    def __exit__(self, kind, err, traceback) -> None:
+        if kind is None or not issubclass(kind, self.errors):
+            return
+        if issubclass(kind, MemoryError):
+            raise GaError(f"{self.prefix}{str(err) or 'out of memory'}") from err
+        raise kind(f"{self.prefix}{err}") from None

@@ -29,7 +29,8 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySpace, GaError, InsufficientSpace, NonFiniteGene
+from .errors import (DimensionMismatch, EmptySpace, GaError, InsufficientSpace, NonFiniteGene,
+                     context)
 
 if TYPE_CHECKING:
     from .config import GaConfig
@@ -84,8 +85,6 @@ _INTEGRAL_MAGNITUDE = 2.0**52
 _LATTICE_ENUM_CAP = 1 << 20
 
 _REDRAW_BUDGET = 100
-# The errors a gene's constraints raise; each stage re-raises one naming itself.
-_GENE_ERRORS = (InsufficientSpace, EmptySpace, NonFiniteGene)
 
 
 @dataclass(frozen=True)
@@ -176,18 +175,11 @@ def coerce_gene(v, gene_type: GeneType) -> float:
 
 
 def _coerce_array(values: np.ndarray, gene_type: GeneType) -> np.ndarray:
-    """coerce_gene on every element of an array of finite values."""
+    """coerce_gene on every element of an array of finite values (PYINT ones within 2**53)."""
     if gene_type is GeneType.FLOAT64:
         return values
     if gene_type is GeneType.FLOAT32:
         return np.clip(values, -_FLOAT32_MAX, _FLOAT32_MAX).astype(np.float32).astype(float)
-    if gene_type is GeneType.PYINT:
-        too_large = np.abs(values) > _EXACT_INT_LIMIT
-        if too_large.any():
-            raise NonFiniteGene(
-                f"gene value {float(values[too_large][0])!r} exceeds the exact "
-                "double-precision integer range"
-            )
     rounded = np.where(values >= 0, np.floor(values + 0.5), np.ceil(values - 0.5))
     rounded = np.where(np.abs(values) < _INTEGRAL_MAGNITUDE, rounded, values)
     if gene_type in _FLOAT_BOUNDS:
@@ -479,7 +471,8 @@ class GeneSchema:
     .sample(rng) and .admit(v, rng) answer for gene j; a finite rule's
     float64 .array and .pool hold its coerced discrete set or enumerated typed
     step lattice. Compiling raises EmptySpace for a set or lattice that holds no
-    value of its gene type. unconstrained[j] tells whether gene j's space is
+    value of its gene type, or NonFiniteGene for a set value it cannot hold,
+    naming the gene. unconstrained[j] tells whether gene j's space is
     Unconstrained; never_misses, whether every gene's is and none is PYINT,
     so that admit keeps every finite value as coerced and never draws.
 
@@ -502,9 +495,10 @@ class GeneSchema:
         self.types = tuple(types)
         self.init_range = (float(init_range[0]), float(init_range[1]))
         rules: dict = {}
-        for key in zip(self.spaces, self.types):
+        for j, key in enumerate(zip(self.spaces, self.types)):
             if key not in rules:
-                rules[key] = _GeneRule(*key, self.init_range)
+                with context(f"gene {j} ({key[1].value}): "):
+                    rules[key] = _GeneRule(*key, self.init_range)
         self.rules = tuple(rules[key] for key in zip(self.spaces, self.types))
         self.unconstrained = tuple(isinstance(space, Unconstrained) for space in self.spaces)
         self.never_misses = all(map(_never_misses, self.spaces, self.types))
@@ -525,11 +519,9 @@ class GeneSchema:
                 bad[..., cols] |= np.abs(out[..., cols]) > _EXACT_INT_LIMIT
         if bad.any():
             *row, j = np.argwhere(bad)[0].tolist()  # the first, row by row
-            where = "".join(f"row {i}, " for i in row) + f"gene {j} ({self.types[j].value})"
-            value = float(out[(*row, j)])
-            fault = ("is not finite" if not math.isfinite(value)
-                     else "exceeds the exact double-precision integer range")
-            raise NonFiniteGene(f"{where}: gene value {value!r} {fault}")
+            where = "".join(f"row {i}, " for i in row)
+            with context(f"{where}gene {j} ({self.types[j].value}): "):
+                coerce_gene(out[(*row, j)], self.types[j])  # raises NonFiniteGene
         for gene_type, cols in self._groups:
             out[..., cols] = _coerce_array(out[..., cols], gene_type)
         return out
@@ -551,7 +543,7 @@ class GeneSchema:
                 fill(rng, block[:, cols])
         return out
 
-    def repair(self, genes, rng) -> np.ndarray:
+    def repair(self, genes, rng, where: str = "") -> np.ndarray:
         """Resample duplicated genes until each chromosome's values are pairwise distinct.
 
         Takes one chromosome or a (rows, genes) population and returns a
@@ -560,30 +552,24 @@ class GeneSchema:
         admissible set excluding every value currently present in the row.
         Rows are repaired in order, and a row that is already distinct draws
         nothing, so one sort finds the rows that need the scan. A gene with no
-        distinct value left raises InsufficientSpace naming the gene, its type
-        and, for a population, its row.
+        distinct value left raises InsufficientSpace naming, after where, the
+        gene, its type and, for a population, its row.
         """
         out = np.array(genes, dtype=float)
         rows = out.reshape(-1, out.shape[-1])
         ordered = np.sort(rows, axis=1)
         for i in np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1)):
-            try:
-                rows[i] = self._repair_row(rows[i].tolist(), rng)
-            except InsufficientSpace as err:
-                if out.ndim == 1:
-                    raise
-                raise InsufficientSpace(f"row {i}, {err}") from None
+            rows[i] = self._repair_row(rows[i].tolist(), rng,
+                                       f"{where}row {i}, " if out.ndim > 1 else where)
         return out
 
-    def _repair_row(self, values: list, rng) -> list:
+    def _repair_row(self, values: list, rng, where: str = "") -> list:
         seen = set()
         for j, v in enumerate(values):
             if v in seen:
                 exclude = set(values[:j] + values[j + 1:])
-                try:
+                with context(f"{where}gene {j} ({self.types[j].value}): "):
                     v = values[j] = self.rules[j].resample_excluding(exclude, rng)
-                except InsufficientSpace as err:
-                    raise InsufficientSpace(f"gene {j} ({self.types[j].value}): {err}") from None
             seen.add(v)
         return values
 
@@ -605,8 +591,8 @@ def init_population(cfg: "GaConfig", rng, schema: Optional[GeneSchema] = None) -
     for duplicates when required) but is never rejected for lying outside the
     gene space. Otherwise every gene is sampled from its admissible set by the
     schema's row sampler; without duplicate genes each row is repaired before
-    the next is drawn. A population the host cannot allocate raises GaError.
-    The schema defaults to the one compiled from cfg.
+    the next is drawn. A population the host cannot allocate raises GaError;
+    a failed repair names its row. The schema defaults to the one from cfg.
     """
     if schema is None:
         schema = GeneSchema.from_config(cfg)
@@ -617,10 +603,7 @@ def init_population(cfg: "GaConfig", rng, schema: Optional[GeneSchema] = None) -
                 f"initial population shape {pop.shape} != "
                 f"({cfg.sol_per_pop}, {cfg.num_genes})"
             )
-        try:
-            return settle(cfg, schema, pop, rng)
-        except _GENE_ERRORS as err:
-            raise type(err)(f"init {err}") from None
+        return settle(cfg, schema, pop, rng)
     shape = (cfg.sol_per_pop, cfg.num_genes)
     try:
         if cfg.allow_duplicate_genes:
@@ -628,13 +611,9 @@ def init_population(cfg: "GaConfig", rng, schema: Optional[GeneSchema] = None) -
         pop = np.empty(shape)
     except MemoryError as err:
         raise GaError(f"init: cannot allocate a population of shape {shape}") from err
-    except _GENE_ERRORS as err:
-        raise type(err)(f"init {err}") from None
     for i, row in enumerate(pop):
-        try:
+        with context(f"row {i}, "):
             row[...] = schema.repair(schema._sample_rows(rng, 1)[0], rng)
-        except _GENE_ERRORS as err:
-            raise type(err)(f"init row {i}, {err}") from None
     return pop
 
 

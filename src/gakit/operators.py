@@ -14,13 +14,16 @@ from the replay's position.
 Genes that never miss (GeneSchema.never_misses) draw nothing in admit, so
 a generation of them draws its positions and deltas from one exact pull
 (Words.mutation_draws) and is written in a few numpy calls. The per-row
-loop runs instead where that pull gives up (a Lemire rejection, more than
-16 picks, over 2**32 - 1 genes), where a value is not finite (it raises
-there), and for repaired duplicates, Probability rates and other generators.
+loop runs instead where a written value could be past the largest double
+(decided before drawing, from the delta range and the rows' largest
+magnitude; the loop raises where one is), where that pull gives up (a
+Lemire rejection, more than 16 picks, over 2**32 - 1 genes), and for
+repaired duplicates, Probability rates and other generators.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +38,7 @@ from .config import (
     resolve_mutation_count,
 )
 from .draws import Words, replayed
-from .errors import InsufficientSpace, NonPositiveFitness
+from .errors import NonPositiveFitness
 from .genome import GeneSchema
 
 
@@ -228,13 +231,6 @@ def mutate(kind: MutationKind, chrom, cfg: GaConfig, pop_mean_fitness: float = 0
     return genes
 
 
-def _repaired(schema: GeneSchema, row, i: int, rng) -> np.ndarray:
-    try:
-        return schema.repair(row, rng)
-    except InsufficientSpace as err:
-        raise InsufficientSpace(f"row {i}, {err}") from None
-
-
 def _mutate_structure(kind, rows, cfg, rng, schema) -> None:
     move = _MOVES.get(kind)
     if move is None:
@@ -246,7 +242,7 @@ def _mutate_structure(kind, rows, cfg, rng, schema) -> None:
             for j in move(row, rng):
                 row[j] = rules[j].admit(row[j], rng)
         if not cfg.allow_duplicate_genes:
-            row[:] = _repaired(schema, row, i, rng)
+            row[:] = schema.repair(row, rng, f"row {i}, ")
 
 
 def _mutate_random(kind, rows, cfg, pop_mean_fitness, own_fitness, rng, schema) -> None:
@@ -291,7 +287,7 @@ def _mutate_random(kind, rows, cfg, pop_mean_fitness, own_fitness, rng, schema) 
                 v += row.item(j)
             row[j] = rules[j].admit(v, rng)
         if repair:
-            rows[i] = _repaired(schema, row, i, rng)
+            rows[i] = schema.repair(row, rng, f"row {i}, ")
 
 
 def _mutate_at_once(rows, counts, cfg, schema, rng) -> bool:
@@ -299,18 +295,22 @@ def _mutate_at_once(rows, counts, cfg, schema, rng) -> bool:
 
     False, with nothing written or drawn, where the loop must run instead.
     """
+    lo, hi = cfg.random_delta_range
+    # |lo + (hi - lo) * u| <= |lo| + (hi - lo), plus the old gene's magnitude
+    # unless by replacement; rounding is monotone, so a finite bound (NaN and
+    # inf genes make it not finite) leaves every written value finite.
+    bound = abs(lo) + (hi - lo)
+    if not cfg.mutation_by_replacement:
+        bound += float(np.abs(rows).max(initial=0.0))
+    if not math.isfinite(bound):
+        return False
     drawn = rng.mutation_draws(rows.shape[1], counts)
     if drawn is None:
         return False
     at, units = drawn
-    lo, hi = cfg.random_delta_range
     flat = rows.reshape(-1)  # a view: mutate's rows are its own contiguous copy
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = lo + (hi - lo) * units
-        if not cfg.mutation_by_replacement:
-            values += flat[at]
-    if not np.isfinite(values).all():
-        rng.undo_mutation_draws()
-        return False
+    values = lo + (hi - lo) * units
+    if not cfg.mutation_by_replacement:
+        values += flat[at]
     flat[at] = schema.coerce_at(values, at)
     return True

@@ -274,6 +274,22 @@ def test_space_with_no_value_of_its_type_exits_four_naming_init(tmp_path, capsys
     )
 
 
+@pytest.mark.parametrize("selection, scheme", [
+    ("roulette", "fitness-proportional selection"),
+    ("stochastic_universal", "stochastic universal sampling"),
+])
+def test_zero_fitness_exits_four_naming_generation_and_selection(tmp_path, capsys, selection,
+                                                                 scheme):
+    # Every onemax gene is 0, so every fitness is 0.
+    conf = tmp_path / "run.conf"
+    conf.write_text("gene_space=set:0\n")
+    argv = ["solve", "--problem", "onemax", "--selection", selection, "--config", str(conf)]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == (
+        f"runtime error: generation 0, selection {scheme} requires every fitness value > 0\n"
+    )
+
+
 def test_unallocatable_population_exits_four_naming_init(capsys):
     # 710 PiB is past any 64-bit address space, so the allocation fails before
     # any memory is touched whatever the host's overcommit policy.

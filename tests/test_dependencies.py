@@ -5,7 +5,9 @@ outside itself. The tests import only what pyproject.toml declares, as a
 dependency or in the test extra. The benchmark harness under perfbench/
 reads names off gakit and gakit.cli, so a cut to the public surface must
 keep those. Only draws.py touches numpy's bit generators, so a numpy
-release that changes their algorithms can break only that module.
+release that changes their algorithms can break only that module. Only
+errors.py re-raises a caught error with context added to its message
+(errors.context), so where an error came from is decided in one place.
 """
 
 import ast
@@ -65,6 +67,44 @@ def test_only_draws_touches_numpy_bit_generators():
         for name in _identifiers(path) if name in BIT_GENERATOR_NAMES
     }
     assert not touching
+
+
+def _prefixed_reraises(tree: ast.AST):
+    """The line of every raise that rebuilds an error it caught with a message formatting it.
+
+    In an `except E as err` handler: a raise of type(err)(...) or of E(...)
+    given an f-string that formats err, as in raise type(err)(f"init {err}").
+    """
+    for handler in ast.walk(tree):
+        if not isinstance(handler, ast.ExceptHandler) or handler.name is None:
+            continue
+        caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        own = {ast.unparse(node) for node in caught} | {f"type({handler.name})"}
+        for node in ast.walk(handler):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and ast.unparse(node.exc.func) in own
+                    and any(isinstance(part, ast.FormattedValue)
+                            and isinstance(part.value, ast.Name) and part.value.id == handler.name
+                            for arg in node.exc.args if isinstance(arg, ast.JoinedStr)
+                            for part in arg.values)):
+                yield node.lineno
+
+
+@pytest.mark.parametrize("source", [
+    "try:\n    f()\nexcept (A, B) as err:\n    raise type(err)(f'init {err}') from None\n",
+    "try:\n    f()\nexcept A as err:\n    raise A(f'row {i}, {err}') from None\n",
+])
+def test_prefixed_reraise_guard_sees_the_pattern(source):
+    assert list(_prefixed_reraises(ast.parse(source))) == [4]
+
+
+def test_only_errors_adds_context_to_a_caught_error():
+    assert "errors.py" in {path.name for path in SOURCES}
+    prefixed = {
+        (path.name, line) for path in SOURCES if path.name != "errors.py"
+        for line in _prefixed_reraises(ast.parse(path.read_text(), filename=str(path)))
+    }
+    assert not prefixed
 
 
 def _declared(requirements) -> set:

@@ -221,16 +221,6 @@ def test_mutation_draws_give_up_having_drawn_nothing(length, counts, half_word):
     assert rng.bit_generator.state == direct.bit_generator.state
 
 
-@pytest.mark.parametrize("half_word", [False, True])
-def test_undone_mutation_draws_leave_the_generator_where_they_began(half_word):
-    rng, entry = _prepared(3, half_word, 0), _prepared(3, half_word, 0).bit_generator.state
-    words = Words(rng)
-    assert words.mutation_draws(9, [4, 1, 9, 1]) is not None
-    words.undo_mutation_draws()
-    words.close()
-    assert rng.bit_generator.state == entry
-
-
 # --- stage streams ---------------------------------------------------------------------
 
 _B = draws._STREAM_BLOCK

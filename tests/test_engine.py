@@ -42,8 +42,9 @@ from gakit.errors import (
     HookError,
     InsufficientSpace,
     NonFiniteGene,
+    NonPositiveFitness,
 )
-from gakit.genome import DiscreteSet, GeneSchema, GeneType, ValueRange
+from gakit.genome import UNCONSTRAINED, DiscreteSet, GeneSchema, GeneType, ValueRange
 from gakit.operators import mutate
 from gakit.problems import DEFAULT_EQUATION, linear_fitness
 
@@ -202,6 +203,17 @@ def test_hook_overwrite_with_wrong_shape_rejected():
             LifecycleHooks(on_mutation=overwrite))
 
 
+@pytest.mark.parametrize("hook", ["on_crossover", "on_mutation"])
+def test_wrong_offspring_shape_names_the_hook_and_generation(hook):
+    def overwrite(state):
+        if state.generation == 1:
+            setattr(state, f"last_generation_offspring_{hook[3:]}", np.zeros((2, 3)))
+
+    message = rf"^generation 1, {hook} hook: offspring array shape \(2, 3\) != \(8, 3\)$"
+    with pytest.raises(DimensionMismatch, match=message):
+        run(demo_config(keep_parents=2), sum_fitness, LifecycleHooks(**{hook: overwrite}))
+
+
 @pytest.mark.parametrize("hook, generation", [
     ("on_start", None), ("on_fitness", 0), ("on_parents", 0), ("on_crossover", 0),
     ("on_mutation", 0), ("on_generation", 0), ("on_stop", 0),
@@ -221,7 +233,7 @@ def test_ga_error_from_a_hook_passes_through_unwrapped():
     def broken(state):
         raise DimensionMismatch("a hook's own library error")
 
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="^a hook's own library error$"):
         run(demo_config(num_generations=1), sum_fitness, LifecycleHooks(on_parents=broken))
 
 
@@ -718,4 +730,56 @@ def test_space_with_no_value_of_its_type_names_generation_and_mutation():
     cfg = demo_config(initial_population=[[0, 0, 0]] * 10, **_NO_INT8)
     with pytest.raises(EmptySpace,
                        match=f"^generation 0, mutation {re.escape(_NO_INT8_FOUND)}$"):
+        run(cfg, sum_fitness)
+
+
+@pytest.mark.parametrize("selection, scheme", [
+    (ParentSelection.ROULETTE, "fitness-proportional selection"),
+    (ParentSelection.STOCHASTIC_UNIVERSAL, "stochastic universal sampling"),
+])
+def test_non_positive_fitness_names_generation_and_selection(selection, scheme):
+    calls = []
+
+    def positive_then_zero(solution, idx):  # generation 0's 10 rows score 1, later rows 0
+        calls.append(idx)
+        return 1.0 if len(calls) <= 10 else 0.0
+
+    message = f"^generation 1, selection {scheme} requires every fitness value > 0$"
+    with pytest.raises(NonPositiveFitness, match=message):
+        run(demo_config(parent_selection=selection), positive_then_zero)
+
+
+@pytest.mark.parametrize("stage, name", [
+    ("select_parents", "selection"), ("produce_offspring", "crossover"),
+    ("mutate", "mutation"), ("settle", "settle"),
+])
+@pytest.mark.parametrize("error, text", [
+    (MemoryError(), "out of memory"),
+    (MemoryError("Unable to allocate 745. GiB"), "Unable to allocate 745. GiB"),
+])
+def test_memory_error_after_init_is_a_ga_error_naming_generation_and_stage(
+        monkeypatch, stage, name, error, text):
+    # Raised directly: asking for a size numpy cannot allocate depends on the host.
+    real, calls = getattr(engine, stage), []
+
+    def out_of_memory_at_generation_2(*args, **kwargs):
+        if len(calls) == 2:
+            raise error
+        calls.append(stage)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, stage, out_of_memory_at_generation_2)
+    with pytest.raises(GaError, match=f"^generation 2, {name} {re.escape(text)}$") as err:
+        run(demo_config(crossover=CrossoverKind.UNIFORM, mutation=MutationKind.RANDOM),
+            sum_fitness)
+    assert type(err.value) is GaError and err.value.__cause__ is error
+
+
+def test_set_value_past_its_type_names_init_and_gene():
+    # validate leaves a set its gene type cannot hold for the schema to report.
+    cfg = demo_config(num_genes=2, gene_space=[UNCONSTRAINED, DiscreteSet((1e300, 1, 2))],
+                      gene_type=GeneType.PYINT, allow_duplicate_genes=False)
+    message = ("init gene 1 (int): gene value 1e+300 exceeds the exact double-precision "
+               "integer range")
+    with pytest.raises(NonFiniteGene, match=f"^{re.escape(message)}$"):
         run(cfg, sum_fitness)

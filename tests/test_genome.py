@@ -243,8 +243,18 @@ def test_sample_continuous_range_half_open():
 def test_sample_empty_typed_lattice_raises():
     # lattice {0.5, 1.5, 2.5} holds no representable int32 value, which
     # compiling the schema finds before any draw
-    with pytest.raises(EmptySpace):
+    message = ("gene 0 (int32): no value of ValueRange(lo=0.5, hi=3.0, step=1.0) is "
+               "representable as int32")
+    with pytest.raises(EmptySpace, match=f"^{re.escape(message)}$"):
         _schema(ValueRange(0.5, 3.0, step=1.0), GeneType.INT32)
+
+
+def test_compiling_a_set_value_past_its_type_names_the_rules_first_gene():
+    spaces = [UNCONSTRAINED] + [DiscreteSet((1e300, 1, 2))] * 2
+    message = ("gene 1 (int): gene value 1e+300 exceeds the exact double-precision "
+               "integer range")
+    with pytest.raises(NonFiniteGene, match=f"^{re.escape(message)}$"):
+        GeneSchema(spaces, [GeneType.PYINT] * 3, INIT_RANGE)
 
 
 @pytest.mark.parametrize("space, gene_type", [

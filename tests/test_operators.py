@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
@@ -743,8 +744,9 @@ _NEVER_MISSING_TYPES = [t for t in GeneType if t is not GeneType.PYINT]
                        st.lists(st.sampled_from(list(GeneType)), min_size=1, max_size=20)),
        rate=st.one_of(_MUTATION_RATES, st.tuples(st.just(NumGenes), st.just(17), st.just(1))),
        by_replacement=st.booleans(), distinct=st.booleans(), half_word=st.booleans(),
-       delta=st.sampled_from([(-1.0, 1.0), (-2.5, 2.5), (-300.0, 300.0)]),
-       scale=st.sampled_from([1.0, 1e40]), rows=st.integers(1, 60),
+       delta=st.sampled_from([(-1.0, 1.0), (-2.5, 2.5), (-300.0, 300.0), (-1e307, 1e307),
+                              (1e308, 1.5e308)]),
+       scale=st.sampled_from([1.0, 1e40, 4e307]), rows=st.integers(1, 60),
        seed=st.integers(0, 2**32 - 1))
 @example(kind=MutationKind.RANDOM, types=[GeneType.FLOAT64] * 18, rate=(NumGenes, 17, 1),
          by_replacement=False, distinct=False, half_word=True, delta=(-1.0, 1.0), scale=1.0,
@@ -752,6 +754,23 @@ _NEVER_MISSING_TYPES = [t for t in GeneType if t is not GeneType.PYINT]
 @example(kind=MutationKind.ADAPTIVE, types=[GeneType.INT8], rate=(NumGenes, 1, 1),
          by_replacement=True, distinct=False, half_word=True, delta=(-300.0, 300.0), scale=1e40,
          rows=60, seed=1)
+# Near the largest double (about 1.797e308), on both sides of the overflow check:
+# genes up to 1.6e308 plus deltas of 300 stay in range and are drawn at once;
+@example(kind=MutationKind.RANDOM, types=[GeneType.FLOAT64, GeneType.FLOAT32] * 3,
+         rate=(NumGenes, 2, 1), by_replacement=False, distinct=False, half_word=True,
+         delta=(-300.0, 300.0), scale=4e307, rows=40, seed=2)
+# so are replacements up to 1.5e308, whatever the genes hold;
+@example(kind=MutationKind.ADAPTIVE, types=[GeneType.FLOAT64, GeneType.INT64] * 3,
+         rate=(NumGenes, 3, 1), by_replacement=True, distinct=False, half_word=False,
+         delta=(1e308, 1.5e308), scale=4e307, rows=40, seed=3)
+# deltas of 1e307 could overflow (3e307 + 1.6e308) but do not: the loop runs, and writes;
+@example(kind=MutationKind.RANDOM, types=[GeneType.FLOAT64] * 6, rate=(NumGenes, 2, 1),
+         by_replacement=False, distinct=False, half_word=True, delta=(-1e307, 1e307),
+         scale=4e307, rows=40, seed=4)
+# deltas of 1e308 or more on genes up to 1.6e308 do: the loop runs, and raises.
+@example(kind=MutationKind.RANDOM, types=[GeneType.FLOAT64] * 6, rate=(NumGenes, 2, 1),
+         by_replacement=False, distinct=False, half_word=False, delta=(1e308, 1.5e308),
+         scale=4e307, rows=40, seed=5)
 def test_never_missing_genes_mutate_as_the_reference_does(kind, types, rate, by_replacement,
                                                           distinct, half_word, delta, scale,
                                                           rows, seed):
@@ -763,7 +782,8 @@ def test_never_missing_genes_mutate_as_the_reference_does(kind, types, rate, by_
         allow_duplicate_genes=not distinct, gene_type=list(types),
     ))
     schema = GeneSchema.from_config(cfg)
-    # 1e40 is past float32's range and every integer type's, so coercion clamps.
+    # 1e40 is past float32's range and every integer type's, so coercion clamps;
+    # 4e307 puts genes within 1.6e308 of zero, near the largest double.
     pop = np.random.default_rng(seed + 1).uniform(-4.0, 4.0, size=(rows, n)) * scale
     own = np.random.default_rng(seed + 2).uniform(-1.0, 1.0, size=rows)
 
@@ -783,7 +803,12 @@ def test_never_missing_genes_mutate_as_the_reference_does(kind, types, rate, by_
     rates = {cfg.mutation_rate}
     if kind is MutationKind.ADAPTIVE:
         rates = {(cfg.mutation_rate.low, cfg.mutation_rate.high)[b] for b in (own < 0.0).tolist()}
-    if schema.never_misses and not distinct and not any(isinstance(r, Probability) for r in rates):
+    # No written value can pass the largest double: the bound mutate checks before drawing.
+    lo, hi = delta
+    in_range = math.isfinite(abs(lo) + (hi - lo)
+                             + (0.0 if by_replacement else float(np.abs(pop).max())))
+    if (schema.never_misses and not distinct and in_range
+            and not any(isinstance(r, Probability) for r in rates)):
         # One call; it gives up only for more than 16 picks (a Lemire rejection is ~1e-9 a step).
         assert taken == [max(resolve_mutation_count(r, n, None) for r in rates) <= 16]
     else:
@@ -808,7 +833,7 @@ def test_a_value_that_overflows_raises_where_the_reference_raises(half_word):
 
     with _mutation_draws_spy() as taken:
         assert outcome(mutate) == outcome(_reference_mutate)
-    assert taken == [True]  # drawn at once, then undone for the per-row loop to raise
+    assert taken == []  # 1.5e308 + 1.7e308 could overflow: the per-row loop runs, and raises
 
 
 def _preset_run(argv):
