@@ -192,6 +192,8 @@ def _check_one_space(field: str, space) -> GeneSpace:
     if isinstance(space, DiscreteSet):
         if len(space.values) == 0:
             raise ConfigError(field, "a non-empty discrete set", space)
+        if not all(map(math.isfinite, space.values)):
+            raise ConfigError(field, "finite discrete values", space)
         if len(set(space.values)) != len(space.values):
             raise ConfigError(field, "distinct discrete values", space)
         return space

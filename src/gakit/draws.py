@@ -31,13 +31,16 @@ other calls are ones no workload makes. numpy also draws every
 binomial(n, p), after the rewind alone: it reads whole words only and
 leaves the buffer alone.
 
-mutation_draws serves a generation of rows that each draw only
-choice(length, k, replace=False) and k random() from one exact pull: the
-choice's steps take 32-bit halves and the deltas whole words, so the words
-read follow from the rows' k and the half-word buffer alone. It gives up,
-having drawn nothing, where a Lemire step would reject (about span / 2**32
-a step) or choice() would hand the choice to numpy. Its draws are final:
-mutate rules out a value past the largest double before the call.
+mutation_draws serves a generation of rows that each draw
+choice(length, k, replace=False), then per pick one random() and, where
+its gene's rule misses the delta, one integers() on the rule's values. The
+choice's steps and a miss take 32-bit halves and the deltas whole words, in
+the order numpy reads them, so one pull sized for every pick missing covers
+them; with no gene that can miss, the words read follow from the rows' k
+and the half-word buffer alone, and the pull is exact. It gives up, having
+drawn nothing, where a Lemire step would reject (about span / 2**32 a step)
+or choice() would hand the choice to numpy. Its draws are final: mutate
+rules out a value past the largest double before the call.
 
 close() rewinds the unread words and hands the buffer back, so the
 Generator ends in exactly the state the direct calls leave. NEP 19 keeps
@@ -49,6 +52,7 @@ there.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from operator import length_hint
 from typing import Optional
 
 import numpy as np
@@ -288,63 +292,95 @@ class Words:
             picks[top], picks[v] = picks[v], picks[top]
         return picks
 
-    def mutation_draws(self, length: int, counts: list):
-        """choice(length, k, replace=False), then k random(), for each row's k in counts, in order.
+    def mutation_draws(self, length: int, counts: list, rules=None, old=None, lo=0.0, width=1.0):
+        """choice(length, k, replace=False), then each pick's draws, for each row's k in counts.
 
-        Returns the flat positions (row * length + gene, in draw order) and
-        each one's random(), from one pull of exactly the words they read;
-        or None, having drawn nothing (see the module's docstring).
+        Returns the flat positions (row * length + gene, in draw order), and
+        without rules each one's random(), from one pull of exactly the words
+        they read. With rules, one per gene that never misses or holds its
+        values in .array, it returns each pick's value as mutate's per-row
+        loop writes it: lo + width * random(), plus old.item(position) unless
+        old is None, kept by the gene's rule.fit or else replaced by its
+        array at one integers() draw; with old None (by replacement) a gene
+        whose rule holds values draws only that integers(). The pull counts
+        on every pick missing, and close() rewinds the words left unread.
+        Either way None, having drawn nothing, where the replay gives up (see
+        the module's docstring).
         """
         if length > _MASK32 or max(counts, default=0) > min(length, _SHORT):
             return None
         self._rewind()
         has_half, half = self._has_half, self._half
-        # A row's nonzero bounds: k of Floyd's (not j = 0 when k == length), k - 1 of the shuffle's
-        halves = 2 * sum(counts) - len(counts) + counts.count(0) - counts.count(length)
-        total = max(0, halves - has_half + 1) // 2 + sum(counts)
-        raw = self._bits.random_raw(total)
-        words, at, fresh = raw.tolist(), 0, []
+        picked = sum(counts)
+        # A row's nonzero bounds: k of Floyd's (not j = 0 when k == length), k - 1 of the
+        # shuffle's; with rules, at most one more for each pick
+        halves = 2 * picked - len(counts) + counts.count(0) - counts.count(length)
+        if rules is not None:
+            halves += picked
+        total = max(0, halves - has_half + 1) // 2 + picked
+        words = self._bits.random_raw(total).tolist()
+        unread = iter(words)
+        take = unread.__next__
 
         def bounded(top: int) -> int:
             # choice()'s Lemire step on [0, top], which gives up where it would redraw
-            nonlocal has_half, half, at
+            nonlocal has_half, half
             if not top:
                 return 0
             span = top + 1
             if has_half:
                 has_half, m = 0, half * span
             else:
-                word = words[at]
-                fresh.append(at)
-                at += 1
+                word = take()
                 has_half, half, m = 1, word >> 32, (word & _MASK32) * span
             if m & _MASK32 < span and m & _MASK32 < (_MASK32 - top) % span:
                 raise _Rejected
             return m >> 32
 
+        if rules is not None:
+            fits = [rule.fit for rule in rules]
+            arrays = [rule.array for rule in rules]
         positions: list = []
+        values: list = []
         try:
             for base, k in zip(range(0, len(counts) * length, length), counts):
                 if k == 1:  # Floyd's one step, with no list: most rows, at a low rate
-                    positions.append(base + bounded(length - 1))
+                    j = bounded(length - 1)
+                    if rules is None:
+                        positions.append(base + j)
+                        values.append((take() >> 11) * _DOUBLE_UNIT)
+                        continue
+                    picks = [j]
                 else:
-                    picks: list = []
+                    picks = []
                     for top in range(length - k, length):
                         v = bounded(top)
                         picks.append(top if v in picks else v)
                     for top in range(k - 1, 0, -1):
                         v = bounded(top)
                         picks[top], picks[v] = picks[v], picks[top]
+                if rules is None:
                     positions += [base + j for j in picks]
-                at += k  # the row's deltas
+                    values += [(take() >> 11) * _DOUBLE_UNIT for _ in picks]
+                    continue
+                for j in picks:
+                    array, p = arrays[j], base + j
+                    positions.append(p)
+                    if old is None and array is not None:
+                        v = None
+                    else:
+                        v = lo + width * ((take() >> 11) * _DOUBLE_UNIT)
+                        if old is not None:
+                            v += old.item(p)
+                        v = fits[j](v)
+                    values.append(array.item(bounded(array.size - 1)) if v is None else v)
         except _Rejected:
             self._bits.advance(-total)
             self.close()  # advance clears the generator's half-word buffer: hand it back
             return None
-        deltas = np.ones(total, bool)
-        deltas[fresh] = False
-        self._words, self._next, self._has_half, self._half = words, total, has_half, half
-        return np.array(positions, dtype=np.intp), (raw[deltas] >> 11) * _DOUBLE_UNIT
+        self._words, self._next = words, total - length_hint(unread)
+        self._has_half, self._half = has_half, half
+        return np.array(positions, dtype=np.intp), np.array(values)
 
     def permutation(self, x) -> np.ndarray:
         """Generator.permutation(x): a shuffled copy; numpy draws one of more than _SHORT values."""

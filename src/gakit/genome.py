@@ -240,7 +240,7 @@ class _GeneRule:
     dispatches on the space or the type.
     """
 
-    __slots__ = ("space", "pool", "array", "contains", "sample", "admit")
+    __slots__ = ("space", "pool", "array", "contains", "fit", "sample", "admit")
 
     def __init__(self, space: GeneSpace, gene_type: GeneType, init_range) -> None:
         self.space = space
@@ -301,7 +301,7 @@ class _GeneRule:
             return sample(rng) if v is None else v
 
         self.pool, self.array = pool, array
-        self.contains, self.sample, self.admit = contains, sample, admit
+        self.contains, self.fit, self.sample, self.admit = contains, fit, sample, admit
 
     def resample_excluding(self, exclude, rng) -> float:
         pool = self.pool
@@ -468,13 +468,16 @@ class GeneSchema:
     Holds each gene's space and type, the gene columns grouped by type, and
     rules: one entry per gene, the rule compiled once for each distinct
     (space, type) pair and shared by its genes. rules[j].contains(v),
-    .sample(rng) and .admit(v, rng) answer for gene j; a finite rule's
+    .fit(v), .sample(rng) and .admit(v, rng) answer for gene j; a finite rule's
     float64 .array and .pool hold its coerced discrete set or enumerated typed
     step lattice. Compiling raises EmptySpace for a set or lattice that holds no
     value of its gene type, or NonFiniteGene for a set value it cannot hold,
     naming the gene. unconstrained[j] tells whether gene j's space is
     Unconstrained; never_misses, whether every gene's is and none is PYINT,
-    so that admit keeps every finite value as coerced and never draws.
+    so that admit keeps every finite value as coerced and never draws;
+    one_step_admits, whether every gene never misses or has a rule that
+    holds its values, so that mutating a gene draws at most one integers()
+    after its delta.
 
     The compiled row sampler splits a row into segments of consecutive genes
     that draw alike: finite rules draw one integers call per segment,
@@ -501,7 +504,9 @@ class GeneSchema:
                     rules[key] = _GeneRule(*key, self.init_range)
         self.rules = tuple(rules[key] for key in zip(self.spaces, self.types))
         self.unconstrained = tuple(isinstance(space, Unconstrained) for space in self.spaces)
-        self.never_misses = all(map(_never_misses, self.spaces, self.types))
+        self.never_misses = all(_never_misses(*key) for key in rules)
+        self.one_step_admits = all(rule.array is not None or _never_misses(*key)
+                                   for key, rule in rules.items())
         self._groups = _type_groups(self.types)
         self._segments = _row_segments(self.rules, self.types, self.init_range)
 

@@ -11,14 +11,17 @@ call into numpy, and the Generator ends in the state the direct calls leave.
 A draw outside the set Words replays (see draws) is numpy's own call, made
 from the replay's position.
 
-Genes that never miss (GeneSchema.never_misses) draw nothing in admit, so
-a generation of them draws its positions and deltas from one exact pull
-(Words.mutation_draws) and is written in a few numpy calls. The per-row
-loop runs instead where a written value could be past the largest double
-(decided before drawing, from the delta range and the rows' largest
-magnitude; the loop raises where one is), where that pull gives up (a
-Lemire rejection, more than 16 picks, over 2**32 - 1 genes), and for
-repaired duplicates, Probability rates and other generators.
+A generation whose genes each never miss or hold their values
+(GeneSchema.one_step_admits) is mutated from one pull of words
+(Words.mutation_draws): genes that never miss draw nothing in admit, so
+their positions and deltas are written in a few numpy calls, and a miss of
+a gene that holds its values draws one integers() in turn with the rows'
+other draws, inside the replay's loop. The per-row loop runs instead where
+a written value could be past the largest double (decided before drawing,
+from the delta range and the rows' largest magnitude; the loop raises where
+one is), where that pull gives up (a Lemire rejection, more than 16 picks,
+over 2**32 - 1 genes), and for redrawing rules, repaired duplicates,
+Probability rates and other generators.
 """
 
 from __future__ import annotations
@@ -268,7 +271,7 @@ def _mutate_random(kind, rows, cfg, pop_mean_fitness, own_fitness, rng, schema) 
     width = hi - lo  # lo + width * random() draws the same bits as uniform(lo, hi)
     by_replacement = cfg.mutation_by_replacement
     repair = not cfg.allow_duplicate_genes
-    if (schema.never_misses and not repair and None not in fixed and isinstance(rng, Words)
+    if (schema.one_step_admits and not repair and None not in fixed and isinstance(rng, Words)
             and _mutate_at_once(rows, [fixed[side] for side in side_of], cfg, schema, rng)):
         return
     rules = schema.rules
@@ -291,7 +294,7 @@ def _mutate_random(kind, rows, cfg, pop_mean_fitness, own_fitness, rng, schema) 
 
 
 def _mutate_at_once(rows, counts, cfg, schema, rng) -> bool:
-    """The per-row loop's result for genes that never miss, from one pull of words.
+    """The per-row loop's result for genes whose admits draw at most once, from one pull of words.
 
     False, with nothing written or drawn, where the loop must run instead.
     """
@@ -304,13 +307,18 @@ def _mutate_at_once(rows, counts, cfg, schema, rng) -> bool:
         bound += float(np.abs(rows).max(initial=0.0))
     if not math.isfinite(bound):
         return False
-    drawn = rng.mutation_draws(rows.shape[1], counts)
+    flat = rows.reshape(-1)  # a view: mutate's rows are its own contiguous copy
+    old = None if cfg.mutation_by_replacement else flat
+    # A miss draws in turn with the rows' choices, so the replay admits each value itself.
+    admits = () if schema.never_misses else (schema.rules, old, lo, hi - lo)
+    drawn = rng.mutation_draws(rows.shape[1], counts, *admits)
     if drawn is None:
         return False
-    at, units = drawn
-    flat = rows.reshape(-1)  # a view: mutate's rows are its own contiguous copy
-    values = lo + (hi - lo) * units
-    if not cfg.mutation_by_replacement:
-        values += flat[at]
-    flat[at] = schema.coerce_at(values, at)
+    at, values = drawn
+    if schema.never_misses:  # values holds each delta's random()
+        values = lo + (hi - lo) * values
+        if old is not None:
+            values += flat[at]
+        values = schema.coerce_at(values, at)
+    flat[at] = values
     return True

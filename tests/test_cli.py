@@ -230,6 +230,16 @@ def test_distinct_genes_from_too_small_a_space_exit_three(tmp_path, capsys):
     assert "config error" in err and "gene_space" in err
 
 
+@pytest.mark.parametrize("values", ["nan", "0,inf", "-inf"])
+def test_non_finite_discrete_value_exits_three(tmp_path, capsys, values):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"gene_space=set:{values}\n")
+    assert main(["solve", "--problem", "onemax", "--genes", "3", "--config", str(conf)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config field 'gene_space': requires finite discrete "
+                          "values, got DiscreteSet(values=(")
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_duplicate_repair_failure_names_row_gene_and_type(tmp_path, capsys, seed):
     # int8 coerces 0.2 to 0.0, so gene 1 holds one value and a row whose gene 0

@@ -181,6 +181,16 @@ def test_bad_value_range_rejected(space):
     assert err.value.field == "gene_space"
 
 
+@pytest.mark.parametrize("values", [(math.nan,), (0.0, math.inf), (-math.inf, 1.0),
+                                    (math.nan, math.nan)])
+def test_non_finite_discrete_value_rejected(values):
+    # No gene type holds one; NaN also passes a distinctness check, since nan != nan.
+    for space in (DiscreteSet(values), [UNCONSTRAINED, DiscreteSet(values), UNCONSTRAINED]):
+        with pytest.raises(ConfigError) as err:
+            validate(base_config(gene_space=space))
+        assert err.value.field == "gene_space" and err.value.constraint == "finite discrete values"
+
+
 def test_step_wider_than_its_range_is_the_single_point_lo():
     cfg = validate(base_config(gene_space=ValueRange(2, 3, 1e13), gene_type=GeneType.INT8))
     schema = GeneSchema.from_config(cfg)

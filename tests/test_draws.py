@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from gakit import draws
 from gakit.draws import StageStreams, Words, replayed
+from gakit.genome import UNCONSTRAINED, DiscreteSet, GeneSchema, GeneType, ValueRange
 
 _SEEDS = range(12)
 
@@ -216,6 +217,112 @@ def test_mutation_draws_give_up_having_drawn_nothing(length, counts, half_word):
     words = Words(rng)
     assert words.mutation_draws(length, counts) is None
     assert rng.bit_generator.state == entry  # has_uint32 and uinteger included
+    assert [words.random(), words.integers(5)] == [direct.random(), direct.integers(5)]
+    words.close()
+    assert rng.bit_generator.state == direct.bit_generator.state
+
+
+# Genes whose admits can miss. Deltas in [-1, 1) on genes of 0.0 or 1.0 never
+# land in the sets of "every admit misses" (of 3, 1 and 7 values: a set of one
+# value draws nothing) and always land on the int16 lattice of "no admit misses";
+# "mixed" is onemax's {0, 1} int8 genes beside unconstrained float32 genes and
+# a pyint lattice, so some admits miss and some genes never do.
+_ADMITS = {
+    "every admit misses": ([DiscreteSet((10, 20, 30)), DiscreteSet((5,)),
+                            DiscreteSet(tuple(range(40, 47)))], [GeneType.FLOAT64] * 3),
+    "no admit misses": ([ValueRange(-100, 100, 1)], [GeneType.INT16]),
+    "mixed": ([DiscreteSet((0, 1)), UNCONSTRAINED, DiscreteSet((0, 1)), ValueRange(-2, 2, 1)],
+              [GeneType.INT8, GeneType.FLOAT32, GeneType.INT8, GeneType.PYINT]),
+}
+
+
+def _admitted_directly(rng, length, counts, rules, old):
+    """mutate's per-row loop in direct numpy calls: flat positions and values in draw order,
+    and the number of misses."""
+    positions, values, misses = [], [], 0
+    for row, k in enumerate(counts):
+        for j in rng.choice(length, k, replace=False).tolist():
+            positions.append(row * length + j)
+            rule = rules[j]
+            if old is None and rule.array is not None:
+                v = None  # by replacement: sampled, with no delta
+            else:
+                v = -1.0 + 2.0 * rng.random()
+                if old is not None:
+                    v += old[row * length + j]
+                v = rule.fit(v)
+                misses += v is None
+            values.append(rule.array[rng.integers(rule.array.size)] if v is None else v)
+    return positions, values, misses
+
+
+@pytest.mark.parametrize("case", list(_ADMITS))
+@pytest.mark.parametrize("by_replacement", [False, True])
+@pytest.mark.parametrize("half_word", [False, True])
+def test_mutation_draws_admit_as_the_direct_calls_do(case, by_replacement, half_word):
+    spaces, types = _ADMITS[case]
+    length = 3 * len(spaces)
+    rules = GeneSchema(spaces * 3, types * 3, (-1.0, 1.0)).rules
+    for seed in range(20):
+        counts = np.random.default_rng(seed).integers(0, length + 1, size=12).tolist()
+        old = None if by_replacement else np.random.default_rng(seed).integers(
+            0, 2, size=len(counts) * length).astype(float)
+        direct = _prepared(seed, half_word, 1)
+        positions, values, misses = _admitted_directly(direct, length, counts, rules, old)
+        if not by_replacement and case != "mixed":
+            assert misses == (sum(counts) if case == "every admit misses" else 0)
+        words_rng = _prepared(seed, half_word, 0)
+        words = Words(words_rng)
+        words.random()  # leaves pulled words unread, which the pull must first rewind
+        got = words.mutation_draws(length, counts, rules, old, -1.0, 2.0)
+        words.close()
+        assert got is not None
+        assert got[0].tolist() == positions and got[1].tolist() == values
+        assert words_rng.bit_generator.state == direct.bit_generator.state
+
+
+class _ZeroedLowHalf:
+    """A PCG64 whose next pull of raw words has the low half of word `index` zeroed."""
+
+    def __init__(self, bits, index):
+        self._bits, self._index = bits, index
+
+    def random_raw(self, n):
+        words = self._bits.random_raw(n)
+        words[self._index] &= np.uint64(0xFFFFFFFF00000000)
+        return words
+
+    def advance(self, delta):
+        return self._bits.advance(delta)
+
+    @property
+    def state(self):
+        return self._bits.state
+
+    @state.setter
+    def state(self, value):
+        self._bits.state = value
+
+
+@pytest.mark.parametrize("half_word", [False, True])
+def test_mutation_draws_give_up_where_a_miss_would_redraw(half_word):
+    # One gene of 0.0 and a 3-value set: choice(1, 1) draws nothing, the delta
+    # reads word 0 and misses, and the miss's Lemire step on span 3 redraws where
+    # its half-word is 0: a crafted low half of word 1, or a buffered 0.
+    rules = GeneSchema([DiscreteSet((10, 20, 30))], [GeneType.FLOAT64], (-1.0, 1.0)).rules
+    rng, direct = np.random.default_rng(5), np.random.default_rng(5)
+    for gen in (rng, direct):
+        if half_word:
+            state = gen.bit_generator.state
+            state["has_uint32"], state["uinteger"] = 1, 0
+            gen.bit_generator.state = state
+    entry = rng.bit_generator.state
+    words = Words(rng)
+    if not half_word:
+        words._bits = _ZeroedLowHalf(rng.bit_generator, 1)
+    assert words.mutation_draws(1, [1], rules, np.zeros(1), -1.0, 2.0) is None
+    assert rng.bit_generator.state == entry  # has_uint32 and uinteger included
+    words._bits = rng.bit_generator
     assert [words.random(), words.integers(5)] == [direct.random(), direct.integers(5)]
     words.close()
     assert rng.bit_generator.state == direct.bit_generator.state

@@ -310,7 +310,8 @@ def test_every_drawn_admitted_or_repaired_value_is_admissible(gene_type, space, 
         assert isinstance(space, ValueRange) and space.step is not None
         return
     except NonFiniteGene:
-        # A discrete value the type cannot hold (infinite, or an int beyond 2**53).
+        # A discrete value the type cannot hold: validate rejects non-finite ones, so an
+        # int beyond 2**53.
         assert isinstance(space, DiscreteSet)
         return
     rng = np.random.default_rng(seed)

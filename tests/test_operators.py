@@ -678,6 +678,44 @@ def _rate(kind, variant, high, low, num_genes):
     return variant(high)
 
 
+@contextmanager
+def _mutation_draws_spy():
+    """Words.mutation_draws, recording for each call whether it drew (True) or gave up."""
+    taken = []
+    original = draws.Words.mutation_draws
+
+    def spy(self, length, counts, *admits):
+        drawn = original(self, length, counts, *admits)
+        taken.append(drawn is not None)
+        return drawn
+
+    with mock.patch.object(draws.Words, "mutation_draws", spy):
+        yield taken
+
+
+def _one_pull_calls(kind, cfg, schema, pop, own):
+    """What _mutation_draws_spy sees on one mutate call with a mean fitness of 0.
+
+    mutate asks for one pull exactly when every gene's admit draws at most once,
+    duplicates are allowed, every rate the rows take is a fixed count and no
+    written value can pass the largest double; the pull draws unless a row
+    takes more than 16 picks (a Lemire rejection is about 1e-9 a step here).
+    """
+    if kind not in (MutationKind.RANDOM, MutationKind.ADAPTIVE):
+        return []
+    rates = {cfg.mutation_rate}
+    if kind is MutationKind.ADAPTIVE:  # a row below the mean fitness takes the high rate
+        rates = {(cfg.mutation_rate.low, cfg.mutation_rate.high)[b]
+                 for b in (np.asarray(own) < 0.0).tolist()}
+    lo, hi = cfg.random_delta_range
+    in_range = math.isfinite(abs(lo) + (hi - lo) + (
+        0.0 if cfg.mutation_by_replacement else float(np.abs(pop).max())))
+    if (schema.one_step_admits and cfg.allow_duplicate_genes and in_range
+            and not any(isinstance(r, Probability) for r in rates)):
+        return [max(resolve_mutation_count(r, cfg.num_genes, None) for r in rates) <= 16]
+    return []
+
+
 @settings(max_examples=250)
 @given(kind=st.sampled_from(list(MutationKind)),
        genes=st.lists(_MUTATED_GENES, min_size=1, max_size=6),
@@ -715,25 +753,12 @@ def test_mutate_draws_what_the_per_call_reference_draws(kind, genes, copies, rat
             out = type(err)
         return out, rng.bit_generator.state
 
-    assert outcome(mutate) == outcome(_reference_mutate)
+    with _mutation_draws_spy() as taken:
+        assert outcome(mutate) == outcome(_reference_mutate)
+    assert taken == _one_pull_calls(kind, cfg, schema, pop, own)
 
 
-# --- a generation of never-missing genes from one pull ---------------------------------
-
-@contextmanager
-def _mutation_draws_spy():
-    """Words.mutation_draws, recording for each call whether it drew (True) or gave up."""
-    taken = []
-    original = draws.Words.mutation_draws
-
-    def spy(self, length, counts):
-        drawn = original(self, length, counts)
-        taken.append(drawn is not None)
-        return drawn
-
-    with mock.patch.object(draws.Words, "mutation_draws", spy):
-        yield taken
-
+# --- a generation mutated from one pull ------------------------------------------------
 
 _NEVER_MISSING_TYPES = [t for t in GeneType if t is not GeneType.PYINT]
 
@@ -799,20 +824,7 @@ def test_never_missing_genes_mutate_as_the_reference_does(kind, types, rate, by_
 
     with _mutation_draws_spy() as taken:
         assert outcome(mutate) == outcome(_reference_mutate)
-    # The rates the rows take: an adaptive row below the mean fitness takes the high one.
-    rates = {cfg.mutation_rate}
-    if kind is MutationKind.ADAPTIVE:
-        rates = {(cfg.mutation_rate.low, cfg.mutation_rate.high)[b] for b in (own < 0.0).tolist()}
-    # No written value can pass the largest double: the bound mutate checks before drawing.
-    lo, hi = delta
-    in_range = math.isfinite(abs(lo) + (hi - lo)
-                             + (0.0 if by_replacement else float(np.abs(pop).max())))
-    if (schema.never_misses and not distinct and in_range
-            and not any(isinstance(r, Probability) for r in rates)):
-        # One call; it gives up only for more than 16 picks (a Lemire rejection is ~1e-9 a step).
-        assert taken == [max(resolve_mutation_count(r, n, None) for r in rates) <= 16]
-    else:
-        assert taken == []
+    assert taken == _one_pull_calls(kind, cfg, schema, pop, own)
 
 
 @pytest.mark.parametrize("half_word", [False, True])
@@ -836,6 +848,70 @@ def test_a_value_that_overflows_raises_where_the_reference_raises(half_word):
     assert taken == []  # 1.5e308 + 1.7e308 could overflow: the per-row loop runs, and raises
 
 
+# Genes the one pull mutates: unconstrained ones of any type but int, and sets
+# and lattices of every integer type and int, whose deltas often miss.
+_ONE_PULL_GENES = st.one_of(
+    st.tuples(st.just(UNCONSTRAINED), st.sampled_from(_NEVER_MISSING_TYPES)),
+    st.tuples(
+        st.one_of(
+            st.lists(st.sampled_from([0.0, 1.0, -2.0, 0.5, 3.0, 250.0, -129.0]),
+                     min_size=1, max_size=4, unique=True).map(lambda v: DiscreteSet(tuple(v))),
+            st.sampled_from([ValueRange(0, 2, 1), ValueRange(-3, 3, 1), ValueRange(0, 300, 7),
+                             ValueRange(-1, 1, 0.5)]),
+        ),
+        st.sampled_from([t for t in GeneType if t not in (GeneType.FLOAT32, GeneType.FLOAT64)]),
+    ),
+)
+
+
+@contextmanager
+def _direct_draws():
+    """mutate with every draw one numpy call on the Generator itself: no word replay."""
+    @contextmanager
+    def unreplayed(rng):
+        yield rng
+
+    with mock.patch.object(operators, "replayed", unreplayed):
+        yield
+
+
+@settings(max_examples=200)
+@given(genes=st.lists(_ONE_PULL_GENES, min_size=1, max_size=8),
+       kind=st.sampled_from([MutationKind.RANDOM, MutationKind.ADAPTIVE]),
+       rate=st.sampled_from([(NumGenes, 3, 1), (PercentGenes, 50.0, 20.0),
+                             (PercentGenes, 100.0, 100.0)]),
+       by_replacement=st.booleans(), crossover=st.sampled_from([None, *CrossoverKind]),
+       delta=st.sampled_from([(-1.0, 1.0), (-2.5, 2.5), (-300.0, 300.0)]),
+       pop=st.integers(2, 8), generations=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_runs_mutated_from_one_pull_equal_runs_of_direct_draws(genes, kind, rate, by_replacement,
+                                                               crossover, delta, pop,
+                                                               generations, seed):
+    spaces, types = zip(*genes)
+    try:
+        cfg = validate(GaConfig(
+            num_generations=generations, sol_per_pop=pop, num_parents_mating=2,
+            num_genes=len(spaces), crossover=crossover, mutation=kind,
+            mutation_rate=_rate(kind, *rate, len(spaces)), mutation_by_replacement=by_replacement,
+            random_delta_range=delta, gene_space=list(spaces), gene_type=list(types), seed=seed,
+        ))
+        GeneSchema.from_config(cfg)
+    except (ConfigError, EmptySpace, NonFiniteGene):
+        assume(False)
+
+    def fitness(solution, _idx):
+        return float(np.sum(solution))
+
+    def bits(result):
+        return [np.asarray(field).tobytes() if isinstance(field, np.ndarray) else field
+                for field in vars(result).values()]
+
+    with _mutation_draws_spy() as taken:
+        one_pull = bits(run(cfg, fitness))
+    assert taken == [True] * generations
+    with _direct_draws():
+        assert bits(run(cfg, fitness)) == one_pull
+
+
 def _preset_run(argv):
     cfg, fitness = cli.build_solve_config(cli.parse_invocation(["solve", *argv]))
     with _mutation_draws_spy() as taken:
@@ -852,12 +928,15 @@ def test_unconstrained_presets_mutate_every_generation_at_once(problem):
 _LATTICE_CFG = Path(__file__).parent.parent / "perfbench" / "lattice.cfg"
 
 
-@pytest.mark.parametrize("argv", [
-    ["--problem", "onemax", "--generations", "20"],
-    ["--problem", "onemax", "--genes", "40", "--pop", "20", "--parents", "6",
-     "--generations", "10", "--config", str(_LATTICE_CFG)],
-])
-def test_constrained_genes_never_mutate_at_once(argv):
+def test_onemax_mutates_every_generation_at_once():
+    # Its {0, 1} genes miss about a quarter of their admits; each miss draws in turn.
+    generations, taken = _preset_run(["--problem", "onemax", "--generations", "200"])
+    assert taken == [True] * generations
+
+
+def test_repaired_duplicates_never_mutate_at_once():
+    argv = ["--problem", "onemax", "--genes", "40", "--pop", "20", "--parents", "6",
+            "--generations", "10", "--config", str(_LATTICE_CFG)]
     assert _preset_run(argv)[1] == []
 
 
