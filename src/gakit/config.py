@@ -296,8 +296,8 @@ def validate(raw: GaConfig) -> GaConfig:
     if not allow_duplicate_genes and distinct_values_fall_short(gene_space, gene_type, num_genes):
         raise ConfigError(
             "gene_space",
-            "as many distinct admissible values across the finite gene spaces as genes "
-            "using them, when allow_duplicate_genes is false",
+            "a distinct admissible value for each gene of a finite gene space, "
+            "when allow_duplicate_genes is false",
             raw.gene_space,
         )
     initial_population = _check_initial_population(

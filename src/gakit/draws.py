@@ -37,10 +37,13 @@ its gene's rule misses the delta, one integers() on the rule's values. The
 choice's steps and a miss take 32-bit halves and the deltas whole words, in
 the order numpy reads them, so one pull sized for every pick missing covers
 them; with no gene that can miss, the words read follow from the rows' k
-and the half-word buffer alone, and the pull is exact. It gives up, having
-drawn nothing, where a Lemire step would reject (about span / 2**32 a step)
-or choice() would hand the choice to numpy. Its draws are final: mutate
-rules out a value past the largest double before the call.
+and the half-word buffer alone, and the pull is exact. numpy splits the
+pulled words once into their low halves, high halves and random() values;
+one Python loop then steps Lemire inline over them, with no call per step,
+and admits each delta with its rule's fit. It gives up, having drawn
+nothing, where a Lemire step would reject (about span / 2**32 a step) or
+choice() would hand the choice to numpy. Its draws are final: mutate rules
+out a value past the largest double before the call.
 
 close() rewinds the unread words and hands the buffer back, so the
 Generator ends in exactly the state the direct calls leave. NEP 19 keeps
@@ -52,7 +55,6 @@ there.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from operator import length_hint
 from typing import Optional
 
 import numpy as np
@@ -303,7 +305,7 @@ class Words:
         old is None, kept by the gene's rule.fit or else replaced by its
         array at one integers() draw; with old None (by replacement) a gene
         whose rule holds values draws only that integers(). The pull counts
-        on every pick missing, and close() rewinds the words left unread.
+        on every pick missing, and the words left unread are rewound.
         Either way None, having drawn nothing, where the replay gives up (see
         the module's docstring).
         """
@@ -317,51 +319,75 @@ class Words:
         halves = 2 * picked - len(counts) + counts.count(0) - counts.count(length)
         if rules is not None:
             halves += picked
-        total = max(0, halves - has_half + 1) // 2 + picked
-        words = self._bits.random_raw(total).tolist()
-        unread = iter(words)
-        take = unread.__next__
-
-        def bounded(top: int) -> int:
-            # choice()'s Lemire step on [0, top], which gives up where it would redraw
-            nonlocal has_half, half
-            if not top:
-                return 0
-            span = top + 1
-            if has_half:
-                has_half, m = 0, half * span
-            else:
-                word = take()
-                has_half, half, m = 1, word >> 32, (word & _MASK32) * span
-            if m & _MASK32 < span and m & _MASK32 < (_MASK32 - top) % span:
-                raise _Rejected
-            return m >> 32
-
-        if rules is not None:
             fits = [rule.fit for rule in rules]
             arrays = [rule.array for rule in rules]
+        total = max(0, halves - has_half + 1) // 2 + picked
+        words = self._bits.random_raw(total)
+        # Word i split three ways, as a Lemire step or random() reads it.
+        lows = (words & _MASK32).tolist()
+        highs = (words >> 32).tolist()
+        units = ((words >> 11) * _DOUBLE_UNIT).tolist()
+        i = 0  # the next unread word
+        mask = _MASK32
+        # Every Lemire step on [0, top] below is Words._bounded written out: the
+        # buffered half, or the low half of the next word (keeping its high
+        # half), times span = top + 1. It gives up where the step would redraw:
+        # the low 32 bits of the product are below 2**32 % span, which is
+        # (mask - top) % span and less than span. A bound of 0 draws nothing.
+        threshold = 2**32 % max(length, 1)  # of a row's one Floyd step, on [0, length - 1]
         positions: list = []
         values: list = []
         try:
             for base, k in zip(range(0, len(counts) * length, length), counts):
                 if k == 1:  # Floyd's one step, with no list: most rows, at a low rate
-                    j = bounded(length - 1)
+                    if length == 1:
+                        j = 0
+                    else:
+                        if has_half:
+                            has_half, m = 0, half * length
+                        else:
+                            has_half, half, m = 1, highs[i], lows[i] * length
+                            i += 1
+                        if m & mask < threshold:
+                            raise _Rejected
+                        j = m >> 32
                     if rules is None:
                         positions.append(base + j)
-                        values.append((take() >> 11) * _DOUBLE_UNIT)
+                        values.append(units[i])
+                        i += 1
                         continue
                     picks = [j]
                 else:
                     picks = []
                     for top in range(length - k, length):
-                        v = bounded(top)
+                        if not top:  # k == length: the first step draws from [0, 0]
+                            picks.append(0)
+                            continue
+                        span = top + 1
+                        if has_half:
+                            has_half, m = 0, half * span
+                        else:
+                            has_half, half, m = 1, highs[i], lows[i] * span
+                            i += 1
+                        if m & mask < span and m & mask < (mask - top) % span:
+                            raise _Rejected
+                        v = m >> 32
                         picks.append(top if v in picks else v)
                     for top in range(k - 1, 0, -1):
-                        v = bounded(top)
+                        span = top + 1
+                        if has_half:
+                            has_half, m = 0, half * span
+                        else:
+                            has_half, half, m = 1, highs[i], lows[i] * span
+                            i += 1
+                        if m & mask < span and m & mask < (mask - top) % span:
+                            raise _Rejected
+                        v = m >> 32
                         picks[top], picks[v] = picks[v], picks[top]
                 if rules is None:
                     positions += [base + j for j in picks]
-                    values += [(take() >> 11) * _DOUBLE_UNIT for _ in picks]
+                    values += units[i:i + k]
+                    i += k
                     continue
                 for j in picks:
                     array, p = arrays[j], base + j
@@ -369,16 +395,31 @@ class Words:
                     if old is None and array is not None:
                         v = None
                     else:
-                        v = lo + width * ((take() >> 11) * _DOUBLE_UNIT)
+                        v = lo + width * units[i]
+                        i += 1
                         if old is not None:
                             v += old.item(p)
                         v = fits[j](v)
-                    values.append(array.item(bounded(array.size - 1)) if v is None else v)
+                    if v is None:  # a miss: integers(array.size)
+                        span = array.size
+                        if span == 1:
+                            v = array.item(0)
+                        else:
+                            if has_half:
+                                has_half, m = 0, half * span
+                            else:
+                                has_half, half, m = 1, highs[i], lows[i] * span
+                                i += 1
+                            if m & mask < span and m & mask < (mask - span + 1) % span:
+                                raise _Rejected
+                            v = array.item(m >> 32)
+                    values.append(v)
         except _Rejected:
             self._bits.advance(-total)
             self.close()  # advance clears the generator's half-word buffer: hand it back
             return None
-        self._words, self._next = words, total - length_hint(unread)
+        if i < total:
+            self._bits.advance(i - total)  # clears the buffer, which close() hands back
         self._has_half, self._half = has_half, half
         return np.array(positions, dtype=np.intp), np.array(values)
 

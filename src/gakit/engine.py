@@ -9,13 +9,13 @@ builds that generator), so toggling one operator never perturbs the others.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
 
-from .config import GaConfig, MutationKind
+from .config import GaConfig, MutationKind, ParentSelection
 from .draws import StageStreams
 from .errors import (_GENE_ERRORS, DimensionMismatch, FitnessError, GaError, HookError,
                      NonPositiveFitness, context)
@@ -202,9 +202,17 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
     still reports the initial population's best. A gene error, a selection's
     NonPositiveFitness or a MemoryError after init names the generation and
     the stage; a hook's wrong offspring shape names the generation and the hook.
+
+    Steady-state selection draws nothing, so its stream is not seeded; each
+    stage has its own stream, so skipping one moves no draw. Offspring are
+    settled (coerced to their gene types, and repaired) before they join the
+    population only when a hook is installed; without one, only duplicates
+    are repaired.
     """
     hooks = hooks or LifecycleHooks()
+    hooked = any(getattr(hooks, field.name) is not None for field in fields(hooks))
     stage_rng = StageStreams(cfg.seed)
+    selection_draws = cfg.parent_selection is not ParentSelection.STEADY_STATE
     with context("init "):
         schema = GeneSchema.from_config(cfg)
         population = init_population(cfg, stage_rng(0, _STAGE_INIT), schema)
@@ -221,8 +229,8 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
         best_rows.append(population[best_index].copy())
         best_fits.append(float(fit_vector[best_index]))
         best_idxs.append(best_index)
-        scaled, scale = summable(fit_vector)
-        mean_fits.append(float(scaled.mean()) * scale)
+        _, scale, total = summable(fit_vector)
+        mean_fits.append(total / fit_vector.size * scale)  # the bits of mean(), times scale
         return best_index, best_fits[-1], mean_fits[-1]
 
     _fire(hooks, "on_start", state)
@@ -244,7 +252,8 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
 
         with context(f"generation {g}, selection ", _STAGE_ERRORS):
             parents = select_parents(cfg.parent_selection, population, fit,
-                                     cfg.num_parents_mating, stage_rng(g, _STAGE_SELECTION),
+                                     cfg.num_parents_mating,
+                                     stage_rng(g, _STAGE_SELECTION) if selection_draws else None,
                                      cfg.tournament_k)
         state.last_generation_parents = parents.rows
         state.last_generation_parents_indices = parents.indices
@@ -273,11 +282,15 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
         mutated = _check_offspring_shape(state.last_generation_offspring_mutation,
                                          offspring_shape, f"generation {g}, on_mutation hook")
 
-        # Crossover (and hook overwrites, which may also edit an array in place)
-        # can break typing or distinctness even though mutate() repairs its own
-        # output; settle before assembly, every generation.
+        # Without hooks every offspring gene is already settled: a settled parent's
+        # gene in its own column, or a value mutate admitted. Crossover can still
+        # pair equal genes, so duplicates are repaired. A hook may overwrite any
+        # array (or edit one in place), so with one installed every gene is settled.
         with context(f"generation {g}, settle ", _STAGE_ERRORS):
-            mutated = settle(cfg, schema, mutated, mutation_rng)
+            if hooked:
+                mutated = settle(cfg, schema, mutated, mutation_rng)
+            elif not cfg.allow_duplicate_genes:
+                mutated = schema.repair(mutated, mutation_rng)
             population = np.vstack([parents.rows[: cfg.keep_parents], mutated])
         population.flags.writeable = False
         state.population = population

@@ -23,6 +23,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Optional, Sequence, Union
@@ -344,39 +345,75 @@ def _per_gene(gene_space, gene_type, n: int) -> tuple:
 
 
 def distinct_values_fall_short(gene_space, gene_type, n: int) -> bool:
-    """Whether the genes of finite rules have fewer admissible values between them than genes.
+    """Whether the genes of finite rules cannot all hold pairwise-distinct values.
 
     Takes a validated config's gene_space and gene_type. Genes whose rules
-    are finite (discrete sets, enumerated lattices) draw from the union of
-    their pools, so with fewer distinct values than such genes no chromosome
-    can hold pairwise-distinct genes. Each lattice's first points are tried
-    before any lattice is enumerated in full: once they supply enough values,
-    compiling the schema stays the only full enumeration of a run. A rule
+    are finite (discrete sets, enumerated lattices) take their values from
+    their pools, so distinct values exist exactly when each such gene can be
+    matched to a pool value of its own (Hall's condition). A gene whose pool
+    holds at least as many values as there are finite genes always finds one
+    the others left, so only genes with smaller pools are matched. A
+    lattice's first points are tried before it is enumerated in full. A rule
     that holds no value of its type is left for the schema to report.
     """
-    keys, genes = set(), 0
-    for key in zip(*_per_gene(gene_space, gene_type, n)):
-        if _holds_values(key[0]):
-            keys.add(key)
-            genes += 1
-    lattices = [key for key in keys if isinstance(key[0], ValueRange)]
-    union: set = set()
+    keys = [key for key in zip(*_per_gene(gene_space, gene_type, n)) if _holds_values(key[0])]
+    finite = len(keys)
+    groups = []
     try:
-        for key in keys.difference(lattices):
-            # a finite rule never draws init values
-            union.update(_GeneRule(*key, None).pool.tolist())
+        for key, genes in Counter(keys).items():
+            space, t = key
+            if isinstance(space, DiscreteSet):
+                pool = _GeneRule(space, t, None).pool  # a finite rule never draws init values
+            else:
+                count = _lattice_size(space)
+                pool = _typed_points(space, t, min(count, finite))
+                if pool.size < finite and count > finite:
+                    pool = _typed_lattice(space, t)
+                if not pool.size:
+                    return False
+            if pool.size < finite:
+                groups.append((pool.tolist(), genes))
     except (EmptySpace, NonFiniteGene):
         return False
-    for space, t in lattices:
-        union.update(_typed_points(space, t, min(_lattice_size(space), genes)).tolist())
-    for space, t in lattices:
-        if len(union) >= genes:
-            return False
-        pool = _typed_lattice(space, t)
-        if not pool.size:
-            return False
-        union.update(pool.tolist())
-    return len(union) < genes
+    return not _matched(groups)
+
+
+def _matched(groups: list) -> bool:
+    """Whether every group (values, genes) can give each of its genes a value of its own.
+
+    Kuhn's augmenting paths, with the genes of one group as one node that
+    holds as many values as it has genes. owner maps each taken value to
+    its group. A value, once taken, stays taken, so each group's free
+    values are found by one pass over its values across all searches.
+    """
+    owner: dict = {}
+    free = [iter(values) for values, _ in groups]
+    for g, (_, genes) in enumerate(groups):
+        for _ in range(genes):
+            # Search from g: path[i] is a group on the path, via[i] the value
+            # path[i + 1] holds and would hand to path[i].
+            path, via, seen, h = [], [], {g}, g
+            while True:
+                v = next((v for v in free[h] if v not in owner), None)
+                if v is not None:  # the path ends here: h takes v, each group the next's value
+                    owner[v] = h
+                    for (group, _), w in zip(path, via):
+                        owner[w] = group
+                    break
+                path.append((h, iter(groups[h][0])))
+                while path:
+                    w = next((w for w in path[-1][1] if owner[w] not in seen), None)
+                    if w is not None:
+                        break
+                    path.pop()
+                    if via:
+                        via.pop()
+                else:
+                    return False
+                h = owner[w]
+                seen.add(h)
+                via.append(w)
+    return True
 
 
 def _type_groups(types: Sequence[GeneType]) -> tuple:

@@ -92,17 +92,18 @@ def select_parents(kind: ParentSelection, population, fitness, n: int, rng,
 
 
 def summable(fitness: np.ndarray) -> tuple:
-    """(fitness / scale, scale): scale is 1.0 unless the plain sum overflows.
+    """(fitness / scale, scale, their sum): scale is 1.0 unless the plain sum overflows.
 
     Finite fitness values can still overflow their sum; only then divide by
     the largest magnitude, so every sum that is finite keeps its exact bits.
     """
     with np.errstate(over="ignore"):
-        total = fitness.sum()
-    if np.isfinite(total):
-        return fitness, 1.0
+        total = float(fitness.sum())
+    if math.isfinite(total):
+        return fitness, 1.0, total
     scale = float(np.abs(fitness).max())
-    return fitness / scale, scale
+    scaled = fitness / scale
+    return scaled, scale, float(scaled.sum())
 
 
 def _positive(fitness: np.ndarray, selection: str) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Validation and normalization of GaConfig plus mutation-rate resolution."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -258,6 +259,8 @@ def test_malformed_field_rejected(overrides, field):
     (DiscreteSet((0.1, 0.2, 0.3)), GeneType.INT8),  # all three coerce to 0
     (ValueRange(0, 1.5, 0.5), GeneType.INT8),  # admissible points 0 and 1
     ([DiscreteSet((0, 1)), ValueRange(0, 2, 1), DiscreteSet((1,))], GeneType.FLOAT64),
+    # Three values between them, but the first two genes both need 0 (Hall's condition).
+    ([DiscreteSet((0,)), DiscreteSet((0,)), DiscreteSet((0, 1, 2))], GeneType.FLOAT64),
 ])
 def test_distinctness_that_cannot_be_met_is_rejected(space, gene_type):
     with pytest.raises(ConfigError) as err:
@@ -273,6 +276,7 @@ def test_distinctness_that_cannot_be_met_is_rejected(space, gene_type):
     (ValueRange(0, 2.5, 0.5), GeneType.INT8),  # admissible points 0, 1 and 2
     (ValueRange(0, 1e4, 0.1), GeneType.INT8),  # found only by enumerating past the first points
     ([DiscreteSet((0, 1)), ValueRange(0, 2, 1), ValueRange(0, 1)], GeneType.FLOAT64),
+    ([DiscreteSet((0,)), DiscreteSet((1,)), DiscreteSet((0, 1, 2))], GeneType.FLOAT64),
 ])
 def test_distinctness_that_can_be_met_is_accepted(space, gene_type):
     validate(base_config(gene_space=space, gene_type=gene_type, allow_duplicate_genes=False))
@@ -293,7 +297,8 @@ def test_distinctness_rejection_matches_the_compiled_pools(data):
     num_genes = data.draw(st.integers(2, 5))
     spaces = data.draw(st.lists(_SMALL_SPACES, min_size=num_genes, max_size=num_genes))
     types = data.draw(st.lists(
-        st.sampled_from([GeneType.INT8, GeneType.UINT8, GeneType.FLOAT32, GeneType.FLOAT64]),
+        st.sampled_from([GeneType.INT8, GeneType.UINT8, GeneType.PYINT, GeneType.FLOAT32,
+                         GeneType.FLOAT64]),
         min_size=num_genes, max_size=num_genes))
     candidate = base_config(num_genes=num_genes, crossover=None, gene_space=spaces,
                             gene_type=types, allow_duplicate_genes=False)
@@ -302,8 +307,9 @@ def test_distinctness_rejection_matches_the_compiled_pools(data):
             candidate, allow_duplicate_genes=True)))
     except (EmptySpace, NonFiniteGene):
         return
-    pools = [rule.pool for rule in schema.rules if rule.pool is not None]
-    short = len(set().union(*pools)) < len(pools)
+    # Brute force: no choice of one pool value per finite gene is pairwise distinct.
+    pools = [rule.pool.tolist() for rule in schema.rules if rule.pool is not None]
+    short = all(len(set(values)) < len(values) for values in itertools.product(*pools))
     try:
         validate(candidate)
     except ConfigError as err:

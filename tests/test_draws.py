@@ -281,15 +281,16 @@ def test_mutation_draws_admit_as_the_direct_calls_do(case, by_replacement, half_
         assert words_rng.bit_generator.state == direct.bit_generator.state
 
 
-class _ZeroedLowHalf:
-    """A PCG64 whose next pull of raw words has the low half of word `index` zeroed."""
+class _ZeroedHalf:
+    """A PCG64 whose next pull of raw words has one half of word `index` zeroed, low by default."""
 
-    def __init__(self, bits, index):
+    def __init__(self, bits, index, high=False):
         self._bits, self._index = bits, index
+        self._keep = np.uint64(0x00000000FFFFFFFF if high else 0xFFFFFFFF00000000)
 
     def random_raw(self, n):
         words = self._bits.random_raw(n)
-        words[self._index] &= np.uint64(0xFFFFFFFF00000000)
+        words[self._index] &= self._keep
         return words
 
     def advance(self, delta):
@@ -319,8 +320,50 @@ def test_mutation_draws_give_up_where_a_miss_would_redraw(half_word):
     entry = rng.bit_generator.state
     words = Words(rng)
     if not half_word:
-        words._bits = _ZeroedLowHalf(rng.bit_generator, 1)
+        words._bits = _ZeroedHalf(rng.bit_generator, 1)
     assert words.mutation_draws(1, [1], rules, np.zeros(1), -1.0, 2.0) is None
+    assert rng.bit_generator.state == entry  # has_uint32 and uinteger included
+    words._bits = rng.bit_generator
+    assert [words.random(), words.integers(5)] == [direct.random(), direct.integers(5)]
+    words.close()
+    assert rng.bit_generator.state == direct.bit_generator.state
+
+
+# Rows of 11 genes. A k = 3 row's Lemire steps have spans 9, 10, 11 (Floyd's)
+# and 3, 2 (the shuffle's); a k = 1 row's one step has span 11. A zero half
+# rejects on every span here but 2 (2**32 % span > 0). Halves are read
+# in order: the buffered one, if any, then low and high of each fresh word; a
+# row's random()s read whole words after its steps. Each case zeroes the half
+# (word, high?) that one step reads, with and without a buffered half-word.
+_REJECTING_STEPS = {
+    # counts, buffered: word and half read by the step
+    "floyd": ([3], {False: (0, False), True: (0, False)}),  # step 1 unbuffered, step 2 buffered
+    "shuffle": ([3], {False: (1, True), True: (1, False)}),  # the shuffle's step on span 3
+    "k == 1": ([1, 1], {False: (0, True), True: (1, False)}),  # row 1's one step
+}
+
+
+@pytest.mark.parametrize("step", list(_REJECTING_STEPS))
+@pytest.mark.parametrize("half_word", [False, True])
+@pytest.mark.parametrize("with_rules", [False, True])
+def test_mutation_draws_give_up_at_a_rejecting_step(step, half_word, with_rules):
+    counts, zeroed = _REJECTING_STEPS[step]
+    # Genes that never miss take the rules branch and read exactly what the plain one does.
+    admits = ((GeneSchema([UNCONSTRAINED] * 11, [GeneType.FLOAT64] * 11, (-1.0, 1.0)).rules,
+               np.zeros(11 * len(counts)), -1.0, 2.0) if with_rules else ())
+    rng, direct = np.random.default_rng(11), np.random.default_rng(11)
+    for gen in (rng, direct):
+        if half_word:  # a buffered half that no step rejects
+            state = gen.bit_generator.state
+            state["has_uint32"], state["uinteger"] = 1, 0x89ABCDEF
+            gen.bit_generator.state = state
+    entry = rng.bit_generator.state
+    plain = np.random.default_rng()
+    plain.bit_generator.state = entry
+    assert Words(plain).mutation_draws(11, counts, *admits) is not None  # the zero rejects
+    words = Words(rng)
+    words._bits = _ZeroedHalf(rng.bit_generator, *zeroed[half_word])
+    assert words.mutation_draws(11, counts, *admits) is None
     assert rng.bit_generator.state == entry  # has_uint32 and uinteger included
     words._bits = rng.bit_generator
     assert [words.random(), words.integers(5)] == [direct.random(), direct.integers(5)]

@@ -2,11 +2,12 @@
 
 import re
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import FINITE_BOUND, gene_spaces
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gakit
@@ -629,6 +630,114 @@ def test_small_validated_configs_end_in_a_closed_result_or_a_ga_error(candidate,
             assert len(set(row.tolist())) == cfg.num_genes
 
 
+def _outcome(cfg, hooks=None):
+    """Every RunResult field, as bytes where it is an array, or the GaError's type and message."""
+    try:
+        result = run(cfg, _positive_count, hooks)
+    except GaError as err:
+        return type(err), str(err)
+    return [np.asarray(field).tobytes() if isinstance(field, np.ndarray) else field
+            for field in vars(result).values()]
+
+
+# Few values each, so that crossover pairs equal genes and typing changes values.
+_FEW_VALUE_SPACES = [UNCONSTRAINED, DiscreteSet((0, 1, 2)), DiscreteSet((-1.5, 0.5, 2.25)),
+                     ValueRange(-2, 2), ValueRange(0, 6, 1), ValueRange(-1, 1, 0.25)]
+
+
+@st.composite
+def _few_value_configs(draw):
+    """Small configs over few-value spaces, some starting from a population outside them."""
+    num_genes = draw(st.integers(1, 5))
+    sol_per_pop = draw(st.integers(2, 6))
+    crossover = draw(st.sampled_from([*CrossoverKind, None])) if num_genes > 1 else None
+    mutation = draw(st.sampled_from([*MutationKind, None]))
+    plain = st.one_of(st.integers(1, num_genes).map(NumGenes),
+                      st.sampled_from([Probability(0.5), PercentGenes(50.0)]))
+    rate = (AdaptivePair(NumGenes(num_genes), NumGenes(1)) if mutation is MutationKind.ADAPTIVE
+            else draw(plain))
+    per_gene = st.lists(st.sampled_from(_FEW_VALUE_SPACES), min_size=num_genes,
+                        max_size=num_genes)
+    types = st.lists(st.sampled_from(list(GeneType)), min_size=num_genes, max_size=num_genes)
+    population = None
+    if draw(st.booleans()):
+        value = st.sampled_from([0.0, 1.0, 2.0, 0.4, -7.5, 300.7, 1e10])
+        population = draw(st.lists(st.lists(value, min_size=num_genes, max_size=num_genes),
+                                   min_size=sol_per_pop, max_size=sol_per_pop))
+    return GaConfig(
+        num_generations=draw(st.integers(1, 4)), sol_per_pop=sol_per_pop,
+        num_parents_mating=draw(st.integers(2, sol_per_pop)), num_genes=num_genes,
+        parent_selection=draw(st.sampled_from(list(ParentSelection))),
+        tournament_k=draw(st.integers(1, sol_per_pop)), crossover=crossover, mutation=mutation,
+        mutation_rate=rate, mutation_by_replacement=draw(st.booleans()),
+        random_delta_range=draw(st.sampled_from([(-1.0, 1.0), (-3.0, 3.0)])),
+        keep_parents=draw(st.integers(0, 1)),
+        allow_duplicate_genes=draw(st.booleans()),
+        gene_space=draw(st.one_of(st.sampled_from(_FEW_VALUE_SPACES), per_gene)),
+        gene_type=draw(st.one_of(st.sampled_from(list(GeneType)), types)),
+        initial_population=population, seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=150)
+@given(candidate=_few_value_configs())
+# The one-pull mutation of unconstrained int8 genes; no mutation, so only
+# settle repairs what crossover duplicates; a given population outside its set.
+@example(candidate=GaConfig(num_generations=3, sol_per_pop=6, num_parents_mating=3, num_genes=4,
+                            gene_type=GeneType.INT8, mutation_rate=NumGenes(2), seed=1))
+@example(candidate=GaConfig(num_generations=3, sol_per_pop=6, num_parents_mating=3, num_genes=3,
+                            mutation=None, gene_space=DiscreteSet((0, 1, 2, 3)),
+                            allow_duplicate_genes=False, seed=1))
+@example(candidate=GaConfig(num_generations=3, sol_per_pop=2, num_parents_mating=2, num_genes=2,
+                            gene_space=ValueRange(0, 6, 1), gene_type=GeneType.UINT8,
+                            initial_population=[[-7.5, 300.7], [0.4, 1e10]], seed=1))
+def test_a_run_without_hooks_equals_the_run_that_settles_every_generation(candidate):
+    # Without hooks settle skips coercion; a no-op hook restores it, so both
+    # must give the same run, or fail alike.
+    try:
+        cfg = validate(candidate)
+    except ConfigError:
+        assume(False)
+    settled = _outcome(cfg, LifecycleHooks(on_generation=lambda state: None))
+    assert _outcome(cfg) == settled
+
+
+def _seeded_stages(monkeypatch) -> list:
+    """The (generation, stage) of every stream the runs started after this call seed."""
+    seeded, streams = [], engine.StageStreams
+
+    def recording(seed):
+        stage_rng = streams(seed)
+
+        def stream(generation, stage):
+            seeded.append((generation, stage))
+            return stage_rng(generation, stage)
+
+        return stream
+
+    monkeypatch.setattr(engine, "StageStreams", recording)
+    return seeded
+
+
+@pytest.mark.parametrize("problem", ["onemax", "xor"])
+def test_presets_without_hooks_neither_coerce_offspring_nor_seed_selection(monkeypatch, problem):
+    cfg, fitness = build_solve_config(parse_invocation(
+        ["solve", "--problem", problem, "--generations", "30"]))
+    assert cfg.parent_selection is ParentSelection.STEADY_STATE
+    seeded = _seeded_stages(monkeypatch)
+    with mock.patch.object(GeneSchema, "coerce", autospec=True,
+                           side_effect=GeneSchema.coerce) as coerce:
+        run(cfg, fitness)
+    assert coerce.call_count == 0  # the presets sample their first population
+    assert sorted(seeded) == sorted([(0, 0)] + [(g, stage) for g in range(30) for stage in (2, 3)])
+
+
+def test_a_tournament_seeds_selection_every_generation(monkeypatch):
+    seeded = _seeded_stages(monkeypatch)
+    run(demo_config(parent_selection=ParentSelection.TOURNAMENT), sum_fitness)
+    assert [g for g, stage in seeded if stage == 1] == list(range(10))
+
+
 # --- stage streams ---------------------------------------------------------------------
 
 _B = draws._STREAM_BLOCK
@@ -769,9 +878,11 @@ def test_memory_error_after_init_is_a_ga_error_naming_generation_and_stage(
         return real(*args, **kwargs)
 
     monkeypatch.setattr(engine, stage, out_of_memory_at_generation_2)
+    # A run with no hook installed has no settle to call; a no-op hook restores it.
+    hooks = LifecycleHooks(on_generation=lambda state: None) if stage == "settle" else None
     with pytest.raises(GaError, match=f"^generation 2, {name} {re.escape(text)}$") as err:
         run(demo_config(crossover=CrossoverKind.UNIFORM, mutation=MutationKind.RANDOM),
-            sum_fitness)
+            sum_fitness, hooks)
     assert type(err.value) is GaError and err.value.__cause__ is error
 
 
