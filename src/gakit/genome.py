@@ -20,7 +20,6 @@ enumerate, unconstrained PYINT genes) still draw one gene at a time.
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 from collections import Counter
@@ -53,16 +52,8 @@ class GeneType(Enum):
     PYINT = "int"
 
 
-_INT_BOUNDS = {
-    GeneType.INT8: (-(2**7), 2**7 - 1),
-    GeneType.INT16: (-(2**15), 2**15 - 1),
-    GeneType.INT32: (-(2**31), 2**31 - 1),
-    GeneType.INT64: (-(2**63), 2**63 - 1),
-    GeneType.UINT8: (0, 2**8 - 1),
-    GeneType.UINT16: (0, 2**16 - 1),
-    GeneType.UINT32: (0, 2**32 - 1),
-    GeneType.UINT64: (0, 2**64 - 1),
-}
+_INT_BOUNDS = {t: (int(np.iinfo(t.value).min), int(np.iinfo(t.value).max))
+               for t in GeneType if t is not GeneType.PYINT and np.dtype(t.value).kind in "iu"}
 
 # Each integer type's bounds as the doubles nearest to them inside the range:
 # float(2**63 - 1) rounds up to 2**63, which an int64 cannot hold.
@@ -230,18 +221,19 @@ class _GeneRule:
 
     The space and the type's coercer are picked once, into one fit step:
     fit(v) coerces finite v and keeps it if contains accepts it, or gives None
-    (a PYINT value beyond 2**53 is always a miss). A rule that holds its
-    values (see _holds_values) keeps them as float64 arrays only: array in
-    draw order (a discrete set's coerced values, repeats kept), pool sorted
-    and distinct (for an enumerated lattice, the same array). It samples
-    array at one drawn index; any other rule samples by drawing from its
-    range and keeping the first draw fit keeps. admit keeps what fit keeps
-    and samples otherwise; NaN and infinities raise NonFiniteGene. A
-    redrawing sample raises EmptySpace after _REDRAW_BUDGET misses. No call
-    dispatches on the space or the type.
+    (a PYINT value beyond 2**53 is always a miss). kind says how it samples.
+    A "held" rule holds its values (see _holds_values) as float64 arrays
+    only: array in draw order (a discrete set's coerced values, repeats
+    kept), pool sorted and distinct (for an enumerated lattice, the same
+    array). It samples array at one drawn index. Any other rule samples by
+    drawing from its range and keeping the first draw fit keeps: an "open"
+    one (unconstrained, any type but PYINT) keeps every finite value, and a
+    "redraw" one raises EmptySpace after _REDRAW_BUDGET misses. admit keeps
+    what fit keeps and samples otherwise; NaN and infinities raise
+    NonFiniteGene. No call dispatches on the space or the type.
     """
 
-    __slots__ = ("space", "pool", "array", "contains", "fit", "sample", "admit")
+    __slots__ = ("space", "kind", "pool", "array", "contains", "fit", "sample", "admit")
 
     def __init__(self, space: GeneSpace, gene_type: GeneType, init_range) -> None:
         self.space = space
@@ -301,6 +293,8 @@ class _GeneRule:
             v = fit(v)
             return sample(rng) if v is None else v
 
+        self.kind = "held" if array is not None else "open" if (
+            isinstance(space, Unconstrained) and gene_type is not GeneType.PYINT) else "redraw"
         self.pool, self.array = pool, array
         self.contains, self.fit, self.sample, self.admit = contains, fit, sample, admit
 
@@ -345,18 +339,23 @@ def _per_gene(gene_space, gene_type, n: int) -> tuple:
 
 
 def distinct_values_fall_short(gene_space, gene_type, n: int) -> bool:
-    """Whether the genes of finite rules cannot all hold pairwise-distinct values.
+    """Whether the genes of few-valued rules cannot all hold pairwise-distinct values.
 
     Takes a validated config's gene_space and gene_type. Genes whose rules
-    are finite (discrete sets, enumerated lattices) take their values from
-    their pools, so distinct values exist exactly when each such gene can be
-    matched to a pool value of its own (Hall's condition). A gene whose pool
-    holds at least as many values as there are finite genes always finds one
-    the others left, so only genes with smaller pools are matched. A
-    lattice's first points are tried before it is enumerated in full. A rule
-    that holds no value of its type is left for the schema to report.
+    are finite (discrete sets, enumerated lattices), or integer-typed
+    continuous ranges, take their values from pools: the integers in
+    [lo, hi) that the type holds, for a range. Distinct values exist exactly
+    when each such gene can be matched to a pool value of its own (Hall's
+    condition). A gene whose pool holds at least as many values as there are
+    such genes always finds one the others left, so only genes with smaller
+    pools are matched. A range's integers are counted, and a lattice's first
+    points tried, before either is built in full. A rule that holds no value
+    of its type is left for the schema or its sampling to report.
     """
-    keys = [key for key in zip(*_per_gene(gene_space, gene_type, n)) if _holds_values(key[0])]
+    bounds = {**_INT_BOUNDS, GeneType.PYINT: (-_EXACT_INT_LIMIT, _EXACT_INT_LIMIT)}
+    keys = [(space, t) for space, t in zip(*_per_gene(gene_space, gene_type, n))
+            if _holds_values(space) or (isinstance(space, ValueRange) and space.step is None
+                                        and t in bounds)]
     finite = len(keys)
     groups = []
     try:
@@ -364,13 +363,20 @@ def distinct_values_fall_short(gene_space, gene_type, n: int) -> bool:
             space, t = key
             if isinstance(space, DiscreteSet):
                 pool = _GeneRule(space, t, None).pool  # a finite rule never draws init values
+            elif space.step is None:
+                first = max(math.ceil(space.lo), bounds[t][0])
+                stop = min(math.ceil(space.hi), bounds[t][1] + 1)
+                if stop - first >= finite:
+                    continue
+                fit = _GeneRule(space, t, None).fit
+                pool = np.unique([v for v in map(float, range(first, stop)) if fit(v) == v])
             else:
                 count = _lattice_size(space)
                 pool = _typed_points(space, t, min(count, finite))
                 if pool.size < finite and count > finite:
                     pool = _typed_lattice(space, t)
-                if not pool.size:
-                    return False
+            if not pool.size:
+                return False
             if pool.size < finite:
                 groups.append((pool.tolist(), genes))
     except (EmptySpace, NonFiniteGene):
@@ -417,18 +423,12 @@ def _matched(groups: list) -> bool:
 
 
 def _type_groups(types: Sequence[GeneType]) -> tuple:
-    """(type, columns) for each type but FLOAT64, whose coercion is the identity.
-
-    A type covering every gene indexes with a slice, so its pass works on a view.
-    """
+    """(type, column indices) for each type but FLOAT64, whose coercion is the identity."""
     columns: dict = {}
     for j, gene_type in enumerate(types):
         columns.setdefault(gene_type, []).append(j)
-    return tuple(
-        (gene_type, slice(None) if len(cols) == len(types) else np.array(cols))
-        for gene_type, cols in columns.items()
-        if gene_type is not GeneType.FLOAT64
-    )
+    return tuple((gene_type, np.array(cols)) for gene_type, cols in columns.items()
+                 if gene_type is not GeneType.FLOAT64)
 
 
 # A segment fill draws its genes of every row of a (rows, genes) block in
@@ -473,25 +473,15 @@ def _redraw_fill(rules: Sequence[_GeneRule]):
     return fill
 
 
-def _never_misses(space: GeneSpace, gene_type: GeneType) -> bool:
-    """Whether a rule's fit keeps every finite value: coerce never misses and contains holds all."""
-    return isinstance(space, Unconstrained) and gene_type is not GeneType.PYINT
-
-
 def _row_segments(rules: Sequence[_GeneRule], types: Sequence[GeneType], init_range) -> tuple:
-    """A row split into (columns, fill) segments of consecutive genes that draw alike."""
-    def kind(j: int) -> str:
-        if rules[j].array is not None:
-            return "finite"
-        return "uniform" if _never_misses(rules[j].space, types[j]) else "redraw"
-
+    """A row split into (columns, fill) segments of consecutive genes of one rule kind."""
     segments = []
-    for key, genes in itertools.groupby(range(len(rules)), key=kind):
+    for kind, genes in itertools.groupby(range(len(rules)), key=lambda j: rules[j].kind):
         genes = list(genes)
         cols = slice(genes[0], genes[-1] + 1)
-        if key == "finite":
+        if kind == "held":
             fill = _finite_fill(rules[cols])
-        elif key == "uniform":
+        elif kind == "open":
             fill = _uniform_fill(types[cols], init_range)
         else:
             fill = _redraw_fill(rules[cols])
@@ -505,25 +495,24 @@ class GeneSchema:
     Holds each gene's space and type, the gene columns grouped by type, and
     rules: one entry per gene, the rule compiled once for each distinct
     (space, type) pair and shared by its genes. rules[j].contains(v),
-    .fit(v), .sample(rng) and .admit(v, rng) answer for gene j; a finite rule's
-    float64 .array and .pool hold its coerced discrete set or enumerated typed
-    step lattice. Compiling raises EmptySpace for a set or lattice that holds no
-    value of its gene type, or NonFiniteGene for a set value it cannot hold,
-    naming the gene. unconstrained[j] tells whether gene j's space is
-    Unconstrained; never_misses, whether every gene's is and none is PYINT,
-    so that admit keeps every finite value as coerced and never draws;
-    one_step_admits, whether every gene never misses or has a rule that
-    holds its values, so that mutating a gene draws at most one integers()
+    .fit(v), .sample(rng) and .admit(v, rng) answer for gene j, and .kind
+    says how it samples; a held rule's float64 .array and .pool hold its
+    coerced discrete set or enumerated typed step lattice. Compiling raises
+    EmptySpace for a set or lattice that holds no value of its gene type, or
+    NonFiniteGene for a set value it cannot hold, naming the gene.
+    unconstrained[j] tells whether gene j's space is Unconstrained;
+    never_misses, whether every rule is open, so that admit keeps every
+    finite value as coerced and never draws; one_step_admits, whether no
+    rule redraws, so that mutating a gene draws at most one integers()
     after its delta.
 
     The compiled row sampler splits a row into segments of consecutive genes
-    that draw alike: finite rules draw one integers call per segment,
-    unconstrained genes of any type but PYINT one uniform call, and redrawing
-    rules one scalar sample per gene. numpy's vector draws consume the stream
-    exactly as the matching sequence of scalar calls does, so the rows hold
-    what rules[j].sample(rng) gives gene by gene, row by row, and leave the
-    generator in the same state.
-    Every draw of sample, admit and repair is scalar, so a run replays
+    of one rule kind: held rules draw one integers call per segment, open
+    ones one uniform call, and redrawing rules one scalar sample per gene.
+    numpy's vector draws consume the stream exactly as the matching
+    sequence of scalar calls does, so the rows hold what rules[j].sample(rng)
+    gives gene by gene, row by row, and leave the generator in the same
+    state. Every draw of sample, admit and repair is scalar, so a run replays
     bit-identically whichever path it takes.
     """
 
@@ -541,9 +530,8 @@ class GeneSchema:
                     rules[key] = _GeneRule(*key, self.init_range)
         self.rules = tuple(rules[key] for key in zip(self.spaces, self.types))
         self.unconstrained = tuple(isinstance(space, Unconstrained) for space in self.spaces)
-        self.never_misses = all(_never_misses(*key) for key in rules)
-        self.one_step_admits = all(rule.array is not None or _never_misses(*key)
-                                   for key, rule in rules.items())
+        self.never_misses = all(rule.kind == "open" for rule in self.rules)
+        self.one_step_admits = all(rule.kind != "redraw" for rule in self.rules)
         self._groups = _type_groups(self.types)
         self._segments = _row_segments(self.rules, self.types, self.init_range)
 
@@ -571,7 +559,7 @@ class GeneSchema:
     def coerce_at(self, values: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """coerce_gene, in place, on finite values bound for flat positions of (rows, genes)."""
         for gene_type, cols in self._groups:
-            at = cols if isinstance(cols, slice) else np.isin(positions % len(self.types), cols)
+            at = np.isin(positions % len(self.types), cols)
             values[at] = _coerce_array(values[at], gene_type)
         return values
 
@@ -585,7 +573,7 @@ class GeneSchema:
                 fill(rng, block[:, cols])
         return out
 
-    def repair(self, genes, rng, where: str = "") -> np.ndarray:
+    def repair(self, genes, rng) -> np.ndarray:
         """Resample duplicated genes until each chromosome's values are pairwise distinct.
 
         Takes one chromosome or a (rows, genes) population and returns a
@@ -594,23 +582,23 @@ class GeneSchema:
         admissible set excluding every value currently present in the row.
         Rows are repaired in order, and a row that is already distinct draws
         nothing, so one sort finds the rows that need the scan. A gene with no
-        distinct value left raises InsufficientSpace naming, after where, the
-        gene, its type and, for a population, its row.
+        distinct value left raises InsufficientSpace naming the gene, its type
+        and, for a population, its row.
         """
         out = np.array(genes, dtype=float)
         rows = out.reshape(-1, out.shape[-1])
         ordered = np.sort(rows, axis=1)
         for i in np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1)):
-            rows[i] = self._repair_row(rows[i].tolist(), rng,
-                                       f"{where}row {i}, " if out.ndim > 1 else where)
+            with context(f"row {i}, " if out.ndim > 1 else ""):
+                rows[i] = self._repair_row(rows[i].tolist(), rng)
         return out
 
-    def _repair_row(self, values: list, rng, where: str = "") -> list:
+    def _repair_row(self, values: list, rng) -> list:
         seen = set()
         for j, v in enumerate(values):
             if v in seen:
                 exclude = set(values[:j] + values[j + 1:])
-                with context(f"{where}gene {j} ({self.types[j].value}): "):
+                with context(f"gene {j} ({self.types[j].value}): "):
                     v = values[j] = self.rules[j].resample_excluding(exclude, rng)
             seen.add(v)
         return values
@@ -659,17 +647,11 @@ def init_population(cfg: "GaConfig", rng, schema: Optional[GeneSchema] = None) -
     return pop
 
 
-def population_to_csv(pop) -> str:
-    """Serialize a population, one chromosome per row, genes as decimal literals."""
-    out = io.StringIO()
-    for row in np.asarray(pop, dtype=float):
-        out.write(",".join(repr(float(v)) for v in row))
-        out.write("\n")
-    return out.getvalue()
-
-
 def population_from_csv(text: str) -> np.ndarray:
-    """Parse a population serialized by population_to_csv."""
+    """Parse a population from CSV text: one chromosome per line, genes as comma-separated numbers.
+
+    Blank lines are skipped; every row must have the same number of genes.
+    """
     rows = []
     for line in text.splitlines():
         line = line.strip()

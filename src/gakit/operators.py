@@ -41,7 +41,7 @@ from .config import (
     resolve_mutation_count,
 )
 from .draws import Words, replayed
-from .errors import NonPositiveFitness
+from .errors import NonPositiveFitness, context
 from .genome import GeneSchema
 
 
@@ -246,7 +246,8 @@ def _mutate_structure(kind, rows, cfg, rng, schema) -> None:
             for j in move(row, rng):
                 row[j] = rules[j].admit(row[j], rng)
         if not cfg.allow_duplicate_genes:
-            row[:] = schema.repair(row, rng, f"row {i}, ")
+            with context(f"row {i}, "):
+                row[:] = schema.repair(row, rng)
 
 
 def _mutate_random(kind, rows, cfg, pop_mean_fitness, own_fitness, rng, schema) -> None:
@@ -291,7 +292,8 @@ def _mutate_random(kind, rows, cfg, pop_mean_fitness, own_fitness, rng, schema) 
                 v += row.item(j)
             row[j] = rules[j].admit(v, rng)
         if repair:
-            rows[i] = schema.repair(row, rng, f"row {i}, ")
+            with context(f"row {i}, "):
+                rows[i] = schema.repair(row, rng)
 
 
 def _mutate_at_once(rows, counts, cfg, schema, rng) -> bool:

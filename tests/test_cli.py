@@ -230,6 +230,18 @@ def test_distinct_genes_from_too_small_a_space_exit_three(tmp_path, capsys):
     assert "config error" in err and "gene_space" in err
 
 
+@pytest.mark.parametrize("genes, text", [
+    ("2", "gene_space=range:0,1\ngene_type=int8\n"),  # both genes can hold only 0
+    ("4", "gene_space=range:0.5,3.5\ngene_type=int16\n"),  # only 1, 2 and 3 fit
+])
+def test_distinct_genes_from_too_few_integers_of_a_range_exit_three(tmp_path, capsys, genes, text):
+    conf = tmp_path / "run.conf"
+    conf.write_text(text + "allow_duplicate_genes=false\n")
+    assert main(["solve", "--problem", "onemax", "--genes", genes, "--config", str(conf)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config field 'gene_space': ") and "ValueRange" in err
+
+
 @pytest.mark.parametrize("values", ["nan", "0,inf", "-inf"])
 def test_non_finite_discrete_value_exits_three(tmp_path, capsys, values):
     conf = tmp_path / "run.conf"

@@ -282,9 +282,10 @@ def test_distinctness_that_can_be_met_is_accepted(space, gene_type):
     validate(base_config(gene_space=space, gene_type=gene_type, allow_duplicate_genes=False))
 
 
-# Mostly finite spaces with a few values each, so both outcomes are common.
+# Mostly spaces with a few values each, so both outcomes are common.
 _SMALL_SPACES = st.one_of(
-    st.sampled_from([UNCONSTRAINED, ValueRange(0, 1)]),
+    st.sampled_from([UNCONSTRAINED, ValueRange(0, 1), ValueRange(0.5, 3.5), ValueRange(-1.5, 0.5),
+                     ValueRange(0.2, 0.4)]),
     st.lists(st.sampled_from([0.0, 0.4, 0.5, 1.0, 1.5]), min_size=1, max_size=3,
              unique=True).map(lambda values: DiscreteSet(tuple(values))),
     st.builds(ValueRange, st.sampled_from([0.0, 0.5]), st.sampled_from([1.0, 2.0]),
@@ -307,8 +308,19 @@ def test_distinctness_rejection_matches_the_compiled_pools(data):
             candidate, allow_duplicate_genes=True)))
     except (EmptySpace, NonFiniteGene):
         return
-    # Brute force: no choice of one pool value per finite gene is pairwise distinct.
-    pools = [rule.pool.tolist() for rule in schema.rules if rule.pool is not None]
+    # A gene's candidates are its rule's pool or, on an integer-typed range, the
+    # integers around [lo, hi) that its rule's fit keeps unchanged.
+    pools = []
+    for rule, gene_type in zip(schema.rules, schema.types):
+        if rule.pool is not None:
+            pools.append(rule.pool.tolist())
+        elif isinstance(rule.space, ValueRange) and gene_type not in (GeneType.FLOAT32,
+                                                                     GeneType.FLOAT64):
+            window = range(math.floor(rule.space.lo) - 2, math.ceil(rule.space.hi) + 2)
+            pools.append([v for v in map(float, window) if rule.fit(v) == v])
+    if not all(pools):
+        return  # a range that holds no value of its type fails when it samples
+    # Brute force: no choice of one candidate per such gene is pairwise distinct.
     short = all(len(set(values)) < len(values) for values in itertools.product(*pools))
     try:
         validate(candidate)

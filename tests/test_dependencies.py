@@ -3,9 +3,10 @@
 numpy is the only runtime dependency: the package imports nothing else from
 outside itself. The tests import only what pyproject.toml declares, as a
 dependency or in the test extra. The benchmark harness under perfbench/
-reads names off gakit and gakit.cli, so a cut to the public surface must
-keep those. Only draws.py touches numpy's bit generators, so a numpy
-release that changes their algorithms can break only that module. Only
+reads names off gakit and gakit.cli, and attributes off the engine state
+its hooks see, so a cut to the public surface must keep those. Only
+draws.py touches numpy's bit generators, so a numpy release that changes
+their algorithms can break only that module. Only
 errors.py re-raises a caught error with context added to its message
 (errors.context), so where an error came from is decided in one place.
 """
@@ -137,3 +138,37 @@ def test_every_name_the_benchmark_reads_resolves():
     reads = {read for path in BENCHMARK for read in _module_reads(path)}
     assert ("gakit", "run") in reads and ("cli", "build_solve_config") in reads
     assert not {(module, name) for module, name in reads if not hasattr(modules[module], name)}
+
+
+def _state_reads(path: Path):
+    """Every state.<a>[.<b>...] attribute chain read in path, as a tuple of names."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id == "state":
+            yield tuple(chain)
+
+
+def _resolves(obj, chain) -> bool:
+    for name in chain:
+        if not hasattr(obj, name):
+            return False
+        obj = getattr(obj, name)
+    return True
+
+
+def test_every_state_attribute_the_benchmark_reads_resolves():
+    # The benchmark's hooks read these off the engine state; a run hands its
+    # on_generation hook the state every other hook sees.
+    reads = {chain for path in BENCHMARK for chain in _state_reads(path)}
+    assert {("population",), ("last_record", "offspring_mutation"),
+            ("last_generation_offspring_crossover",),
+            ("last_generation_offspring_mutation",)} <= reads
+    states = []
+    cfg = gakit.validate(gakit.GaConfig(num_generations=1, sol_per_pop=4, num_parents_mating=2,
+                                        num_genes=3))
+    gakit.run(cfg, lambda solution, idx: 1.0, gakit.LifecycleHooks(on_generation=states.append))
+    (state,) = states
+    assert not {chain for chain in reads if not _resolves(state, chain)}

@@ -777,11 +777,11 @@ def test_streams_are_built_as_the_run_reaches_them():
     assert fitness_history(long_run) == fitness_history(three)
 
 
-def _one_value_gene_config(population):
+def _one_value_gene_config(population, mutation=None):
     # Gene 1 holds the single value 1.0, so a row whose gene 0 is 1.0 cannot be repaired.
     return validate(GaConfig(
         num_generations=3, sol_per_pop=3, num_parents_mating=2, num_genes=2, crossover=None,
-        mutation=None, keep_parents=0, gene_space=[DiscreteSet((0, 1)), DiscreteSet((1,))],
+        mutation=mutation, keep_parents=0, gene_space=[DiscreteSet((0, 1)), DiscreteSet((1,))],
         allow_duplicate_genes=False, initial_population=population,
     ))
 
@@ -807,6 +807,14 @@ def test_failed_repair_after_the_hooks_names_generation_settle_and_row():
     with pytest.raises(InsufficientSpace,
                        match=f"^generation 1, settle row 2, {re.escape(_NO_VALUE_LEFT)}$"):
         run(cfg, lambda solution, idx: 1.0, LifecycleHooks(on_mutation=duplicate_last_child))
+
+
+def test_failed_repair_after_a_structural_mutation_names_generation_mutation_and_row():
+    # Swapping [0, 1] lands 0 on gene 1, whose admit draws its one value 1.0 back.
+    cfg = _one_value_gene_config([[0, 1]] * 3, mutation="swap")
+    with pytest.raises(InsufficientSpace,
+                       match=f"^generation 0, mutation row 0, {re.escape(_NO_VALUE_LEFT)}$"):
+        run(cfg, lambda solution, idx: 1.0)
 
 
 def test_non_finite_gene_from_a_hook_names_generation_and_settle():

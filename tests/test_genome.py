@@ -31,7 +31,6 @@ from gakit.genome import (
     coerce_gene,
     init_population,
     population_from_csv,
-    population_to_csv,
 )
 
 INIT_RANGE = (-4.0, 4.0)
@@ -629,9 +628,14 @@ def test_unallocatable_population_raises_ga_error_naming_init_and_shape():
 # --- CSV ------------------------------------------------------------------------
 
 def test_population_csv_round_trip():
-    pop = np.random.default_rng(0).uniform(-4, 4, size=(6, 4))
-    again = population_from_csv(population_to_csv(pop))
-    assert np.array_equal(pop, again)
+    # One chromosome per line, comma-separated decimal genes, blank lines skipped.
+    text = "0.1,-2.5,3\n\n 1e-3, 4.0 ,-0.0\n-7,1.7976931348623157e308,5e-324\n"
+    pop = population_from_csv(text)
+    assert pop.dtype == float and pop.shape == (3, 3)
+    assert pop.tolist() == [[0.1, -2.5, 3.0], [0.001, 4.0, -0.0],
+                            [-7.0, 1.7976931348623157e308, 5e-324]]
+    again = population_from_csv("\n".join(",".join(map(repr, row)) for row in pop.tolist()))
+    assert np.array_equal(again, pop)
 
 
 def test_population_csv_rejects_ragged_rows():
@@ -645,6 +649,46 @@ def test_population_csv_rejects_empty():
 
 
 # --- per-run compilation ----------------------------------------------------------
+
+_FILLS = {"held": "_finite_fill", "open": "_uniform_fill", "redraw": "_redraw_fill"}
+
+
+@pytest.mark.parametrize("gene_type", list(GeneType))
+@given(data=st.data())
+def test_each_compiled_rule_keeps_the_promise_of_its_kind(gene_type, data):
+    # Gene 0 takes the parametrized type; any further genes take drawn ones.
+    count = data.draw(st.integers(1, 4))
+    spaces = data.draw(st.lists(gene_spaces(), min_size=count, max_size=count))
+    types = [gene_type] + data.draw(st.lists(st.sampled_from(list(GeneType)),
+                                             min_size=count - 1, max_size=count - 1))
+    try:
+        schema = GeneSchema.from_config(validate(GaConfig(
+            num_generations=1, sol_per_pop=2, num_parents_mating=2, num_genes=count,
+            crossover=None, gene_space=spaces, gene_type=types)))
+    except (ConfigError, EmptySpace, NonFiniteGene):
+        return
+    for rule, t in zip(schema.rules, types):
+        if rule.kind == "held":
+            assert rule.array.size
+            # Every value of a small array; an even spread of a large one.
+            values = rule.array[::max(1, rule.array.size // 2048)].tolist() + [rule.array[-1]]
+            assert all(rule.contains(v) and coerce_gene(v, t) == v for v in values)
+            assert np.array_equal(rule.pool, np.unique(rule.array))
+        else:
+            assert rule.kind in ("open", "redraw") and rule.array is None
+        if rule.kind == "open":
+            for v in data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                        min_size=1, max_size=4)):
+                assert rule.fit(v) is not None and rule.fit(v) == coerce_gene(v, t)
+    kinds = [rule.kind for rule in schema.rules]
+    assert schema.never_misses == all(kind == "open" for kind in kinds)
+    assert schema.one_step_admits == ("redraw" not in kinds)
+    segments = [(kinds[cols], fill) for cols, fill in schema._segments]
+    assert [kind for segment, _ in segments for kind in segment] == kinds
+    for (segment, fill), (after, _) in zip(segments, segments[1:] + [([None], None)]):
+        assert set(segment) == {segment[0]} != {after[0]}
+        assert fill.__qualname__.split(".")[0] == _FILLS[segment[0]]
+
 
 def test_typed_lattice_enumerated_once_per_distinct_space_and_type(monkeypatch):
     calls = Counter()
