@@ -293,11 +293,12 @@ def validate(raw: GaConfig) -> GaConfig:
     allow_duplicate_genes = bool(raw.allow_duplicate_genes)
     gene_space = _check_space("gene_space", raw.gene_space, num_genes)
     gene_type = _check_types("gene_type", raw.gene_type, num_genes)
-    if not allow_duplicate_genes and distinct_values_fall_short(gene_space, gene_type, num_genes):
+    if not allow_duplicate_genes and distinct_values_fall_short(gene_space, gene_type, num_genes,
+                                                                init_range):
         raise ConfigError(
             "gene_space",
-            "a distinct admissible value for each gene of a finite gene space, "
-            "when allow_duplicate_genes is false",
+            "a distinct admissible value for each gene whose space, type and init_range "
+            "leave it few values, when allow_duplicate_genes is false",
             raw.gene_space,
         )
     initial_population = _check_initial_population(

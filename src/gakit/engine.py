@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import GaConfig, MutationKind, ParentSelection
+from .config import GaConfig, ParentSelection
 from .draws import StageStreams
 from .errors import (_GENE_ERRORS, DimensionMismatch, FitnessError, GaError, HookError,
                      NonPositiveFitness, context)
@@ -31,8 +31,8 @@ _STAGE_MUTATION = 3
 _STAGE_ERRORS = _GENE_ERRORS + (NonPositiveFitness, MemoryError)
 
 
-class GaControl(Enum):
-    """Control value an on_generation hook may return."""
+class GaControl(str, Enum):
+    """Control value an on_generation hook may return; STOP equals the string "stop"."""
 
     CONTINUE = "continue"
     STOP = "stop"
@@ -47,10 +47,11 @@ class StopReason(Enum):
 class LifecycleHooks:
     """The seven optional lifecycle callbacks, each receiving the engine state handle.
 
-    on_generation may return GaControl.STOP (or the string "stop") to end the
-    run after the current generation. on_crossover and on_mutation may
-    overwrite the corresponding last_generation_offspring_* array on the state
-    handle to plug in custom operators.
+    on_generation may return GaControl.STOP (or the string "stop") to end
+    the run after the current generation; any other value continues it.
+    on_crossover and on_mutation may overwrite the corresponding
+    last_generation_offspring_* array on the state handle to plug in custom
+    operators.
     """
 
     on_start: Optional[Callable] = None
@@ -177,10 +178,6 @@ def _fire(hooks: LifecycleHooks, name: str, state):
         raise HookError(name, generation) from exc
 
 
-def _should_stop(control) -> bool:
-    return control is GaControl.STOP or control == "stop"
-
-
 def _check_offspring_shape(offspring, shape: tuple, where: str) -> np.ndarray:
     # Hooks may replace offspring arrays but must preserve their shape, or the
     # population would drift away from sol_per_pop rows.
@@ -237,8 +234,9 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
 
     stop_reason = StopReason.EXHAUSTED
     completed = 0
-    adaptive = cfg.mutation is MutationKind.ADAPTIVE
     offspring_count = cfg.sol_per_pop - cfg.keep_parents
+    # Child i was bred from parent i mod P, whose fitness is its adaptive proxy.
+    bred_from = np.arange(offspring_count) % cfg.num_parents_mating
     offspring_shape = (offspring_count, cfg.num_genes)
 
     for g in range(cfg.num_generations):
@@ -268,15 +266,9 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
                                            offspring_shape, f"generation {g}, on_crossover hook")
 
         mutation_rng = stage_rng(g, _STAGE_MUTATION)
-        if cfg.mutation is not None:
-            # Child i was bred from parent i mod P, whose fitness is its adaptive proxy.
-            own = (fit[parents.indices[np.arange(offspring_count) % len(parents.indices)]]
-                   if adaptive else None)
-            with context(f"generation {g}, mutation ", _STAGE_ERRORS):
-                mutated = mutate(cfg.mutation, offspring, cfg, mean_fit, own, mutation_rng,
-                                 schema=schema)
-        else:
-            mutated = offspring
+        with context(f"generation {g}, mutation ", _STAGE_ERRORS):
+            mutated = mutate(offspring, cfg, mutation_rng, schema=schema,
+                             below_mean=fit[parents.indices[bred_from]] < mean_fit)
         state.last_generation_offspring_mutation = mutated
         _fire(hooks, "on_mutation", state)
         mutated = _check_offspring_shape(state.last_generation_offspring_mutation,
@@ -284,8 +276,10 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
 
         # Without hooks every offspring gene is already settled: a settled parent's
         # gene in its own column, or a value mutate admitted. Crossover can still
-        # pair equal genes, so duplicates are repaired. A hook may overwrite any
-        # array (or edit one in place), so with one installed every gene is settled.
+        # pair equal genes, so duplicates are repaired; mutate already repairs
+        # every row it mutates, so this pass only does work when mutation is
+        # disabled. A hook may overwrite any array (or edit one in place), so
+        # with one installed every gene is settled.
         with context(f"generation {g}, settle ", _STAGE_ERRORS):
             if hooked:
                 mutated = settle(cfg, schema, mutated, mutation_rng)
@@ -302,7 +296,8 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
             best_fitness=best_fit,
             best_index=best_index,
         )
-        if _should_stop(_fire(hooks, "on_generation", state)):
+        control = _fire(hooks, "on_generation", state)
+        if isinstance(control, str) and control == "stop":
             stop_reason = StopReason.CALLBACK_STOP
             break
 

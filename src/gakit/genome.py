@@ -338,38 +338,50 @@ def _per_gene(gene_space, gene_type, n: int) -> tuple:
     return gene_space, gene_type
 
 
-def distinct_values_fall_short(gene_space, gene_type, n: int) -> bool:
+def distinct_values_fall_short(gene_space, gene_type, n: int, init_range) -> bool:
     """Whether the genes of few-valued rules cannot all hold pairwise-distinct values.
 
-    Takes a validated config's gene_space and gene_type. Genes whose rules
-    are finite (discrete sets, enumerated lattices), or integer-typed
-    continuous ranges, take their values from pools: the integers in
-    [lo, hi) that the type holds, for a range. Distinct values exist exactly
-    when each such gene can be matched to a pool value of its own (Hall's
-    condition). A gene whose pool holds at least as many values as there are
-    such genes always finds one the others left, so only genes with smaller
-    pools are matched. A range's integers are counted, and a lattice's first
-    points tried, before either is built in full. A rule that holds no value
-    of its type is left for the schema or its sampling to report.
+    Takes a validated config's gene_space, gene_type and init_range. Genes
+    whose rules are finite (discrete sets, enumerated lattices), or that are
+    integer-typed and continuous, take their values from pools: for a range,
+    the integers in [lo, hi) that the type holds; for an unconstrained gene,
+    which init and repair sample from init_range, the integers from its lo
+    to the largest double below its hi, each rounded half away from zero,
+    clamped into the type's bounds. Only the integers that are doubles count:
+    beyond 2**53 they are sparse. Distinct values exist exactly when each
+    such gene can be matched to a pool value of its own (Hall's condition).
+    A gene whose pool holds at least as many values as there are such genes
+    always finds one the others left, so only genes with smaller pools are
+    matched. A continuous pool is built only as far as that many values,
+    and a lattice's first points are tried before it is built in full. A
+    rule that holds no value of its type is left for the schema or its
+    sampling to report.
     """
     bounds = {**_INT_BOUNDS, GeneType.PYINT: (-_EXACT_INT_LIMIT, _EXACT_INT_LIMIT)}
     keys = [(space, t) for space, t in zip(*_per_gene(gene_space, gene_type, n))
-            if _holds_values(space) or (isinstance(space, ValueRange) and space.step is None
-                                        and t in bounds)]
+            if _holds_values(space) or (t in bounds and (
+                isinstance(space, Unconstrained) or space.step is None))]
     finite = len(keys)
+    round_half_away = _integer_coercer(-math.inf, math.inf)
     groups = []
     try:
         for key, genes in Counter(keys).items():
             space, t = key
             if isinstance(space, DiscreteSet):
                 pool = _GeneRule(space, t, None).pool  # a finite rule never draws init values
-            elif space.step is None:
-                first = max(math.ceil(space.lo), bounds[t][0])
-                stop = min(math.ceil(space.hi), bounds[t][1] + 1)
-                if stop - first >= finite:
-                    continue
-                fit = _GeneRule(space, t, None).fit
-                pool = np.unique([v for v in map(float, range(first, stop)) if fit(v) == v])
+            elif isinstance(space, Unconstrained) or space.step is None:
+                low, high = bounds[t]
+                if isinstance(space, Unconstrained):
+                    ends = (init_range[0], math.nextafter(init_range[1], -math.inf))
+                    first, last = (min(max(int(round_half_away(v)), low), high) for v in ends)
+                    stop = last + 1
+                else:
+                    first = max(math.ceil(space.lo), low)
+                    stop = min(math.ceil(space.hi), high + 1)
+                exact = -_EXACT_INT_LIMIT <= first and stop <= _EXACT_INT_LIMIT
+                if exact and stop - first >= finite:
+                    continue  # each of these integers is a double
+                pool = np.fromiter(itertools.islice(_integral_doubles(first, stop), finite), float)
             else:
                 count = _lattice_size(space)
                 pool = _typed_points(space, t, min(count, finite))
@@ -382,6 +394,16 @@ def distinct_values_fall_short(gene_space, gene_type, n: int) -> bool:
     except (EmptySpace, NonFiniteGene):
         return False
     return not _matched(groups)
+
+
+def _integral_doubles(first: int, stop: int):
+    """The doubles in [first, stop) that are integers, ascending."""
+    v = float(first)
+    if v < first:
+        v = math.nextafter(v, math.inf)
+    while v < stop:
+        yield v
+        v = max(v + 1.0, math.nextafter(v, math.inf))  # past 2**53, v + 1.0 rounds to v
 
 
 def _matched(groups: list) -> bool:

@@ -204,18 +204,18 @@ _MOVES = {MutationKind.SWAP: _swap, MutationKind.INVERSION: _invert,
           MutationKind.SCRAMBLE: _scramble}
 
 
-def mutate(kind: MutationKind, chrom, cfg: GaConfig, pop_mean_fitness: float = 0.0,
-           own_fitness=None, rng=None, *, schema: GeneSchema) -> np.ndarray:
-    """Mutate one chromosome, or every row of a (rows, genes) generation, and return a copy.
+def mutate(chrom, cfg: GaConfig, rng, *, schema: GeneSchema, below_mean=None) -> np.ndarray:
+    """Mutate one chromosome, or every row of a (rows, genes) generation, as cfg.mutation says.
 
-    Random mutation perturbs (or replaces) a resolved number of genes; swap,
-    inversion, and scramble are structural single-application operators that
-    ignore the rate spec. Adaptive resolves the high rate for a row whose
-    fitness proxy (own_fitness: one value, or one per row) falls below the
-    population mean, the low rate otherwise, and then applies Random
-    semantics. Output genes always satisfy their type, space, and (when
-    configured) distinctness constraints, as compiled in schema
-    (GeneSchema.from_config(cfg)); a run compiles it once. A row whose
+    Returns a copy, or chrom itself, drawing nothing, when cfg.mutation is
+    None. Random mutation perturbs (or replaces) a resolved number of genes;
+    swap, inversion, and scramble are structural single-application operators
+    that ignore the rate spec. Adaptive takes the high rate where below_mean
+    (one bool, or one per row: the fitness proxy is below the population
+    mean) is true, the low rate elsewhere, then applies Random semantics;
+    other kinds ignore below_mean. Output genes always satisfy their type,
+    space, and (when configured) distinctness constraints, as compiled in
+    schema (GeneSchema.from_config(cfg)); a run compiles it once. A row whose
     duplicates cannot be repaired raises InsufficientSpace naming the row.
 
     Rows are mutated in order, and each row makes exactly the draws one call
@@ -225,20 +225,22 @@ def mutate(kind: MutationKind, chrom, cfg: GaConfig, pop_mean_fitness: float = 0
     draws.replayed(rng), which gives the values and end state of the direct
     numpy calls.
     """
+    if cfg.mutation is None:
+        return chrom
     genes = np.array(chrom, dtype=float)
     rows = genes.reshape(-1, genes.shape[-1])
     with replayed(rng) as rng:
-        if kind in (MutationKind.RANDOM, MutationKind.ADAPTIVE):
-            _mutate_random(kind, rows, cfg, pop_mean_fitness, own_fitness, rng, schema)
+        if cfg.mutation in (MutationKind.RANDOM, MutationKind.ADAPTIVE):
+            _mutate_random(rows, cfg, below_mean, rng, schema)
         else:
-            _mutate_structure(kind, rows, cfg, rng, schema)
+            _mutate_structure(rows, cfg, rng, schema)
     return genes
 
 
-def _mutate_structure(kind, rows, cfg, rng, schema) -> None:
-    move = _MOVES.get(kind)
+def _mutate_structure(rows, cfg, rng, schema) -> None:
+    move = _MOVES.get(cfg.mutation)
     if move is None:
-        raise ValueError(f"unknown mutation kind {kind!r}")
+        raise ValueError(f"unknown mutation kind {cfg.mutation!r}")
     rules = schema.rules
     for i, row in enumerate(rows):
         if row.size >= 2:
@@ -250,17 +252,17 @@ def _mutate_structure(kind, rows, cfg, rng, schema) -> None:
                 row[:] = schema.repair(row, rng)
 
 
-def _mutate_random(kind, rows, cfg, pop_mean_fitness, own_fitness, rng, schema) -> None:
+def _mutate_random(rows, cfg, below_mean, rng, schema) -> None:
     # Each row draws, in order: a Probability rate's binomial count, the
     # positions, then per position its delta (or replacement) and any
     # resample that admitting it needs; a duplicate repair comes last.
-    if kind is MutationKind.ADAPTIVE:
-        if own_fitness is None:
-            raise ValueError("adaptive mutation needs the offspring's fitness proxy")
+    if cfg.mutation is MutationKind.ADAPTIVE:
+        if below_mean is None:
+            raise ValueError("adaptive mutation needs below_mean, each row's fitness proxy "
+                             "against the population mean")
         pair: AdaptivePair = cfg.mutation_rate
         sides = (pair.low, pair.high)
-        below = np.asarray(own_fitness, dtype=float) < pop_mean_fitness
-        side_of = np.broadcast_to(below, rows.shape[:1]).astype(int).tolist()
+        side_of = np.broadcast_to(below_mean, rows.shape[:1]).astype(int).tolist()
     else:
         sides = (cfg.mutation_rate,)
         side_of = [0] * rows.shape[0]

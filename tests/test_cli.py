@@ -242,6 +242,26 @@ def test_distinct_genes_from_too_few_integers_of_a_range_exit_three(tmp_path, ca
     assert err.startswith("config error: config field 'gene_space': ") and "ValueRange" in err
 
 
+_UNCONSTRAINED_INT8 = "gene_space=unconstrained\ngene_type=int8\n"
+_PAST_2_53 = "gene_space=range:1152921504606846976,1152921504606851072\ngene_type=int64\n"
+
+
+@pytest.mark.parametrize("genes, text, code", [
+    ("10", _UNCONSTRAINED_INT8, 3),  # the default init_range (-4, 4) rounds to 9 integers
+    ("9", _UNCONSTRAINED_INT8, 0),
+    ("17", _PAST_2_53, 3),  # 4,096 integers from 2**60, but only 16 doubles
+    ("16", _PAST_2_53, 0),
+])
+def test_distinct_genes_count_what_init_can_draw(tmp_path, capsys, genes, text, code):
+    conf = tmp_path / "run.conf"
+    conf.write_text(text + "allow_duplicate_genes=false\n")
+    argv = ["solve", "--problem", "onemax", "--genes", genes, "--generations", "2",
+            "--config", str(conf), "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == code
+    if code:
+        assert capsys.readouterr().err.startswith("config error: config field 'gene_space': ")
+
+
 @pytest.mark.parametrize("values", ["nan", "0,inf", "-inf"])
 def test_non_finite_discrete_value_exits_three(tmp_path, capsys, values):
     conf = tmp_path / "run.conf"

@@ -282,10 +282,12 @@ def test_distinctness_that_can_be_met_is_accepted(space, gene_type):
     validate(base_config(gene_space=space, gene_type=gene_type, allow_duplicate_genes=False))
 
 
-# Mostly spaces with a few values each, so both outcomes are common.
+# Mostly spaces with a few values each, so both outcomes are common. Past 2**53
+# an int64 range holds few doubles: 4 in the first range here, 2 in the second.
 _SMALL_SPACES = st.one_of(
     st.sampled_from([UNCONSTRAINED, ValueRange(0, 1), ValueRange(0.5, 3.5), ValueRange(-1.5, 0.5),
-                     ValueRange(0.2, 0.4)]),
+                     ValueRange(0.2, 0.4), ValueRange(2.0**60, 2.0**60 + 1024),
+                     ValueRange(-2.0**60 - 512, -2.0**60)]),
     st.lists(st.sampled_from([0.0, 0.4, 0.5, 1.0, 1.5]), min_size=1, max_size=3,
              unique=True).map(lambda values: DiscreteSet(tuple(values))),
     st.builds(ValueRange, st.sampled_from([0.0, 0.5]), st.sampled_from([1.0, 2.0]),
@@ -298,26 +300,36 @@ def test_distinctness_rejection_matches_the_compiled_pools(data):
     num_genes = data.draw(st.integers(2, 5))
     spaces = data.draw(st.lists(_SMALL_SPACES, min_size=num_genes, max_size=num_genes))
     types = data.draw(st.lists(
-        st.sampled_from([GeneType.INT8, GeneType.UINT8, GeneType.PYINT, GeneType.FLOAT32,
-                         GeneType.FLOAT64]),
+        st.sampled_from([GeneType.INT8, GeneType.UINT8, GeneType.INT64, GeneType.PYINT,
+                         GeneType.FLOAT32, GeneType.FLOAT64]),
         min_size=num_genes, max_size=num_genes))
+    # Unconstrained integer-typed genes take the integers their init range rounds to.
+    init_range = data.draw(st.sampled_from([(-4.0, 4.0), (0.0, 1.0), (0.5, 2.5), (-1.5, 0.5),
+                                            (250.0, 252.0), (-3.0, -1.0)]))
     candidate = base_config(num_genes=num_genes, crossover=None, gene_space=spaces,
-                            gene_type=types, allow_duplicate_genes=False)
+                            gene_type=types, init_range=init_range, allow_duplicate_genes=False)
     try:
         schema = GeneSchema.from_config(validate(dataclasses.replace(
             candidate, allow_duplicate_genes=True)))
     except (EmptySpace, NonFiniteGene):
         return
-    # A gene's candidates are its rule's pool or, on an integer-typed range, the
-    # integers around [lo, hi) that its rule's fit keeps unchanged.
+    # A gene's candidates are its rule's pool; on an integer-typed range, the
+    # doubles of the integers around [lo, hi) that its rule's fit keeps unchanged;
+    # unconstrained and integer-typed, what its fit makes of a fine grid over
+    # the init range.
     pools = []
     for rule, gene_type in zip(schema.rules, schema.types):
         if rule.pool is not None:
             pools.append(rule.pool.tolist())
-        elif isinstance(rule.space, ValueRange) and gene_type not in (GeneType.FLOAT32,
-                                                                     GeneType.FLOAT64):
+        elif gene_type in (GeneType.FLOAT32, GeneType.FLOAT64):
+            continue
+        elif isinstance(rule.space, ValueRange):
             window = range(math.floor(rule.space.lo) - 2, math.ceil(rule.space.hi) + 2)
-            pools.append([v for v in map(float, window) if rule.fit(v) == v])
+            pools.append(sorted({v for v in map(float, window) if rule.fit(v) == v}))
+        else:
+            lo, hi = init_range
+            grid = [*np.arange(lo, hi, 1 / 64), math.nextafter(hi, -math.inf)]
+            pools.append(sorted({rule.fit(v) for v in grid} - {None}))
     if not all(pools):
         return  # a range that holds no value of its type fails when it samples
     # Brute force: no choice of one candidate per such gene is pairwise distinct.

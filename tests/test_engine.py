@@ -115,6 +115,19 @@ def test_other_return_values_continue():
     assert result.stop_reason is StopReason.EXHAUSTED
 
 
+def test_a_hook_returning_an_array_continues_every_generation():
+    seen = []
+
+    def best_row(state):
+        seen.append(state.generation)
+        return state.last_record.best_solution  # three genes: no truth value
+
+    result = run(demo_config(num_generations=4), sum_fitness,
+                 LifecycleHooks(on_generation=best_row))
+    assert seen == [0, 1, 2, 3]
+    assert result.stop_reason is StopReason.EXHAUSTED
+
+
 def test_zero_generations_reports_initial_population():
     result = run(demo_config(num_generations=0), sum_fitness)
     assert result.completed_generations == 0
@@ -245,9 +258,9 @@ def test_hook_error_is_exported():
 def test_engine_mutates_a_generation_in_one_call(monkeypatch):
     shapes = []
 
-    def counting(kind, chrom, *args, **kwargs):
+    def counting(chrom, *args, **kwargs):
         shapes.append(np.shape(chrom))
-        return mutate(kind, chrom, *args, **kwargs)
+        return mutate(chrom, *args, **kwargs)
 
     monkeypatch.setattr(engine, "mutate", counting)
     run(demo_config(num_generations=4, keep_parents=2), sum_fitness)

@@ -1,6 +1,8 @@
 """Selection, crossover, and mutation operator behavior."""
 
+import dataclasses
 import hashlib
+import inspect
 import itertools
 import math
 from contextlib import contextmanager
@@ -13,6 +15,7 @@ from conftest import StubRng
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import gakit
 from gakit import cli, draws, operators
 from gakit.config import (
     AdaptivePair,
@@ -305,23 +308,21 @@ def _cfg(**overrides):
 
 def test_swap_on_pair_exchanges():
     cfg = _cfg(num_genes=2, mutation=MutationKind.SWAP)
-    out = mutate(MutationKind.SWAP, [1, 2], cfg, rng=StubRng(ints=[0, 1]),
-                 schema=GeneSchema.from_config(cfg))
+    out = mutate([1, 2], cfg, StubRng(ints=[0, 1]), schema=GeneSchema.from_config(cfg))
     assert out.tolist() == [2, 1]
 
 
 def test_inversion_forced_full_segment():
     cfg = _cfg(mutation=MutationKind.INVERSION)
-    out = mutate(MutationKind.INVERSION, [1, 2, 3, 4], cfg, rng=StubRng(ints=[0, 4]),
-                 schema=GeneSchema.from_config(cfg))
+    out = mutate([1, 2, 3, 4], cfg, StubRng(ints=[0, 4]), schema=GeneSchema.from_config(cfg))
     assert out.tolist() == [4, 3, 2, 1]
 
 
 def test_scramble_touches_only_the_segment():
     cfg = _cfg(num_genes=6, mutation=MutationKind.SCRAMBLE)
     out = mutate(
-        MutationKind.SCRAMBLE, [0, 1, 2, 3, 4, 5], cfg,
-        rng=StubRng(ints=[1, 4, 2, 0, 1]),  # segment [1, 4), permutation order
+        [0, 1, 2, 3, 4, 5], cfg,
+        StubRng(ints=[1, 4, 2, 0, 1]),  # segment [1, 4), permutation order
         schema=GeneSchema.from_config(cfg),
     )
     assert out[0] == 0 and out[4] == 4 and out[5] == 5
@@ -330,7 +331,7 @@ def test_scramble_touches_only_the_segment():
 
 def test_inversion_outside_segment_untouched():
     cfg = _cfg(num_genes=6, mutation=MutationKind.INVERSION)
-    out = mutate(MutationKind.INVERSION, [0, 1, 2, 3, 4, 5], cfg, rng=StubRng(ints=[2, 5]),
+    out = mutate([0, 1, 2, 3, 4, 5], cfg, StubRng(ints=[2, 5]),
                  schema=GeneSchema.from_config(cfg))
     assert out.tolist() == [0, 1, 4, 3, 2, 5]
 
@@ -338,8 +339,7 @@ def test_inversion_outside_segment_untouched():
 def test_random_replacement_on_singleton_space_is_identity():
     cfg = _cfg(num_genes=2, mutation=MutationKind.RANDOM, mutation_by_replacement=True,
                mutation_rate=NumGenes(2), gene_space=DiscreteSet((5,)))
-    out = mutate(MutationKind.RANDOM, [5, 5], cfg, rng=np.random.default_rng(0),
-                 schema=GeneSchema.from_config(cfg))
+    out = mutate([5, 5], cfg, np.random.default_rng(0), schema=GeneSchema.from_config(cfg))
     assert out.tolist() == [5, 5]
 
 
@@ -349,7 +349,7 @@ def test_random_changes_at_most_resolved_count():
     genes = np.zeros(8)
     schema = GeneSchema.from_config(cfg)
     for _ in range(100):
-        out = mutate(MutationKind.RANDOM, genes, cfg, rng=rng, schema=schema)
+        out = mutate(genes, cfg, rng, schema=schema)
         assert np.sum(out != genes) <= 3
 
 
@@ -364,15 +364,15 @@ def test_unknown_operator_kind_raises_value_error(stage):
         elif stage == "produce_offspring":
             produce_offspring("blend", ParentSet(rows=pop, indices=np.arange(4)), 2, rng)
         else:
-            mutate("flip", pop, cfg, rng=rng, schema=GeneSchema.from_config(cfg))
+            mutate(pop, dataclasses.replace(cfg, mutation="flip"), rng,
+                   schema=GeneSchema.from_config(cfg))
 
 
 def test_adaptive_mutation_needs_the_fitness_proxy():
     cfg = _cfg(mutation=MutationKind.ADAPTIVE,
                mutation_rate=AdaptivePair(NumGenes(3), NumGenes(1)))
     with pytest.raises(ValueError, match="fitness proxy"):
-        mutate(MutationKind.ADAPTIVE, np.zeros(4), cfg, pop_mean_fitness=2.0,
-               rng=np.random.default_rng(0), schema=GeneSchema.from_config(cfg))
+        mutate(np.zeros(4), cfg, np.random.default_rng(0), schema=GeneSchema.from_config(cfg))
 
 
 def test_adaptive_high_branch_below_mean():
@@ -380,8 +380,7 @@ def test_adaptive_high_branch_below_mean():
     cfg = _cfg(mutation=MutationKind.ADAPTIVE, mutation_rate=pair)
     rng = np.random.default_rng(0)
     genes = np.zeros(4)
-    out = mutate(MutationKind.ADAPTIVE, genes, cfg, pop_mean_fitness=2.0, own_fitness=1.0, rng=rng,
-                 schema=GeneSchema.from_config(cfg))
+    out = mutate(genes, cfg, rng, schema=GeneSchema.from_config(cfg), below_mean=True)
     assert np.sum(out != genes) == 3
 
 
@@ -390,14 +389,38 @@ def test_adaptive_low_branch_at_or_above_mean():
     cfg = _cfg(mutation=MutationKind.ADAPTIVE, mutation_rate=pair)
     rng = np.random.default_rng(0)
     genes = np.zeros(4)
-    out = mutate(MutationKind.ADAPTIVE, genes, cfg, pop_mean_fitness=2.0, own_fitness=2.0, rng=rng,
-                 schema=GeneSchema.from_config(cfg))
+    out = mutate(genes, cfg, rng, schema=GeneSchema.from_config(cfg), below_mean=False)
     assert np.sum(out != genes) == 1
+
+
+def test_adaptive_rate_follows_each_rows_below_mean_flag():
+    cfg = _cfg(mutation=MutationKind.ADAPTIVE,
+               mutation_rate=AdaptivePair(NumGenes(3), NumGenes(1)))
+    pop = np.zeros((4, 4))
+    below = np.array([True, False, False, True])
+    out = mutate(pop, cfg, np.random.default_rng(0), schema=GeneSchema.from_config(cfg),
+                 below_mean=below)
+    assert np.sum(out != pop, axis=1).tolist() == [3, 1, 1, 3]
+
+
+def test_mutate_takes_its_kind_from_the_config_and_requires_a_stream():
+    params = inspect.signature(gakit.mutate).parameters
+    assert list(params) == ["chrom", "cfg", "rng", "schema", "below_mean"]
+    assert params["rng"].default is inspect.Parameter.empty
+
+
+def test_disabled_mutation_returns_its_input_and_draws_nothing():
+    cfg = _cfg(mutation=None)
+    pop = np.random.default_rng(0).uniform(-1, 1, size=(4, 4))
+    rng = np.random.default_rng(1)
+    before = rng.bit_generator.state
+    assert mutate(pop, cfg, rng, schema=GeneSchema.from_config(cfg), below_mean=True) is pop
+    assert rng.bit_generator.state == before
 
 
 def test_adaptive_branch_invariant_under_affine_rescaling():
     # The below-mean comparison only depends on the ordering, so any positive
-    # affine map of the fitness values picks the same branch.
+    # affine map of the fitness values picks the same rate.
     pair = AdaptivePair(NumGenes(3), NumGenes(1))
     cfg = _cfg(mutation=MutationKind.ADAPTIVE, mutation_rate=pair)
     genes = np.zeros(4)
@@ -405,10 +428,10 @@ def test_adaptive_branch_invariant_under_affine_rescaling():
     for a, b in ((1.0, 0.0), (7.5, 3.0), (0.01, -40.0)):
         fit = np.array([1.0, 3.0])
         mean = float(np.mean(a * fit + b))
-        low = mutate(MutationKind.ADAPTIVE, genes, cfg, mean, a * 3.0 + b,
-                     np.random.default_rng(1), schema=schema)
-        high = mutate(MutationKind.ADAPTIVE, genes, cfg, mean, a * 1.0 + b,
-                      np.random.default_rng(1), schema=schema)
+        low = mutate(genes, cfg, np.random.default_rng(1), schema=schema,
+                     below_mean=a * 3.0 + b < mean)
+        high = mutate(genes, cfg, np.random.default_rng(1), schema=schema,
+                      below_mean=a * 1.0 + b < mean)
         assert np.sum(high != genes) == 3
         assert np.sum(low != genes) == 1
 
@@ -419,7 +442,7 @@ def test_swap_changes_two_or_zero_positions():
     genes = np.arange(5, dtype=float)
     schema = GeneSchema.from_config(cfg)
     for _ in range(100):
-        out = mutate(MutationKind.SWAP, genes, cfg, rng=rng, schema=schema)
+        out = mutate(genes, cfg, rng, schema=schema)
         assert np.sum(out != genes) in (0, 2)
 
 
@@ -437,14 +460,13 @@ def test_mutation_closure_fuzz():
     ))
     schema = GeneSchema.from_config(cfg)
     rng = np.random.default_rng(13)
-    kinds = [MutationKind.RANDOM, MutationKind.SWAP, MutationKind.INVERSION,
-             MutationKind.SCRAMBLE]
+    cfgs = [dataclasses.replace(cfg, mutation=kind) for kind in (
+        MutationKind.RANDOM, MutationKind.SWAP, MutationKind.INVERSION, MutationKind.SCRAMBLE)]
     applications = 0
     while applications < 1000:
         pop = init_population(cfg, rng)
         for row in pop:
-            kind = kinds[applications % len(kinds)]
-            out = mutate(kind, row, cfg, rng=rng, schema=schema)
+            out = mutate(row, cfgs[applications % len(cfgs)], rng, schema=schema)
             applications += 1
             assert len(set(out.tolist())) == out.size
             for j, v in enumerate(out):
@@ -489,8 +511,8 @@ def test_mutate_replays_pinned_draws(kind):
         schema = GeneSchema.from_config(cfg)
         rng = np.random.default_rng([by_replacement, duplicates])
         for i, row in enumerate(init_population(cfg, rng)):
-            # own fitness -1, 0, 1 against a mean of 0: both adaptive rates
-            out = mutate(kind, row, cfg, 0.0, float(i % 3) - 1.0, rng, schema=schema)
+            # every third row below the mean: both adaptive rates
+            out = mutate(row, cfg, rng, schema=schema, below_mean=i % 3 == 0)
             digest.update(out.tobytes())
     assert digest.hexdigest() == _REPLAY_DIGESTS[kind]
 
@@ -537,8 +559,8 @@ def test_mutate_pins_whole_row_and_one_gene_draws(rates, kind):
         rng = np.random.default_rng(seed)
         rng.integers(2)
         assert rng.bit_generator.state["has_uint32"] == 1
-        own = np.arange(len(pop)) % 3 - 1.0  # against a mean of 0: both adaptive rates
-        out = mutate(kind, pop, cfg, 0.0, own, rng, schema=schema)
+        below = np.arange(len(pop)) % 3 == 0  # both adaptive rates
+        out = mutate(pop, cfg, rng, schema=schema, below_mean=below)
         digest.update(out.tobytes())
         digest.update(repr(rng.bit_generator.state).encode())
     assert digest.hexdigest() == _EDGE_DIGESTS[rates][kind]
@@ -576,10 +598,10 @@ def test_mutating_a_generation_equals_stacking_row_calls(kind, rate_index, schem
         schema = GeneSchema.from_config(cfg)
         seed = [rate_index, by_replacement, duplicates]
         pop = init_population(cfg, np.random.default_rng(seed), schema)
-        own = np.arange(len(pop)) % 3 - 1.0  # against a mean of 0: both adaptive rates
+        below = np.arange(len(pop)) % 3 == 0  # both adaptive rates
         whole_rng, row_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        whole = mutate(kind, pop, cfg, 0.0, own, whole_rng, schema=schema)
-        rows = np.array([mutate(kind, row, cfg, 0.0, own[i], row_rng, schema=schema)
+        whole = mutate(pop, cfg, whole_rng, schema=schema, below_mean=below)
+        rows = np.array([mutate(row, cfg, row_rng, schema=schema, below_mean=below[i])
                          for i, row in enumerate(pop)])
         assert whole.shape == pop.shape
         assert whole.tobytes() == rows.tobytes()
@@ -591,14 +613,13 @@ def test_mutate_leaves_its_input_generation_untouched():
     cfg = _cfg(num_genes=6, mutation_rate=NumGenes(3))
     pop = np.random.default_rng(0).uniform(-1, 1, size=(5, 6))
     before = pop.copy()
-    out = mutate(MutationKind.RANDOM, pop, cfg, rng=np.random.default_rng(1),
-                 schema=GeneSchema.from_config(cfg))
+    out = mutate(pop, cfg, np.random.default_rng(1), schema=GeneSchema.from_config(cfg))
     assert np.array_equal(pop, before) and not np.array_equal(out, before)
 
 
 # --- mutation against its per-call reference ------------------------------------------
 
-def _reference_mutate(kind, chrom, cfg, pop_mean_fitness, own_fitness, rng, *, schema):
+def _reference_mutate(chrom, cfg, rng, *, schema, below_mean=None):
     """mutate as it was before its draws were replayed: each draw one numpy call.
 
     It spells one position as choice(n, 1) and a delta as uniform(lo, hi),
@@ -606,6 +627,7 @@ def _reference_mutate(kind, chrom, cfg, pop_mean_fitness, own_fitness, rng, *, s
     lo + (hi - lo) * random() drew (test_mutation_draw_swaps_draw_the_same_bits in
     tests/test_draws.py).
     """
+    kind = cfg.mutation
     genes = np.array(chrom, dtype=float)
     rows = genes.reshape(-1, genes.shape[-1])
     rules = schema.rules
@@ -619,8 +641,7 @@ def _reference_mutate(kind, chrom, cfg, pop_mean_fitness, own_fitness, rng, *, s
         return genes
     if kind is MutationKind.ADAPTIVE:
         sides = (cfg.mutation_rate.low, cfg.mutation_rate.high)
-        below = np.asarray(own_fitness, dtype=float) < pop_mean_fitness
-        side_of = np.broadcast_to(below, rows.shape[:1]).astype(int).tolist()
+        side_of = np.broadcast_to(below_mean, rows.shape[:1]).astype(int).tolist()
     else:
         sides = (cfg.mutation_rate,)
         side_of = [0] * rows.shape[0]
@@ -693,20 +714,19 @@ def _mutation_draws_spy():
         yield taken
 
 
-def _one_pull_calls(kind, cfg, schema, pop, own):
-    """What _mutation_draws_spy sees on one mutate call with a mean fitness of 0.
+def _one_pull_calls(cfg, schema, pop, below):
+    """What _mutation_draws_spy sees on one mutate call with these below-mean flags.
 
     mutate asks for one pull exactly when every gene's admit draws at most once,
     duplicates are allowed, every rate the rows take is a fixed count and no
     written value can pass the largest double; the pull draws unless a row
     takes more than 16 picks (a Lemire rejection is about 1e-9 a step here).
     """
-    if kind not in (MutationKind.RANDOM, MutationKind.ADAPTIVE):
+    if cfg.mutation not in (MutationKind.RANDOM, MutationKind.ADAPTIVE):
         return []
     rates = {cfg.mutation_rate}
-    if kind is MutationKind.ADAPTIVE:  # a row below the mean fitness takes the high rate
-        rates = {(cfg.mutation_rate.low, cfg.mutation_rate.high)[b]
-                 for b in (np.asarray(own) < 0.0).tolist()}
+    if cfg.mutation is MutationKind.ADAPTIVE:  # a row below the mean fitness takes the high rate
+        rates = {(cfg.mutation_rate.low, cfg.mutation_rate.high)[b] for b in below.tolist()}
     lo, hi = cfg.random_delta_range
     in_range = math.isfinite(abs(lo) + (hi - lo) + (
         0.0 if cfg.mutation_by_replacement else float(np.abs(pop).max())))
@@ -741,21 +761,21 @@ def test_mutate_draws_what_the_per_call_reference_draws(kind, genes, copies, rat
         pop = init_population(cfg, np.random.default_rng(seed + 1), schema)
     except (ConfigError, EmptySpace, NonFiniteGene, InsufficientSpace):
         assume(False)
-    own = np.random.default_rng(seed + 2).uniform(-1.0, 1.0, size=rows)
+    below = np.random.default_rng(seed + 2).uniform(-1.0, 1.0, size=rows) < 0.0
 
     def outcome(mutation):
         rng = np.random.default_rng(seed)
         if half_word:
             rng.integers(2)  # a 32-bit draw leaves the other half of its word buffered
         try:
-            out = mutation(kind, pop, cfg, 0.0, own, rng, schema=schema).tobytes()
+            out = mutation(pop, cfg, rng, schema=schema, below_mean=below).tobytes()
         except GaError as err:
             out = type(err)
         return out, rng.bit_generator.state
 
     with _mutation_draws_spy() as taken:
         assert outcome(mutate) == outcome(_reference_mutate)
-    assert taken == _one_pull_calls(kind, cfg, schema, pop, own)
+    assert taken == _one_pull_calls(cfg, schema, pop, below)
 
 
 # --- a generation mutated from one pull ------------------------------------------------
@@ -800,31 +820,34 @@ def test_never_missing_genes_mutate_as_the_reference_does(kind, types, rate, by_
                                                           distinct, half_word, delta, scale,
                                                           rows, seed):
     n = len(types)
-    cfg = validate(GaConfig(
-        num_generations=1, sol_per_pop=rows, num_parents_mating=1, num_genes=n,
-        crossover=None, keep_parents=0, mutation=kind, mutation_rate=_rate(kind, *rate, n),
-        mutation_by_replacement=by_replacement, random_delta_range=delta,
-        allow_duplicate_genes=not distinct, gene_type=list(types),
-    ))
+    try:
+        cfg = validate(GaConfig(
+            num_generations=1, sol_per_pop=rows, num_parents_mating=1, num_genes=n,
+            crossover=None, keep_parents=0, mutation=kind, mutation_rate=_rate(kind, *rate, n),
+            mutation_by_replacement=by_replacement, random_delta_range=delta,
+            allow_duplicate_genes=not distinct, gene_type=list(types),
+        ))
+    except ConfigError:  # distinct integer-typed genes outnumber their init range's integers
+        assume(False)
     schema = GeneSchema.from_config(cfg)
     # 1e40 is past float32's range and every integer type's, so coercion clamps;
     # 4e307 puts genes within 1.6e308 of zero, near the largest double.
     pop = np.random.default_rng(seed + 1).uniform(-4.0, 4.0, size=(rows, n)) * scale
-    own = np.random.default_rng(seed + 2).uniform(-1.0, 1.0, size=rows)
+    below = np.random.default_rng(seed + 2).uniform(-1.0, 1.0, size=rows) < 0.0
 
     def outcome(mutation):
         rng = np.random.default_rng(seed)
         if half_word:
             rng.integers(2)  # a 32-bit draw leaves the other half of its word buffered
         try:
-            out = mutation(kind, pop, cfg, 0.0, own, rng, schema=schema).tobytes()
+            out = mutation(pop, cfg, rng, schema=schema, below_mean=below).tobytes()
         except GaError as err:
             out = type(err)  # the reference's repair errors do not name the row
         return out, rng.bit_generator.state
 
     with _mutation_draws_spy() as taken:
         assert outcome(mutate) == outcome(_reference_mutate)
-    assert taken == _one_pull_calls(kind, cfg, schema, pop, own)
+    assert taken == _one_pull_calls(cfg, schema, pop, below)
 
 
 @pytest.mark.parametrize("half_word", [False, True])
@@ -840,7 +863,7 @@ def test_a_value_that_overflows_raises_where_the_reference_raises(half_word):
         if half_word:
             rng.integers(2)
         with pytest.raises(NonFiniteGene) as err:
-            mutation(MutationKind.RANDOM, pop, cfg, 0.0, None, rng, schema=schema)
+            mutation(pop, cfg, rng, schema=schema)
         return str(err.value), rng.bit_generator.state
 
     with _mutation_draws_spy() as taken:
