@@ -293,8 +293,9 @@ def validate(raw: GaConfig) -> GaConfig:
     allow_duplicate_genes = bool(raw.allow_duplicate_genes)
     gene_space = _check_space("gene_space", raw.gene_space, num_genes)
     gene_type = _check_types("gene_type", raw.gene_type, num_genes)
+    drawn_range = init_range if raw.initial_population is None else None
     if not allow_duplicate_genes and distinct_values_fall_short(gene_space, gene_type, num_genes,
-                                                                init_range):
+                                                                drawn_range):
         raise ConfigError(
             "gene_space",
             "a distinct admissible value for each gene whose space, type and init_range "

@@ -341,28 +341,31 @@ def _per_gene(gene_space, gene_type, n: int) -> tuple:
 def distinct_values_fall_short(gene_space, gene_type, n: int, init_range) -> bool:
     """Whether the genes of few-valued rules cannot all hold pairwise-distinct values.
 
-    Takes a validated config's gene_space, gene_type and init_range. Genes
-    whose rules are finite (discrete sets, enumerated lattices), or that are
-    integer-typed and continuous, take their values from pools: for a range,
-    the integers in [lo, hi) that the type holds; for an unconstrained gene,
-    which init and repair sample from init_range, the integers from its lo
-    to the largest double below its hi, each rounded half away from zero,
-    clamped into the type's bounds. Only the integers that are doubles count:
-    beyond 2**53 they are sparse. Distinct values exist exactly when each
-    such gene can be matched to a pool value of its own (Hall's condition).
-    A gene whose pool holds at least as many values as there are such genes
-    always finds one the others left, so only genes with smaller pools are
-    matched. A continuous pool is built only as far as that many values,
-    and a lattice's first points are tried before it is built in full. A
-    rule that holds no value of its type is left for the schema or its
-    sampling to report.
+    Takes a validated config's gene_space and gene_type, and the init_range
+    that init samples unconstrained genes from, or None when init draws
+    nothing (an initial population is given). Genes whose rules are finite
+    (discrete sets, enumerated lattices), or that are integer-typed and
+    continuous, take their values from pools: for a range, the integers in
+    [lo, hi) that the type holds; for an unconstrained gene, the integers
+    from init_range's lo to the largest double below its hi, each rounded
+    half away from zero, clamped into the type's bounds. Unconstrained genes
+    are left out when init_range is None: repairing a given row needs only
+    a value its other genes do not hold, and those may lie outside
+    init_range. Only the integers that are doubles count: beyond 2**53 they
+    are sparse. Distinct values exist exactly when each such gene can be
+    matched to a pool value of its own (Hall's condition). A gene whose pool
+    holds at least as many values as there are such genes always finds one
+    the others left, so only genes with smaller pools are matched. A
+    continuous pool is built only as far as that many values, and a
+    lattice's first points are tried before it is built in full. A rule
+    that holds no value of its type is left for the schema or its sampling
+    to report.
     """
     bounds = {**_INT_BOUNDS, GeneType.PYINT: (-_EXACT_INT_LIMIT, _EXACT_INT_LIMIT)}
     keys = [(space, t) for space, t in zip(*_per_gene(gene_space, gene_type, n))
             if _holds_values(space) or (t in bounds and (
-                isinstance(space, Unconstrained) or space.step is None))]
+                space.step is None if isinstance(space, ValueRange) else init_range is not None))]
     finite = len(keys)
-    round_half_away = _integer_coercer(-math.inf, math.inf)
     groups = []
     try:
         for key, genes in Counter(keys).items():
@@ -372,8 +375,9 @@ def distinct_values_fall_short(gene_space, gene_type, n: int, init_range) -> boo
             elif isinstance(space, Unconstrained) or space.step is None:
                 low, high = bounds[t]
                 if isinstance(space, Unconstrained):
+                    coerce = _integer_coercer(low, high)
                     ends = (init_range[0], math.nextafter(init_range[1], -math.inf))
-                    first, last = (min(max(int(round_half_away(v)), low), high) for v in ends)
+                    first, last = (int(coerce(v)) for v in ends)
                     stop = last + 1
                 else:
                     first = max(math.ceil(space.lo), low)

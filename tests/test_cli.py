@@ -262,6 +262,24 @@ def test_distinct_genes_count_what_init_can_draw(tmp_path, capsys, genes, text, 
         assert capsys.readouterr().err.startswith("config error: config field 'gene_space': ")
 
 
+def test_distinct_unconstrained_integers_of_a_given_population_run(tmp_path, capsys):
+    # Init draws nothing from a given population, and a repair needs only a
+    # value outside its row's other genes: ten int8 genes, each row a
+    # permutation of 0..9, run, though init_range (-4, 4) gives only 9 integers.
+    pop = tmp_path / "pop.csv"
+    rng = np.random.default_rng(0)
+    pop.write_text("".join(",".join(map(str, rng.permutation(10))) + "\n" for _ in range(4)))
+    conf = tmp_path / "run.conf"
+    text = _UNCONSTRAINED_INT8 + "allow_duplicate_genes=false\n"
+    argv = ["solve", "--problem", "onemax", "--genes", "10", "--pop", "4", "--parents", "2",
+            "--generations", "2", "--config", str(conf), "--out", str(tmp_path / "out.csv")]
+    conf.write_text(text)
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("config error: config field 'gene_space': ")
+    conf.write_text(text + f"initial_population={pop}\n")
+    assert main(argv) == 0
+
+
 @pytest.mark.parametrize("values", ["nan", "0,inf", "-inf"])
 def test_non_finite_discrete_value_exits_three(tmp_path, capsys, values):
     conf = tmp_path / "run.conf"
