@@ -296,10 +296,14 @@ def validate(raw: GaConfig) -> GaConfig:
     drawn_range = init_range if raw.initial_population is None else None
     if not allow_duplicate_genes and distinct_values_fall_short(gene_space, gene_type, num_genes,
                                                                 drawn_range):
+        # Without init's draws the shortfall is gone: it is init_range's integers.
+        from_init = not distinct_values_fall_short(gene_space, gene_type, num_genes, None)
         raise ConfigError(
             "gene_space",
             "a distinct admissible value for each gene whose space, type and init_range "
-            "leave it few values, when allow_duplicate_genes is false",
+            "leave it few values, when allow_duplicate_genes is false"
+            + (f"; init_range {init_range} leaves the unconstrained integer genes too few "
+               "integers" if from_init else ""),
             raw.gene_space,
         )
     initial_population = _check_initial_population(

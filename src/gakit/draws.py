@@ -46,7 +46,11 @@ choice() would hand the choice to numpy. Its draws are final: mutate rules
 out a value past the largest double before the call.
 
 close() rewinds the unread words and hands the buffer back, so the
-Generator ends in exactly the state the direct calls leave. NEP 19 keeps
+Generator ends in exactly the state the direct calls leave. The engine
+needs neither end: it opens its mutation stage's Words (Words._seeded) on
+the stream it has just seeded, whose half-word buffer is empty, so nothing
+is read; settle draws from that same Words; and nothing hands it back,
+since the next generation seeds the generator afresh. NEP 19 keeps
 these algorithms stable across numpy releases; tests/test_draws.py compares
 each with numpy, values and end state, so a release that changes one fails
 there.
@@ -196,6 +200,14 @@ class Words:
         self._words: list = []
         self._next = 0
         self._take_back()
+
+    @classmethod
+    def _seeded(cls, gen: np.random.Generator) -> "Words":
+        """A Words on gen, just seeded: its half-word buffer is empty, so no state is read."""
+        words = cls.__new__(cls)
+        words._gen, words._bits = gen, gen.bit_generator
+        words._words, words._next, words._has_half, words._half = [], 0, 0, 0
+        return words
 
     def _take_back(self) -> None:
         state = self._bits.state
@@ -450,7 +462,8 @@ def replayed(rng):
 
     Words rebuilds PCG64's own output words and half-word buffer, so any
     other generator (another bit generator, or a stand-in that scripts its
-    draws) is used as it is.
+    draws) is used as it is. A Words is passed through as it is too, and
+    left open: whoever opened it decides whether to close it.
     """
     if not isinstance(getattr(rng, "bit_generator", None), np.random.PCG64):
         yield rng

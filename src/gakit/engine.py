@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .config import GaConfig, ParentSelection
-from .draws import StageStreams
+from .draws import StageStreams, Words
 from .errors import (_GENE_ERRORS, DimensionMismatch, FitnessError, GaError, HookError,
                      NonPositiveFitness, context)
 from .genome import GeneSchema, init_population, settle
@@ -155,9 +155,9 @@ def _evaluate_batch(population, batch, generation) -> np.ndarray:
         raise FitnessError(
             f"batch fitness returned shape {values.shape}, expected ({rows},)", generation
         )
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        i = int(bad[0])
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))  # the first non-finite row
         raise FitnessError(
             f"fitness returned non-finite value {float(values[i])!r}", generation, i
         )
@@ -204,7 +204,10 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
     stage has its own stream, so skipping one moves no draw. Offspring are
     settled (coerced to their gene types, and repaired) before they join the
     population only when a hook is installed; without one, only duplicates
-    are repaired.
+    are repaired. Mutation and settle draw from one draws.Words, opened on
+    the mutation stream just after its seeding and never closed (the next
+    generation seeds the generator again); mutate's draws.replayed passes it
+    through as it is.
     """
     hooks = hooks or LifecycleHooks()
     hooked = any(getattr(hooks, field.name) is not None for field in fields(hooks))
@@ -222,7 +225,7 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
     mean_fits: list = []
 
     def record_entry(fit_vector: np.ndarray) -> tuple:
-        best_index = int(np.argmax(fit_vector))  # argmax takes the lowest index on ties
+        best_index = int(fit_vector.argmax())  # argmax takes the lowest index on ties
         best_rows.append(population[best_index].copy())
         best_fits.append(float(fit_vector[best_index]))
         best_idxs.append(best_index)
@@ -261,18 +264,21 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
             offspring = produce_offspring(cfg.crossover, parents, offspring_count,
                                           stage_rng(g, _STAGE_CROSSOVER))
         state.last_generation_offspring_crossover = offspring
-        _fire(hooks, "on_crossover", state)
-        offspring = _check_offspring_shape(state.last_generation_offspring_crossover,
-                                           offspring_shape, f"generation {g}, on_crossover hook")
+        if hooks.on_crossover is not None:  # only the hook can change the offspring's shape
+            _fire(hooks, "on_crossover", state)
+            offspring = _check_offspring_shape(state.last_generation_offspring_crossover,
+                                               offspring_shape,
+                                               f"generation {g}, on_crossover hook")
 
-        mutation_rng = stage_rng(g, _STAGE_MUTATION)
+        mutation_rng = Words._seeded(stage_rng(g, _STAGE_MUTATION))
         with context(f"generation {g}, mutation ", _STAGE_ERRORS):
             mutated = mutate(offspring, cfg, mutation_rng, schema=schema,
                              below_mean=fit[parents.indices[bred_from]] < mean_fit)
         state.last_generation_offspring_mutation = mutated
-        _fire(hooks, "on_mutation", state)
-        mutated = _check_offspring_shape(state.last_generation_offspring_mutation,
-                                         offspring_shape, f"generation {g}, on_mutation hook")
+        if hooks.on_mutation is not None:
+            _fire(hooks, "on_mutation", state)
+            mutated = _check_offspring_shape(state.last_generation_offspring_mutation,
+                                             offspring_shape, f"generation {g}, on_mutation hook")
 
         # Without hooks every offspring gene is already settled: a settled parent's
         # gene in its own column, or a value mutate admitted. Crossover can still
@@ -285,7 +291,7 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
                 mutated = settle(cfg, schema, mutated, mutation_rng)
             elif not cfg.allow_duplicate_genes:
                 mutated = schema.repair(mutated, mutation_rng)
-            population = np.vstack([parents.rows[: cfg.keep_parents], mutated])
+            population = np.concatenate((parents.rows[: cfg.keep_parents], mutated))
         population.flags.writeable = False
         state.population = population
 

@@ -66,8 +66,9 @@ def select_parents(kind: ParentSelection, population, fitness, n: int, rng,
     size = population.shape[0]
 
     if kind is ParentSelection.STEADY_STATE:
-        indices = _ranked_indices(fitness)[:n]
-    elif kind is ParentSelection.ROULETTE:
+        indices = _ranked_indices(fitness)[:n]  # argsort's indices: already an int array
+        return ParentSet(rows=population[indices], indices=indices)
+    if kind is ParentSelection.ROULETTE:
         indices = rng.choice(size, size=n, replace=True, p=_fitness_weights(fitness))
     elif kind is ParentSelection.STOCHASTIC_UNIVERSAL:
         indices = _sus_indices(fitness, n, rng)
@@ -152,10 +153,11 @@ def produce_offspring(kind, parents: ParentSet, count: int, rng) -> np.ndarray:
     """
     rows = np.asarray(parents.rows, dtype=float)
     p, length = rows.shape
-    first = rows[np.arange(count) % p]
+    cycle = np.arange(count + 1) % p  # child i's parents: cycle[i] and cycle[i + 1]
+    first = rows[cycle[:-1]]
     if kind is None:
         return first
-    second = rows[(np.arange(count) + 1) % p]
+    second = rows[cycle[1:]]
     if kind is CrossoverKind.SINGLE_POINT:
         take_first = np.arange(length) < rng.integers(1, length, size=count)[:, None]
     elif kind is CrossoverKind.TWO_POINTS:
@@ -223,7 +225,8 @@ def mutate(chrom, cfg: GaConfig, rng, *, schema: GeneSchema, below_mean=None) ->
     same rows and leaves rng in the same state as stacking per-row calls.
     Every draw, the rules' and the repair's included, goes through
     draws.replayed(rng), which gives the values and end state of the direct
-    numpy calls.
+    numpy calls. An rng that is already a draws.Words (the engine opens one a
+    generation) is drawn from as it is and left open.
     """
     if cfg.mutation is None:
         return chrom
@@ -262,7 +265,7 @@ def _mutate_random(rows, cfg, below_mean, rng, schema) -> None:
                              "against the population mean")
         pair: AdaptivePair = cfg.mutation_rate
         sides = (pair.low, pair.high)
-        side_of = np.broadcast_to(below_mean, rows.shape[:1]).astype(int).tolist()
+        side_of = np.full(rows.shape[0], below_mean, dtype=bool).tolist()
     else:
         sides = (cfg.mutation_rate,)
         side_of = [0] * rows.shape[0]

@@ -262,6 +262,21 @@ def test_distinct_genes_count_what_init_can_draw(tmp_path, capsys, genes, text, 
         assert capsys.readouterr().err.startswith("config error: config field 'gene_space': ")
 
 
+@pytest.mark.parametrize("text, names_init_range", [
+    (_UNCONSTRAINED_INT8, True),  # the default init_range (-4, 4) rounds to 9 integers
+    ("gene_space=set:0,1,2,3,4,5,6,7,8\ngene_type=int8\n", False),  # 9 values, from the set
+])
+def test_distinctness_error_names_init_range_where_its_integers_fall_short(tmp_path, capsys, text,
+                                                                          names_init_range):
+    conf = tmp_path / "run.conf"
+    conf.write_text(text + "allow_duplicate_genes=false\n")
+    argv = ["solve", "--problem", "onemax", "--genes", "10", "--generations", "2",
+            "--config", str(conf), "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert ("init_range (-4.0, 4.0)" in err) is names_init_range
+
+
 def test_distinct_unconstrained_integers_of_a_given_population_run(tmp_path, capsys):
     # Init draws nothing from a given population, and a repair needs only a
     # value outside its row's other genes: ten int8 genes, each row a

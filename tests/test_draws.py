@@ -6,6 +6,8 @@ sampler and mutation's draws rest on. This file is the guard on every numpy
 algorithm gakit depends on: if a numpy release changes one, it fails here.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,6 +159,10 @@ def test_only_pcg64_generators_are_replayed():
     stand_in = object()
     with replayed(stand_in) as rng:
         assert rng is stand_in
+    words = Words(np.random.default_rng(0))  # passed through, and left open
+    with mock.patch.object(Words, "close") as closed, replayed(words) as rng:
+        assert rng is words
+    assert not closed.called
 
 
 def test_replay_closes_when_the_block_raises():

@@ -756,21 +756,32 @@ def test_a_tournament_seeds_selection_every_generation(monkeypatch):
 _B = draws._STREAM_BLOCK
 
 
-@pytest.mark.parametrize("mutation, duplicates", [
-    (MutationKind.RANDOM, False), (MutationKind.ADAPTIVE, True), (MutationKind.SCRAMBLE, False),
-])
-def test_run_draws_what_fresh_default_rng_streams_draw(monkeypatch, mutation, duplicates):
+def _copy_gene_0_over_gene_1(state):
+    offspring = state.last_generation_offspring_mutation.copy()
+    offspring[:, 1] = offspring[:, 0]
+    state.last_generation_offspring_mutation = offspring
+
+
+@pytest.mark.parametrize("mutation, duplicates, hooks", [
+    (MutationKind.RANDOM, False, None), (MutationKind.ADAPTIVE, True, None),
+    (MutationKind.SCRAMBLE, False, None),
+    # Every row then holds a duplicate, which settle repairs from mutation's own Words.
+    (MutationKind.RANDOM, False, LifecycleHooks(on_mutation=_copy_gene_0_over_gene_1)),
+], ids=["random-False", "adaptive-True", "scramble-False", "random-False-hooked"])
+def test_run_draws_what_fresh_default_rng_streams_draw(monkeypatch, mutation, duplicates, hooks):
     # One reused generator must give each stage the draws a fresh generator gives,
-    # across a block boundary and with settle drawing after mutate.
+    # across a block boundary and with settle drawing after mutate. The fresh side
+    # hands mutate the Generator itself, which settle then draws from directly.
     rate = (AdaptivePair(Probability(0.5), Probability(0.2))
             if mutation is MutationKind.ADAPTIVE else Probability(0.3))
     cfg = demo_config(num_generations=_B + 5, num_genes=6, seed=2**64 - 1, mutation=mutation,
                       mutation_rate=rate, allow_duplicate_genes=duplicates,
                       gene_space=[ValueRange(0, 9, step=1)] * 6)
-    fast = run(cfg, sum_fitness)
+    fast = run(cfg, sum_fitness, hooks)
     monkeypatch.setattr(engine, "StageStreams", lambda seed: (
         lambda generation, stage: np.random.default_rng([seed, generation, stage])))
-    assert _result_bits(run(cfg, sum_fitness)) == _result_bits(fast)
+    monkeypatch.setattr(draws.Words, "_seeded", staticmethod(lambda gen: gen))
+    assert _result_bits(run(cfg, sum_fitness, hooks)) == _result_bits(fast)
 
 
 def test_streams_are_built_as_the_run_reaches_them():

@@ -888,12 +888,13 @@ _ONE_PULL_GENES = st.one_of(
 
 @contextmanager
 def _direct_draws():
-    """mutate with every draw one numpy call on the Generator itself: no word replay."""
+    """Runs and mutate with every draw one numpy call on the Generator itself: no word replay."""
     @contextmanager
     def unreplayed(rng):
         yield rng
 
-    with mock.patch.object(operators, "replayed", unreplayed):
+    with mock.patch.object(operators, "replayed", unreplayed), \
+            mock.patch.object(draws.Words, "_seeded", staticmethod(lambda gen: gen)):
         yield
 
 
@@ -971,9 +972,17 @@ def test_repaired_duplicates_never_mutate_at_once():
 ])
 def test_benchmark_presets_hand_no_draw_to_numpy(argv):
     # Words replays only the draws these runs make; a draw outside that set goes to numpy.
+    # Each generation's mutation stage opens one Words on its freshly seeded stream,
+    # and no Words reads the generator's state back or writes it again.
     words = draws.Words
     with mock.patch.object(words, "_numpy", autospec=True, side_effect=words._numpy) as handed, \
-            mock.patch.object(words, "close", autospec=True, side_effect=words.close) as closed:
-        generations = _preset_run(argv)[0]
+            mock.patch.object(words, "close", autospec=True, side_effect=words.close) as closed, \
+            mock.patch.object(words, "_take_back", autospec=True,
+                              side_effect=words._take_back) as taken_back, \
+            mock.patch.object(words, "_seeded", side_effect=words._seeded) as opened:
+        generations, pulled = _preset_run(argv)
     assert handed.call_args_list == []
-    assert closed.call_count == generations  # every generation's mutation ran on the replay
+    assert closed.call_count == taken_back.call_count == 0
+    assert opened.call_count == generations
+    one_pull = "--config" not in argv  # lattice repairs duplicates, so it mutates row by row
+    assert pulled == ([True] * generations if one_pull else [])
