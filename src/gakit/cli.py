@@ -7,6 +7,7 @@ during the evolution (fitness failures and other GA-domain errors).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -122,8 +123,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def parse_invocation(argv) -> CliInvocation:
-    """Parse argv into a CliInvocation; unknown flags or bad values raise UsageError."""
+@functools.cache
+def _parser() -> _Parser:
+    """The gakit parser, built on the first parse; nothing changes it after that."""
     parser = _Parser(prog="gakit", description="genetic-algorithm benchmark runner")
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
@@ -137,8 +139,16 @@ def parse_invocation(argv) -> CliInvocation:
     report = sub.add_parser("report", help="render an SVG from a fitness CSV")
     report.add_argument("--in", dest="in_path", required=True)
     report.add_argument("--svg", required=True)
+    return parser
 
-    ns = parser.parse_args(list(argv))
+
+def parse_invocation(argv) -> CliInvocation:
+    """Parse argv into a CliInvocation; unknown flags or bad values raise UsageError.
+
+    The parser is built once per process, on the first call, and every call
+    parses into a fresh namespace, so calls share no state.
+    """
+    ns = _parser().parse_args(list(argv))
     flags = {k: v for k, v in vars(ns).items() if k != "subcommand" and v is not None}
     return CliInvocation(subcommand=ns.subcommand, flags=flags)
 

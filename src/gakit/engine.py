@@ -51,7 +51,9 @@ class LifecycleHooks:
     the run after the current generation; any other value continues it.
     on_crossover and on_mutation may overwrite the corresponding
     last_generation_offspring_* array on the state handle to plug in custom
-    operators.
+    operators. Every hook reads the population, the parents and their
+    indices read-only: a write into one raises, which surfaces as a
+    HookError.
     """
 
     on_start: Optional[Callable] = None
@@ -200,19 +202,20 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
     NonPositiveFitness or a MemoryError after init names the generation and
     the stage; a hook's wrong offspring shape names the generation and the hook.
 
-    Steady-state selection draws nothing, so its stream is not seeded; each
-    stage has its own stream, so skipping one moves no draw. Offspring are
-    settled (coerced to their gene types, and repaired) before they join the
-    population only when a hook is installed; without one, only duplicates
-    are repaired. Mutation and settle draw from one draws.Words, opened on
-    the mutation stream just after its seeding and never closed (the next
-    generation seeds the generator again); mutate's draws.replayed passes it
-    through as it is.
+    Steady-state selection and a disabled crossover draw nothing, so their
+    streams are not seeded; each stage has its own stream, so skipping one
+    moves no draw. Offspring are settled (coerced to their gene types, and
+    repaired) before they join the population only when a hook is installed;
+    without one, only duplicates are repaired. Mutation and settle draw from
+    one draws.Words, opened on the mutation stream just after its seeding and
+    never closed (the next generation seeds the generator again); mutate's
+    draws.replayed passes it through as it is.
     """
     hooks = hooks or LifecycleHooks()
     hooked = any(getattr(hooks, field.name) is not None for field in fields(hooks))
     stage_rng = StageStreams(cfg.seed)
     selection_draws = cfg.parent_selection is not ParentSelection.STEADY_STATE
+    crossover_draws = cfg.crossover is not None
     with context("init "):
         schema = GeneSchema.from_config(cfg)
         population = init_population(cfg, stage_rng(0, _STAGE_INIT), schema)
@@ -256,13 +259,18 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
                                      cfg.num_parents_mating,
                                      stage_rng(g, _STAGE_SELECTION) if selection_draws else None,
                                      cfg.tournament_k)
+        if hooked:
+            # The keep_parents elites join the next population unsettled, so a
+            # hook reads the parents as it reads the population: read-only.
+            parents.rows.flags.writeable = parents.indices.flags.writeable = False
         state.last_generation_parents = parents.rows
         state.last_generation_parents_indices = parents.indices
         _fire(hooks, "on_parents", state)
 
         with context(f"generation {g}, crossover ", _STAGE_ERRORS):
             offspring = produce_offspring(cfg.crossover, parents, offspring_count,
-                                          stage_rng(g, _STAGE_CROSSOVER))
+                                          stage_rng(g, _STAGE_CROSSOVER) if crossover_draws
+                                          else None)
         state.last_generation_offspring_crossover = offspring
         if hooks.on_crossover is not None:  # only the hook can change the offspring's shape
             _fire(hooks, "on_crossover", state)

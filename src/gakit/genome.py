@@ -448,28 +448,31 @@ def _matched(groups: list) -> bool:
     return True
 
 
-def _type_groups(types: Sequence[GeneType]) -> tuple:
-    """(type, column indices) for each type but FLOAT64, whose coercion is the identity."""
-    columns: dict = {}
-    for j, gene_type in enumerate(types):
-        columns.setdefault(gene_type, []).append(j)
-    return tuple((gene_type, np.array(cols)) for gene_type, cols in columns.items()
-                 if gene_type is not GeneType.FLOAT64)
+def _type_groups(slot_types: Sequence[GeneType], slots: np.ndarray) -> tuple:
+    """(type, column indices) for each type but FLOAT64, whose coercion is the identity.
+
+    Gene j's type is slot_types[slots[j]].
+    """
+    codes: dict = {}
+    slot_codes = [codes.setdefault(gene_type, len(codes)) for gene_type in slot_types]
+    codes.pop(GeneType.FLOAT64, None)
+    if not codes:
+        return ()
+    gene_codes = np.array(slot_codes, np.intp)[slots]
+    groups = ((gene_type, np.flatnonzero(gene_codes == code)) for gene_type, code in codes.items())
+    return tuple((gene_type, cols) for gene_type, cols in groups if cols.size)
 
 
 # A segment fill draws its genes of every row of a (rows, genes) block in
-# row-major order, with the draws the rules' scalar samples would make.
+# row-major order, with the draws the rules' scalar samples would make; row
+# is the block's first row in its population.
 
-def _finite_fill(rules: Sequence[_GeneRule]):
-    """Finite rules: one integers call picks each gene's index into one flat table of values."""
-    distinct = list(dict.fromkeys(rules))
-    starts = dict(zip(distinct, np.cumsum([0] + [r.array.size for r in distinct]).tolist()))
-    # A lone rule's own array is the table: a 2**20-point lattice is not copied.
-    table = distinct[0].array if len(distinct) == 1 else np.concatenate([r.array for r in distinct])
-    sizes = np.array([rule.array.size for rule in rules])
-    offsets = np.array([starts[rule] for rule in rules])
+def _finite_fill(table: np.ndarray, sizes: np.ndarray, offsets: np.ndarray):
+    """Finite rules: one integers call picks each gene's index into one flat table of values.
 
-    def fill(rng, out: np.ndarray) -> None:
+    Gene j's values are table[offsets[j]:offsets[j] + sizes[j]].
+    """
+    def fill(rng, out: np.ndarray, row: int) -> None:
         picks = rng.integers(0, sizes, size=out.shape)
         picks += offsets
         out[...] = table[picks]
@@ -477,12 +480,11 @@ def _finite_fill(rules: Sequence[_GeneRule]):
     return fill
 
 
-def _uniform_fill(types: Sequence[GeneType], init_range):
+def _uniform_fill(groups: tuple, init_range):
     """Rules that never miss: one uniform call over init_range, coerced one numpy pass per type."""
     lo, hi = init_range
-    groups = _type_groups(types)
 
-    def fill(rng, out: np.ndarray) -> None:
+    def fill(rng, out: np.ndarray, row: int) -> None:
         out[...] = rng.uniform(lo, hi, size=out.shape)
         for gene_type, cols in groups:
             out[:, cols] = _coerce_array(out[:, cols], gene_type)
@@ -490,28 +492,54 @@ def _uniform_fill(types: Sequence[GeneType], init_range):
     return fill
 
 
-def _redraw_fill(rules: Sequence[_GeneRule]):
-    """Rules that may miss and redraw: one scalar sample per gene."""
-    def fill(rng, out: np.ndarray) -> None:
-        for row in out:
-            row[...] = [rule.sample(rng) for rule in rules]
+def _redraw_fill(rules: Sequence[_GeneRule], types: Sequence[GeneType], start: int):
+    """Rules that may miss and redraw: one scalar sample per gene, the first being gene start.
+
+    A sample that finds no value names its row and gene.
+    """
+    def fill(rng, out: np.ndarray, row: int) -> None:
+        drawn = [0.0] * len(rules)
+        for i, values in enumerate(out, row):
+            try:
+                for j, rule in enumerate(rules):
+                    drawn[j] = rule.sample(rng)
+            except EmptySpace:
+                with context(f"row {i}, gene {start + j} ({types[j].value}): "):
+                    raise
+            values[...] = drawn
 
     return fill
 
 
-def _row_segments(rules: Sequence[_GeneRule], types: Sequence[GeneType], init_range) -> tuple:
-    """A row split into (columns, fill) segments of consecutive genes of one rule kind."""
+def _row_segments(slot_rules: Sequence[_GeneRule], slot_types: Sequence[GeneType],
+                  slots: np.ndarray, init_range) -> tuple:
+    """A row split into (columns, fill) segments of consecutive genes of one rule kind.
+
+    Gene j's rule is slot_rules[slots[j]], and its type slot_types[slots[j]].
+    """
+    held = [rule for rule in dict.fromkeys(slot_rules) if rule.kind == "held"]
+    if held:
+        # One table holds the values of every distinct held rule; a lone rule's
+        # own array is the table, so a 2**20-point lattice is not copied.
+        table = held[0].array if len(held) == 1 else np.concatenate([r.array for r in held])
+        starts = dict(zip(held, itertools.accumulate([0] + [rule.array.size for rule in held])))
+        sizes = np.array([0 if rule.array is None else rule.array.size for rule in slot_rules])
+        offsets = np.array([starts.get(rule, 0) for rule in slot_rules])
+    kinds = [rule.kind for rule in slot_rules]
     segments = []
-    for kind, genes in itertools.groupby(range(len(rules)), key=lambda j: rules[j].kind):
-        genes = list(genes)
-        cols = slice(genes[0], genes[-1] + 1)
+    start = 0
+    for kind, genes in itertools.groupby(slots.tolist(), key=kinds.__getitem__):
+        stop = start + len(list(genes))
+        cols, at = slice(start, stop), slots[start:stop]
         if kind == "held":
-            fill = _finite_fill(rules[cols])
+            fill = _finite_fill(table, sizes[at], offsets[at])
         elif kind == "open":
-            fill = _uniform_fill(types[cols], init_range)
+            fill = _uniform_fill(_type_groups(slot_types, at), init_range)
         else:
-            fill = _redraw_fill(rules[cols])
+            fill = _redraw_fill([slot_rules[s] for s in at.tolist()],
+                                [slot_types[s] for s in at.tolist()], start)
         segments.append((cols, fill))
+        start = stop
     return tuple(segments)
 
 
@@ -520,7 +548,9 @@ class GeneSchema:
 
     Holds each gene's space and type, the gene columns grouped by type, and
     rules: one entry per gene, the rule compiled once for each distinct
-    (space, type) pair and shared by its genes. rules[j].contains(v),
+    (space, type) pair and shared by its genes; genes are keyed by the
+    identity of their objects, so each distinct pair of objects is hashed
+    once, not each gene. rules[j].contains(v),
     .fit(v), .sample(rng) and .admit(v, rng) answer for gene j, and .kind
     says how it samples; a held rule's float64 .array and .pool hold its
     coerced discrete set or enumerated typed step lattice. Compiling raises
@@ -534,7 +564,8 @@ class GeneSchema:
 
     The compiled row sampler splits a row into segments of consecutive genes
     of one rule kind: held rules draw one integers call per segment, open
-    ones one uniform call, and redrawing rules one scalar sample per gene.
+    ones one uniform call, and redrawing rules one scalar sample per gene
+    (one that finds no value raises EmptySpace naming its row and gene).
     numpy's vector draws consume the stream exactly as the matching
     sequence of scalar calls does, so the rows hold what rules[j].sample(rng)
     gives gene by gene, row by row, and leave the generator in the same
@@ -549,17 +580,37 @@ class GeneSchema:
         self.spaces = tuple(spaces)
         self.types = tuple(types)
         self.init_range = (float(init_range[0]), float(init_range[1]))
-        rules: dict = {}
-        for j, key in enumerate(zip(self.spaces, self.types)):
-            if key not in rules:
+        # Genes are keyed by the identity of their space and type objects,
+        # which hashes in C: each distinct pair of objects is a slot. Only a
+        # slot's (space, type) is hashed and compared by value, in Python, so
+        # equal but distinct objects still share one rule. Every per-gene
+        # answer is its slot's.
+        pairs = list(zip(map(id, self.spaces), map(id, self.types)))
+        slot_of: dict = {}
+        firsts = []  # each slot's first gene
+        for j, pair in enumerate(pairs):
+            if pair not in slot_of:
+                slot_of[pair] = len(firsts)
+                firsts.append(j)
+        slots = list(map(slot_of.__getitem__, pairs))
+        compiled: dict = {}
+        slot_rules = []
+        for j in firsts:
+            key = (self.spaces[j], self.types[j])
+            rule = compiled.get(key)
+            if rule is None:
                 with context(f"gene {j} ({key[1].value}): "):
-                    rules[key] = _GeneRule(*key, self.init_range)
-        self.rules = tuple(rules[key] for key in zip(self.spaces, self.types))
-        self.unconstrained = tuple(isinstance(space, Unconstrained) for space in self.spaces)
-        self.never_misses = all(rule.kind == "open" for rule in self.rules)
-        self.one_step_admits = all(rule.kind != "redraw" for rule in self.rules)
-        self._groups = _type_groups(self.types)
-        self._segments = _row_segments(self.rules, self.types, self.init_range)
+                    rule = compiled[key] = _GeneRule(*key, self.init_range)
+            slot_rules.append(rule)
+        slot_types = [self.types[j] for j in firsts]
+        self.rules = tuple(map(slot_rules.__getitem__, slots))
+        self.unconstrained = tuple(map(
+            [isinstance(rule.space, Unconstrained) for rule in slot_rules].__getitem__, slots))
+        self.never_misses = all(rule.kind == "open" for rule in slot_rules)
+        self.one_step_admits = all(rule.kind != "redraw" for rule in slot_rules)
+        slots = np.array(slots, np.intp)
+        self._groups = _type_groups(slot_types, slots)
+        self._segments = _row_segments(slot_rules, slot_types, slots, self.init_range)
 
     @classmethod
     def from_config(cls, cfg: "GaConfig") -> "GeneSchema":
@@ -589,14 +640,21 @@ class GeneSchema:
             values[at] = _coerce_array(values[at], gene_type)
         return values
 
-    def _sample_rows(self, rng, rows: int) -> np.ndarray:
-        """rows chromosomes from the row sampler, each gene drawn from its rule."""
+    def _sample_rows(self, rng, rows: int, first: int = 0) -> np.ndarray:
+        """rows chromosomes from the row sampler, each gene drawn from its rule.
+
+        first is the first row's index in its population, which a failed
+        sample names.
+        """
         out = np.empty((rows, len(self.rules)))
         # With one segment the rows' draws are contiguous: the whole block is one call.
-        blocks = out[np.newaxis] if len(self._segments) == 1 else out[:, np.newaxis]
-        for block in blocks:
+        if len(self._segments) == 1:
+            blocks = ((first, out),)
+        else:
+            blocks = enumerate(out[:, np.newaxis], first)
+        for row, block in blocks:
             for cols, fill in self._segments:
-                fill(rng, block[:, cols])
+                fill(rng, block[:, cols], row)
         return out
 
     def repair(self, genes, rng) -> np.ndarray:
@@ -648,7 +706,8 @@ def init_population(cfg: "GaConfig", rng, schema: Optional[GeneSchema] = None) -
     gene space. Otherwise every gene is sampled from its admissible set by the
     schema's row sampler; without duplicate genes each row is repaired before
     the next is drawn. A population the host cannot allocate raises GaError;
-    a failed repair names its row. The schema defaults to the one from cfg.
+    a failed repair names its row, and a failed sample its row and gene. The
+    schema defaults to the one from cfg.
     """
     if schema is None:
         schema = GeneSchema.from_config(cfg)
@@ -668,8 +727,9 @@ def init_population(cfg: "GaConfig", rng, schema: Optional[GeneSchema] = None) -
     except MemoryError as err:
         raise GaError(f"init: cannot allocate a population of shape {shape}") from err
     for i, row in enumerate(pop):
+        row[...] = schema._sample_rows(rng, 1, i)[0]
         with context(f"row {i}, "):
-            row[...] = schema.repair(schema._sample_rows(rng, 1)[0], rng)
+            row[...] = schema.repair(row, rng)
     return pop
 
 

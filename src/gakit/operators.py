@@ -41,7 +41,7 @@ from .config import (
     resolve_mutation_count,
 )
 from .draws import Words, replayed
-from .errors import NonPositiveFitness, context
+from .errors import EmptySpace, NonPositiveFitness, context
 from .genome import GeneSchema
 
 
@@ -218,7 +218,9 @@ def mutate(chrom, cfg: GaConfig, rng, *, schema: GeneSchema, below_mean=None) ->
     other kinds ignore below_mean. Output genes always satisfy their type,
     space, and (when configured) distinctness constraints, as compiled in
     schema (GeneSchema.from_config(cfg)); a run compiles it once. A row whose
-    duplicates cannot be repaired raises InsufficientSpace naming the row.
+    duplicates cannot be repaired raises InsufficientSpace naming the row,
+    and a gene whose rule finds no value raises EmptySpace naming its row and
+    the gene.
 
     Rows are mutated in order, and each row makes exactly the draws one call
     on that row alone would make, so mutating a generation at once gives the
@@ -248,8 +250,12 @@ def _mutate_structure(rows, cfg, rng, schema) -> None:
     for i, row in enumerate(rows):
         if row.size >= 2:
             # A moved value may not fit the type and space of the gene it landed on.
-            for j in move(row, rng):
-                row[j] = rules[j].admit(row[j], rng)
+            try:
+                for j in move(row, rng):
+                    row[j] = rules[j].admit(row[j], rng)
+            except EmptySpace:  # a redraw rule found no value: name its row and gene
+                with context(f"row {i}, gene {j} ({schema.types[j].value}): "):
+                    raise
         if not cfg.allow_duplicate_genes:
             with context(f"row {i}, "):
                 row[:] = schema.repair(row, rng)
@@ -288,14 +294,18 @@ def _mutate_random(rows, cfg, below_mean, rng, schema) -> None:
         if count is None:
             count = resolve_mutation_count(sides[side], n, rng)
         row = rows[i]
-        for j in rng.choice(length, count, replace=False):
-            if by_replacement and not unconstrained[j]:
-                row[j] = rules[j].sample(rng)
-                continue
-            v = lo + width * rng.random()
-            if not by_replacement:
-                v += row.item(j)
-            row[j] = rules[j].admit(v, rng)
+        try:
+            for j in rng.choice(length, count, replace=False):
+                if by_replacement and not unconstrained[j]:
+                    row[j] = rules[j].sample(rng)
+                    continue
+                v = lo + width * rng.random()
+                if not by_replacement:
+                    v += row.item(j)
+                row[j] = rules[j].admit(v, rng)
+        except EmptySpace:  # a redraw rule found no value: name its row and gene
+            with context(f"row {i}, gene {j} ({schema.types[j].value}): "):
+                raise
         if repair:
             with context(f"row {i}, "):
                 rows[i] = schema.repair(row, rng)

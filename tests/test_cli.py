@@ -1,7 +1,9 @@
 """CLI parsing, config files, CSV/SVG reporting, and exit codes."""
 
 import dataclasses
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +68,52 @@ def test_parse_requires_subcommand():
 def test_report_requires_input():
     with pytest.raises(UsageError):
         parse_invocation(["report", "--svg", "x.svg"])
+
+
+def test_parse_invocation_calls_share_no_state():
+    argv = ["solve", "--problem", "onemax", "--seed", "3", "--mutation-percent", "20,5"]
+    first = parse_invocation(argv)
+    with pytest.raises(UsageError):
+        parse_invocation(["solve", "--pop", "many"])  # an error between them changes nothing
+    second = parse_invocation(argv)
+    assert first == second and first is not second and first.flags is not second.flags
+    first.flags["seed"] = 4
+    del first.flags["problem"]
+    assert parse_invocation(argv) == second and second.flags["seed"] == 3
+    assert parse_invocation(["report", "--in", "a.csv", "--svg", "a.svg"]).flags == {
+        "in_path": "a.csv", "svg": "a.svg"}
+
+
+def _help_texts(parser, capsys) -> list:
+    texts = []
+    for argv in (["--help"], ["solve", "--help"], ["report", "--help"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+        texts.append(capsys.readouterr().out)
+    return texts + [parser.format_help(), parser.format_usage()]
+
+
+def test_the_parser_is_built_once_and_reads_as_a_freshly_built_one(capsys):
+    with pytest.raises(UsageError):
+        parse_invocation(["solve", "--bogus", "1"])
+    parser = cli._parser()
+    assert cli._parser() is parser
+    fresh = cli._parser.__wrapped__()
+    assert fresh is not parser
+    assert _help_texts(parser, capsys) == _help_texts(fresh, capsys)
+    with pytest.raises(UsageError, match="the following arguments are required: subcommand"):
+        parser.parse_args([])
+
+
+def test_importing_the_cli_builds_no_parser(monkeypatch):
+    # A second copy of the module, loaded beside the first, holds its own parser cache.
+    spec = importlib.util.spec_from_file_location("gakit._cli_copy", cli.__file__)
+    copy = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, copy)
+    spec.loader.exec_module(copy)
+    assert copy._parser.cache_info().currsize == 0
+    assert copy.parse_invocation(["solve", "--seed", "1"]).flags == {"seed": 1}
+    assert copy._parser.cache_info().currsize == 1
 
 
 # --- config files ----------------------------------------------------------------
@@ -344,8 +392,40 @@ def test_space_with_no_value_of_its_type_exits_four_naming_init(tmp_path, capsys
     conf.write_text("gene_space=range:0.2,0.4\ngene_type=int8\n")
     assert main(["solve", "--problem", "onemax", "--config", str(conf)]) == 4
     assert capsys.readouterr().err == (
-        "runtime error: init no value of ValueRange(lo=0.2, hi=0.4, step=None) representable "
-        "as int8 found in 100 draws\n"
+        "runtime error: init row 0, gene 0 (int8): no value of ValueRange(lo=0.2, hi=0.4, "
+        "step=None) representable as int8 found in 100 draws\n"
+    )
+
+
+# A float64 gene 0 holds values of [0.2, 0.4); an int8 gene 1 holds none.
+_EMPTY_GENE_1 = "gene_space=range:0.2,0.4\ngene_type=float64,int8\n"
+_NO_INT8_FOUND = ("gene 1 (int8): no value of ValueRange(lo=0.2, hi=0.4, step=None) "
+                  "representable as int8 found in 100 draws\n")
+
+
+@pytest.mark.parametrize("duplicates", ["true", "false"])
+def test_empty_space_at_init_exits_four_naming_row_and_gene(tmp_path, capsys, duplicates):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{_EMPTY_GENE_1}allow_duplicate_genes={duplicates}\n")
+    argv = ["solve", "--problem", "onemax", "--genes", "2", "--pop", "4", "--parents", "2",
+            "--config", str(conf)]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == f"runtime error: init row 0, {_NO_INT8_FOUND}"
+
+
+@pytest.mark.parametrize("seed, generation, row", [(1, 0, 0), (2, 0, 2), (3, 1, 0)])
+def test_empty_space_in_mutation_exits_four_naming_generation_row_and_gene(tmp_path, capsys,
+                                                                           seed, generation, row):
+    # A given population is coerced, not resampled, so the first draw of gene 1 is mutation's.
+    pop = tmp_path / "pop.csv"
+    pop.write_text("0.3,0.0\n" * 6)
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{_EMPTY_GENE_1}mutation=random\ninitial_population={pop}\n")
+    argv = ["solve", "--problem", "onemax", "--genes", "2", "--pop", "6", "--parents", "2",
+            "--seed", str(seed), "--config", str(conf)]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == (
+        f"runtime error: generation {generation}, mutation row {row}, {_NO_INT8_FOUND}"
     )
 
 

@@ -1,5 +1,7 @@
 """Evolution loop behavior: lifecycle, stop control, determinism, records."""
 
+import dataclasses
+import hashlib
 import re
 import time
 from unittest import mock
@@ -751,6 +753,65 @@ def test_a_tournament_seeds_selection_every_generation(monkeypatch):
     assert [g for g, stage in seeded if stage == 1] == list(range(10))
 
 
+# A disabled crossover's run as it was when its stream was still seeded every generation.
+_NO_CROSSOVER_DIGESTS = {
+    "steady_state": "03e174b7979a26482d7c6e3bb8555c7d8c0fe6ca4dda27fab30e3e2f5424d0c6",
+    "tournament": "a9ef3ba96dd130696a248b99f0d40eb3033e7e6711be2d7687592bf5637d4639",
+}
+
+
+@pytest.mark.parametrize("selection", sorted(_NO_CROSSOVER_DIGESTS))
+def test_a_disabled_crossover_seeds_no_stream_and_moves_no_draw(monkeypatch, selection):
+    cfg, fitness = build_solve_config(parse_invocation(
+        ["solve", "--problem", "onemax", "--generations", "20", "--seed", "7",
+         "--selection", selection]))
+    cfg = validate(dataclasses.replace(cfg, crossover=None))
+    seeded = _seeded_stages(monkeypatch)
+    result = run(cfg, fitness)
+    assert 2 not in {stage for _, stage in seeded}
+    assert 3 in {stage for _, stage in seeded}
+    digest = hashlib.sha256()
+    for array in _result_bits(result)[:4]:
+        digest.update(array)
+    assert digest.hexdigest() == _NO_CROSSOVER_DIGESTS[selection]
+
+
+def _onemax_two_genes():
+    return build_solve_config(parse_invocation(
+        ["solve", "--problem", "onemax", "--genes", "2", "--generations", "5", "--seed", "1"]))
+
+
+@pytest.mark.parametrize("hook", ["on_parents", "on_crossover", "on_mutation"])
+@pytest.mark.parametrize("attribute, value", [
+    ("last_generation_parents", (0.5, 7.25)), ("last_generation_parents_indices", 3)])
+def test_a_hook_that_writes_into_the_parents_raises_a_hook_error(hook, attribute, value):
+    # The keep_parents elites join the next population unsettled, so a write
+    # would have put 7.25 into an int8 gene whose space is {0, 1}.
+    def write(state):
+        getattr(state, attribute)[0] = value
+
+    cfg, fitness = _onemax_two_genes()
+    with pytest.raises(HookError) as err:
+        run(cfg, fitness, LifecycleHooks(**{hook: write}))
+    assert (err.value.hook, err.value.generation) == (hook, 0)
+    assert isinstance(err.value.__cause__, ValueError)
+
+
+def test_an_on_parents_hook_that_only_reads_leaves_the_run_unchanged():
+    seen = []
+
+    def read(state):
+        parents, indices = state.last_generation_parents, state.last_generation_parents_indices
+        assert not parents.flags.writeable and not indices.flags.writeable
+        seen.append((parents.copy(), indices.copy()))
+
+    cfg, fitness = _onemax_two_genes()
+    assert _result_bits(run(cfg, fitness, LifecycleHooks(on_parents=read))) == \
+        _result_bits(run(cfg, fitness))
+    assert len(seen) == cfg.num_generations
+    assert all(set(parents.ravel().tolist()) <= {0.0, 1.0} for parents, _ in seen)
+
+
 # --- stage streams ---------------------------------------------------------------------
 
 _B = draws._STREAM_BLOCK
@@ -859,18 +920,19 @@ _NO_INT8_FOUND = ("no value of ValueRange(lo=0.2, hi=0.4, step=None) representab
                   "found in 100 draws")
 
 
-@pytest.mark.parametrize("duplicates, where", [(True, "init"), (False, "init row 0,")])
-def test_space_with_no_value_of_its_type_names_init(duplicates, where):
+@pytest.mark.parametrize("duplicates", [True, False])
+def test_space_with_no_value_of_its_type_names_init(duplicates):
     cfg = demo_config(allow_duplicate_genes=duplicates, **_NO_INT8)
-    with pytest.raises(EmptySpace, match=f"^{where} {re.escape(_NO_INT8_FOUND)}$"):
+    where = re.escape("init row 0, gene 0 (int8): ")
+    with pytest.raises(EmptySpace, match=f"^{where}{re.escape(_NO_INT8_FOUND)}$"):
         run(cfg, sum_fitness)
 
 
 def test_space_with_no_value_of_its_type_names_generation_and_mutation():
     # A given population is coerced, not resampled, so the first draw is mutation's.
     cfg = demo_config(initial_population=[[0, 0, 0]] * 10, **_NO_INT8)
-    with pytest.raises(EmptySpace,
-                       match=f"^generation 0, mutation {re.escape(_NO_INT8_FOUND)}$"):
+    where = re.escape("generation 0, mutation row 0, gene 0 (int8): ")
+    with pytest.raises(EmptySpace, match=f"^{where}{re.escape(_NO_INT8_FOUND)}$"):
         run(cfg, sum_fitness)
 
 

@@ -1,5 +1,7 @@
 """Gene coercion, sampling, duplicate repair, and population construction."""
 
+import dataclasses
+import itertools
 import math
 import re
 from collections import Counter
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gakit import genome
+from gakit.cli import build_solve_config, parse_invocation
 from gakit.config import GaConfig, PercentGenes, validate
 from gakit.engine import run
 from gakit.errors import (
@@ -27,6 +30,7 @@ from gakit.genome import (
     DiscreteSet,
     GeneSchema,
     GeneType,
+    Unconstrained,
     ValueRange,
     coerce_gene,
     init_population,
@@ -710,6 +714,140 @@ def test_typed_lattice_enumerated_once_per_distinct_space_and_type(monkeypatch):
     run(cfg, lambda solution, idx: float(np.sum(solution)))
     assert calls == {(wide, GeneType.INT32): 1, (narrow, GeneType.INT16): 1,
                      (wide, GeneType.UINT16): 1}
+
+
+def _reference_compile(spaces, types, init_range):
+    """Each gene's rule compiled on its own, as a lone gene would be, or the first error."""
+    rules = []
+    for j, (space, gene_type) in enumerate(zip(spaces, types)):
+        try:
+            rules.append(genome._GeneRule(space, gene_type, init_range))
+        except (EmptySpace, NonFiniteGene) as err:
+            return type(err), f"gene {j} ({gene_type.value}): {err}"
+    return rules
+
+
+def _reference_rows(rules, types, rng, rows: int) -> np.ndarray:
+    """rows chromosomes drawn gene by gene, row by row; a failed sample names its place."""
+    out = np.empty((rows, len(rules)))
+    for i in range(rows):
+        for j, rule in enumerate(rules):
+            try:
+                out[i, j] = rule.sample(rng)
+            except EmptySpace as err:
+                raise EmptySpace(f"row {i}, gene {j} ({types[j].value}): {err}") from None
+    return out
+
+
+# Pairs whose compile fails (a set value past int's exact range, a lattice with
+# no int32 point), or whose sampling does (int8 holds no value of [0.2, 0.4)).
+_FAILING_GENES = st.sampled_from([(DiscreteSet((1e300,)), GeneType.PYINT),
+                                  (ValueRange(0.5, 3, 1), GeneType.INT32),
+                                  (ValueRange(0.2, 0.4), GeneType.INT8)])
+
+
+@settings(max_examples=300)
+@given(pool=st.lists(st.one_of(_ANY_GENES, _FAILING_GENES), min_size=1, max_size=4),
+       picks=st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=1, max_size=10),
+       rows=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_schema_shares_a_rule_exactly_between_equal_pairs_and_answers_as_per_gene(pool, picks,
+                                                                                 rows, seed):
+    # A gene takes a pool entry's space itself, or an equal space that is another object.
+    genes = [pool[i % len(pool)] for i, _ in picks]
+    spaces = [dataclasses.replace(space) if fresh else space
+              for (space, _), (_, fresh) in zip(genes, picks)]
+    types = [gene_type for _, gene_type in genes]
+    reference = _reference_compile(spaces, types, INIT_RANGE)
+    try:
+        schema = GeneSchema(spaces, types, INIT_RANGE)
+    except (EmptySpace, NonFiniteGene) as err:
+        assert (type(err), str(err)) == reference
+        return
+    pairs = list(zip(spaces, types))
+    for j, k in itertools.product(range(len(pairs)), repeat=2):
+        assert (schema.rules[j] is schema.rules[k]) == (pairs[j] == pairs[k])
+    for rule, expected, space in zip(schema.rules, reference, spaces):
+        assert rule.space == space and rule.kind == expected.kind
+        for got, want in ((rule.array, expected.array), (rule.pool, expected.pool)):
+            assert got is want is None or got.tobytes() == want.tobytes()
+    kinds = [rule.kind for rule in reference]
+    assert schema.unconstrained == tuple(isinstance(space, Unconstrained) for space in spaces)
+    assert schema.never_misses == all(kind == "open" for kind in kinds)
+    assert schema.one_step_admits == ("redraw" not in kinds)
+    columns: dict = {}
+    for j, gene_type in enumerate(types):
+        columns.setdefault(gene_type, []).append(j)
+    assert [(t, cols.tolist()) for t, cols in schema._groups] == [
+        (t, cols) for t, cols in columns.items() if t is not GeneType.FLOAT64]
+    assert all(cols.dtype == np.intp for _, cols in schema._groups)
+    runs = [len(list(run)) for _, run in itertools.groupby(kinds)]
+    starts = list(itertools.accumulate([0] + runs))
+    segments = [(cols.start, cols.stop) for cols, _ in schema._segments]
+    assert segments == list(zip(starts, starts[1:]))
+
+    def outcome(sample):
+        rng = np.random.default_rng(seed)
+        try:
+            out = sample(rng).tobytes()
+        except EmptySpace as err:
+            out = (EmptySpace, str(err))
+        return out, rng.bit_generator.state
+
+    assert outcome(lambda rng: schema._sample_rows(rng, rows)) == outcome(
+        lambda rng: _reference_rows(reference, types, rng, rows))
+
+
+def test_onemax_compiles_one_rule_and_hashes_no_space_or_type_per_gene(monkeypatch):
+    built, hashes = [], Counter()
+    compile_rule = genome._GeneRule
+    space_hash, type_hash = DiscreteSet.__hash__, GeneType.__hash__
+
+    def counting(*args):
+        built.append(args)
+        return compile_rule(*args)
+
+    def compile_counting(genes: int) -> tuple:
+        cfg, _ = build_solve_config(parse_invocation(["solve", "--problem", "onemax",
+                                                      "--genes", str(genes)]))
+        built.clear()
+        hashes.clear()
+        schema = GeneSchema.from_config(cfg)
+        assert len(schema.rules) == genes
+        assert all(rule is schema.rules[0] for rule in schema.rules)
+        return len(built), dict(hashes)
+
+    monkeypatch.setattr(genome, "_GeneRule", counting)
+    monkeypatch.setattr(DiscreteSet, "__hash__",
+                        lambda self: hashes.update(["space"]) or space_hash(self))
+    monkeypatch.setattr(GeneType, "__hash__",
+                        lambda self: hashes.update(["type"]) or type_hash(self))
+    few = compile_counting(10)
+    # One rule, and the same hash counts for 10 genes and for 100: none is paid per gene.
+    assert few[0] == 1 and few == compile_counting(100)
+
+
+def test_a_failed_sample_names_its_row_and_gene(monkeypatch):
+    # Two distinct redraw rules, then a held one: the row sampler draws row by row.
+    spaces = [ValueRange(0, 1), ValueRange(0, 2), DiscreteSet((5,))]
+    types = [GeneType.FLOAT64, GeneType.INT8, GeneType.FLOAT64]
+    calls = []
+
+    def failing_third(rng):
+        calls.append(None)
+        if len(calls) == 3:
+            raise EmptySpace("no value")
+        return 1.0
+
+    for distinct, gene_count in ((False, 3), (True, 3), (False, 2)):
+        schema = GeneSchema(spaces[:gene_count], types[:gene_count], INIT_RANGE)
+        monkeypatch.setattr(schema.rules[1], "sample", failing_third)
+        calls.clear()
+        cfg = validate(GaConfig(num_generations=1, sol_per_pop=4, num_parents_mating=2,
+                                num_genes=gene_count, gene_space=spaces[:gene_count],
+                                gene_type=types[:gene_count],
+                                allow_duplicate_genes=not distinct))
+        with pytest.raises(EmptySpace, match=r"^row 2, gene 1 \(int8\): no value$"):
+            init_population(cfg, np.random.default_rng(0), schema)
 
 
 def test_schema_rejects_unequal_space_and_type_counts():
