@@ -9,7 +9,7 @@ builds that generator), so toggling one operator never perturbs the others.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -49,11 +49,13 @@ class LifecycleHooks:
 
     on_generation may return GaControl.STOP (or the string "stop") to end
     the run after the current generation; any other value continues it.
-    on_crossover and on_mutation may overwrite the corresponding
+    One rule holds at the hook boundary: a hook writes only the offspring.
+    on_crossover and on_mutation may replace or edit the corresponding
     last_generation_offspring_* array on the state handle to plug in custom
-    operators. Every hook reads the population, the parents and their
-    indices read-only: a write into one raises, which surfaces as a
-    HookError.
+    operators, and the engine settles the offspring when either is
+    installed. Every other array a hook is handed (the population, the
+    fitness, the parents, their indices and last_record.best_solution) is
+    read-only: a write into one raises, which surfaces as a HookError.
     """
 
     on_start: Optional[Callable] = None
@@ -67,7 +69,10 @@ class LifecycleHooks:
 
 @dataclass
 class GenerationRecord:
-    """One generation's best and settled offspring; the rest is the state's last_generation_*."""
+    """One generation's best and settled offspring; the rest is the state's last_generation_*.
+
+    best_solution is read-only: it is the row RunResult.best_solutions keeps.
+    """
 
     offspring_mutation: np.ndarray
     best_solution: np.ndarray
@@ -98,7 +103,7 @@ class EngineState:
     The last_generation_* attributes mirror the most recent stage outputs;
     hooks may replace last_generation_offspring_crossover or
     last_generation_offspring_mutation and the engine consumes the overwritten
-    arrays downstream.
+    arrays downstream. Every other array on it is read-only.
     """
 
     def __init__(self, cfg: GaConfig, population: np.ndarray) -> None:
@@ -205,14 +210,17 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
     Steady-state selection and a disabled crossover draw nothing, so their
     streams are not seeded; each stage has its own stream, so skipping one
     moves no draw. Offspring are settled (coerced to their gene types, and
-    repaired) before they join the population only when a hook is installed;
-    without one, only duplicates are repaired. Mutation and settle draw from
+    repaired) before they join the population only when an on_crossover or
+    on_mutation hook is installed, since only those may write genes; without
+    one, duplicates are repaired only when mutation is disabled, since mutate
+    repairs every row it mutates. Mutation and settle draw from
     one draws.Words, opened on the mutation stream just after its seeding and
     never closed (the next generation seeds the generator again); mutate's
     draws.replayed passes it through as it is.
     """
     hooks = hooks or LifecycleHooks()
-    hooked = any(getattr(hooks, field.name) is not None for field in fields(hooks))
+    settles = hooks.on_crossover is not None or hooks.on_mutation is not None
+    repairs = cfg.mutation is None and not cfg.allow_duplicate_genes
     stage_rng = StageStreams(cfg.seed)
     selection_draws = cfg.parent_selection is not ParentSelection.STEADY_STATE
     crossover_draws = cfg.crossover is not None
@@ -229,7 +237,9 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
 
     def record_entry(fit_vector: np.ndarray) -> tuple:
         best_index = int(fit_vector.argmax())  # argmax takes the lowest index on ties
-        best_rows.append(population[best_index].copy())
+        best_row = population[best_index].copy()
+        best_row.flags.writeable = False
+        best_rows.append(best_row)
         best_fits.append(float(fit_vector[best_index]))
         best_idxs.append(best_index)
         _, scale, total = summable(fit_vector)
@@ -249,6 +259,7 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
         state.generation = g
 
         fit = evaluate_population(population, fitness, generation=g)
+        fit.flags.writeable = False
         state.last_generation_fitness = fit
         _fire(hooks, "on_fitness", state)
 
@@ -259,10 +270,8 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
                                      cfg.num_parents_mating,
                                      stage_rng(g, _STAGE_SELECTION) if selection_draws else None,
                                      cfg.tournament_k)
-        if hooked:
-            # The keep_parents elites join the next population unsettled, so a
-            # hook reads the parents as it reads the population: read-only.
-            parents.rows.flags.writeable = parents.indices.flags.writeable = False
+        # The keep_parents elites join the next population unsettled: no hook may write them.
+        parents.rows.flags.writeable = parents.indices.flags.writeable = False
         state.last_generation_parents = parents.rows
         state.last_generation_parents_indices = parents.indices
         _fire(hooks, "on_parents", state)
@@ -288,16 +297,14 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
             mutated = _check_offspring_shape(state.last_generation_offspring_mutation,
                                              offspring_shape, f"generation {g}, on_mutation hook")
 
-        # Without hooks every offspring gene is already settled: a settled parent's
-        # gene in its own column, or a value mutate admitted. Crossover can still
-        # pair equal genes, so duplicates are repaired; mutate already repairs
-        # every row it mutates, so this pass only does work when mutation is
-        # disabled. A hook may overwrite any array (or edit one in place), so
-        # with one installed every gene is settled.
+        # Without an offspring hook every offspring gene is already settled: a
+        # settled parent's gene in its own column, or a value mutate admitted.
+        # Crossover can still pair equal genes, and mutate repairs every row it
+        # mutates, so only unmutated offspring are repaired here.
         with context(f"generation {g}, settle ", _STAGE_ERRORS):
-            if hooked:
+            if settles:
                 mutated = settle(cfg, schema, mutated, mutation_rng)
-            elif not cfg.allow_duplicate_genes:
+            elif repairs:
                 mutated = schema.repair(mutated, mutation_rng)
             population = np.concatenate((parents.rows[: cfg.keep_parents], mutated))
         population.flags.writeable = False
@@ -316,6 +323,7 @@ def run(cfg: GaConfig, fitness, hooks: Optional[LifecycleHooks] = None) -> RunRe
             break
 
     final_fit = evaluate_population(population, fitness, generation=completed)
+    final_fit.flags.writeable = False
     record_entry(final_fit)
     state.last_generation_fitness = final_fit
     _fire(hooks, "on_stop", state)

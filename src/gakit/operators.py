@@ -41,7 +41,7 @@ from .config import (
     resolve_mutation_count,
 )
 from .draws import Words, replayed
-from .errors import EmptySpace, NonPositiveFitness, context
+from .errors import EmptySpace, NonFiniteGene, NonPositiveFitness, context
 from .genome import GeneSchema
 
 
@@ -219,8 +219,8 @@ def mutate(chrom, cfg: GaConfig, rng, *, schema: GeneSchema, below_mean=None) ->
     space, and (when configured) distinctness constraints, as compiled in
     schema (GeneSchema.from_config(cfg)); a run compiles it once. A row whose
     duplicates cannot be repaired raises InsufficientSpace naming the row,
-    and a gene whose rule finds no value raises EmptySpace naming its row and
-    the gene.
+    and a gene whose rule finds no value (EmptySpace) or a written value past
+    the largest double (NonFiniteGene) names its row and the gene.
 
     Rows are mutated in order, and each row makes exactly the draws one call
     on that row alone would make, so mutating a generation at once gives the
@@ -253,7 +253,7 @@ def _mutate_structure(rows, cfg, rng, schema) -> None:
             try:
                 for j in move(row, rng):
                     row[j] = rules[j].admit(row[j], rng)
-            except EmptySpace:  # a redraw rule found no value: name its row and gene
+            except (EmptySpace, NonFiniteGene):  # name the row and gene whose rule failed
                 with context(f"row {i}, gene {j} ({schema.types[j].value}): "):
                     raise
         if not cfg.allow_duplicate_genes:
@@ -303,7 +303,7 @@ def _mutate_random(rows, cfg, below_mean, rng, schema) -> None:
                 if not by_replacement:
                     v += row.item(j)
                 row[j] = rules[j].admit(v, rng)
-        except EmptySpace:  # a redraw rule found no value: name its row and gene
+        except (EmptySpace, NonFiniteGene):  # name the row and gene whose rule failed
             with context(f"row {i}, gene {j} ({schema.types[j].value}): "):
                 raise
         if repair:

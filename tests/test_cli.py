@@ -429,6 +429,22 @@ def test_empty_space_in_mutation_exits_four_naming_generation_row_and_gene(tmp_p
     )
 
 
+def test_mutated_value_past_the_largest_double_exits_four_naming_generation_row_and_gene(
+        tmp_path, capsys):
+    # 1.7e308 or more added to a gene of 1e307 or more is past the largest double;
+    # genes of at most 1.5e307 keep the linear equation's residual finite.
+    conf = tmp_path / "run.conf"
+    conf.write_text("init_range=1e307,1.5e307\nrandom_delta_range=1.7e308,1.79e308\n"
+                    "mutation=random\nmutation_rate=num:1\n")
+    argv = ["solve", "--problem", "linear", "--generations", "3", "--seed", "1",
+            "--config", str(conf)]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == (
+        "runtime error: generation 0, mutation row 0, gene 2 (float64): "
+        "gene value inf is not finite\n"
+    )
+
+
 @pytest.mark.parametrize("selection, scheme", [
     ("roulette", "fitness-proportional selection"),
     ("stochastic_universal", "stochastic universal sampling"),

@@ -1,9 +1,11 @@
 """Evolution loop behavior: lifecycle, stop control, determinism, records."""
 
 import dataclasses
+import functools
 import hashlib
 import re
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -50,6 +52,9 @@ from gakit.errors import (
 from gakit.genome import UNCONSTRAINED, DiscreteSet, GeneSchema, GeneType, ValueRange
 from gakit.operators import mutate
 from gakit.problems import DEFAULT_EQUATION, linear_fitness
+
+
+_LATTICE_CFG = Path(__file__).parent.parent / "perfbench" / "lattice.cfg"
 
 
 def demo_config(**overrides):
@@ -694,27 +699,55 @@ def _few_value_configs(draw):
     )
 
 
+_HOOK_NAMES = [field.name for field in dataclasses.fields(LifecycleHooks)]
+
+
 @settings(max_examples=150)
-@given(candidate=_few_value_configs())
+@given(candidate=_few_value_configs(), hook=st.sampled_from([None, *_HOOK_NAMES]))
 # The one-pull mutation of unconstrained int8 genes; no mutation, so only
 # settle repairs what crossover duplicates; a given population outside its set.
 @example(candidate=GaConfig(num_generations=3, sol_per_pop=6, num_parents_mating=3, num_genes=4,
-                            gene_type=GeneType.INT8, mutation_rate=NumGenes(2), seed=1))
+                            gene_type=GeneType.INT8, mutation_rate=NumGenes(2), seed=1),
+         hook=None)
 @example(candidate=GaConfig(num_generations=3, sol_per_pop=6, num_parents_mating=3, num_genes=3,
                             mutation=None, gene_space=DiscreteSet((0, 1, 2, 3)),
-                            allow_duplicate_genes=False, seed=1))
+                            allow_duplicate_genes=False, seed=1),
+         hook="on_generation")
 @example(candidate=GaConfig(num_generations=3, sol_per_pop=2, num_parents_mating=2, num_genes=2,
                             gene_space=ValueRange(0, 6, 1), gene_type=GeneType.UINT8,
-                            initial_population=[[-7.5, 300.7], [0.4, 1e10]], seed=1))
-def test_a_run_without_hooks_equals_the_run_that_settles_every_generation(candidate):
-    # Without hooks settle skips coercion; a no-op hook restores it, so both
-    # must give the same run, or fail alike.
+                            initial_population=[[-7.5, 300.7], [0.4, 1e10]], seed=1),
+         hook="on_parents")
+def test_a_run_without_hooks_equals_the_run_that_settles_every_generation(candidate, hook):
+    # Only an offspring hook makes settle coerce every gene; a no-op on_mutation
+    # does, so a run with no hook or with any one no-op hook must give the same
+    # run, or fail alike.
     try:
         cfg = validate(candidate)
     except ConfigError:
         assume(False)
-    settled = _outcome(cfg, LifecycleHooks(on_generation=lambda state: None))
-    assert _outcome(cfg) == settled
+    settled = _outcome(cfg, LifecycleHooks(on_mutation=lambda state: None))
+    hooks = None if hook is None else LifecycleHooks(**{hook: lambda state: None})
+    assert _outcome(cfg, hooks) == settled
+
+
+@pytest.mark.parametrize("mutation", [None, MutationKind.RANDOM, MutationKind.SWAP])
+@pytest.mark.parametrize("hook", [None, "on_generation", "on_mutation"])
+def test_settle_repairs_only_offspring_that_no_mutate_pass_repaired(mutation, hook):
+    # mutate repairs every row it mutates; only an offspring hook can write
+    # genes after it, so without one settle repairs only unmutated offspring.
+    cfg, fitness = build_solve_config(parse_invocation(
+        ["solve", "--problem", "onemax", "--genes", "40", "--pop", "20", "--parents", "6",
+         "--generations", "5", "--config", str(_LATTICE_CFG)]))
+    cfg = validate(dataclasses.replace(cfg, mutation=mutation))
+    assert not cfg.allow_duplicate_genes
+    hooks = None if hook is None else LifecycleHooks(**{hook: lambda state: None})
+    with mock.patch.object(GeneSchema, "repair", autospec=True,
+                           side_effect=GeneSchema.repair) as repair:
+        run(cfg, fitness, hooks)
+    # mutate and init repair one row at a time; settle repairs the offspring at once.
+    settled = [call for call in repair.call_args_list if np.ndim(call.args[1]) == 2]
+    repairs = mutation is None or hook == "on_mutation"
+    assert len(settled) == (cfg.num_generations if repairs else 0)
 
 
 def _seeded_stages(monkeypatch) -> list:
@@ -781,19 +814,28 @@ def _onemax_two_genes():
         ["solve", "--problem", "onemax", "--genes", "2", "--generations", "5", "--seed", "1"]))
 
 
-@pytest.mark.parametrize("hook", ["on_parents", "on_crossover", "on_mutation"])
-@pytest.mark.parametrize("attribute, value", [
-    ("last_generation_parents", (0.5, 7.25)), ("last_generation_parents_indices", 3)])
-def test_a_hook_that_writes_into_the_parents_raises_a_hook_error(hook, attribute, value):
-    # The keep_parents elites join the next population unsettled, so a write
-    # would have put 7.25 into an int8 gene whose space is {0, 1}.
+@pytest.mark.parametrize("attribute, value, hook", [
+    *[(attribute, value, hook)
+      for attribute, value in [("last_generation_parents", (0.5, 7.25)),
+                               ("last_generation_parents_indices", 3)]
+      for hook in ["on_parents", "on_crossover", "on_mutation"]],
+    ("last_generation_fitness", 1e6, "on_fitness"),
+    ("last_generation_fitness", 1e6, "on_stop"),
+    ("last_record.best_solution", 7.25, "on_generation"),
+])
+def test_a_hook_that_writes_into_the_parents_raises_a_hook_error(attribute, value, hook):
+    # Only offspring are settled: a write into the parents (the keep_parents
+    # elites join the next population unsettled) would have put 7.25 into an
+    # int8 gene whose space is {0, 1}, and one into the fitness or the best
+    # row would have gone into the RunResult as it was.
     def write(state):
-        getattr(state, attribute)[0] = value
+        functools.reduce(getattr, attribute.split("."), state)[0] = value
 
     cfg, fitness = _onemax_two_genes()
     with pytest.raises(HookError) as err:
         run(cfg, fitness, LifecycleHooks(**{hook: write}))
-    assert (err.value.hook, err.value.generation) == (hook, 0)
+    generation = cfg.num_generations - 1 if hook == "on_stop" else 0
+    assert (err.value.hook, err.value.generation) == (hook, generation)
     assert isinstance(err.value.__cause__, ValueError)
 
 
@@ -823,13 +865,17 @@ def _copy_gene_0_over_gene_1(state):
     state.last_generation_offspring_mutation = offspring
 
 
-@pytest.mark.parametrize("mutation, duplicates, hooks", [
-    (MutationKind.RANDOM, False, None), (MutationKind.ADAPTIVE, True, None),
-    (MutationKind.SCRAMBLE, False, None),
+@pytest.mark.parametrize("mutation, duplicates, hooks, points", [
+    (MutationKind.RANDOM, False, None, 9), (MutationKind.ADAPTIVE, True, None, 9),
+    (MutationKind.SCRAMBLE, False, None, 9),
     # Every row then holds a duplicate, which settle repairs from mutation's own Words.
-    (MutationKind.RANDOM, False, LifecycleHooks(on_mutation=_copy_gene_0_over_gene_1)),
-], ids=["random-False", "adaptive-True", "scramble-False", "random-False-hooked"])
-def test_run_draws_what_fresh_default_rng_streams_draw(monkeypatch, mutation, duplicates, hooks):
+    (MutationKind.RANDOM, False, LifecycleHooks(on_mutation=_copy_gene_0_over_gene_1), 9),
+    # A lattice too large to enumerate redraws integers(10**10), which Words hands to numpy.
+    (MutationKind.RANDOM, False, None, 10**10),
+], ids=["random-False", "adaptive-True", "scramble-False", "random-False-hooked",
+        "random-False-lattice"])
+def test_run_draws_what_fresh_default_rng_streams_draw(monkeypatch, mutation, duplicates, hooks,
+                                                       points):
     # One reused generator must give each stage the draws a fresh generator gives,
     # across a block boundary and with settle drawing after mutate. The fresh side
     # hands mutate the Generator itself, which settle then draws from directly.
@@ -837,8 +883,13 @@ def test_run_draws_what_fresh_default_rng_streams_draw(monkeypatch, mutation, du
             if mutation is MutationKind.ADAPTIVE else Probability(0.3))
     cfg = demo_config(num_generations=_B + 5, num_genes=6, seed=2**64 - 1, mutation=mutation,
                       mutation_rate=rate, allow_duplicate_genes=duplicates,
-                      gene_space=[ValueRange(0, 9, step=1)] * 6)
-    fast = run(cfg, sum_fitness, hooks)
+                      gene_space=[ValueRange(0, points, step=1)] * 6)
+    words = draws.Words
+    with mock.patch.object(words, "_numpy", autospec=True, side_effect=words._numpy) as handed:
+        fast = run(cfg, sum_fitness, hooks)
+    integers = [call.args[2:] for call in handed.call_args_list
+                if call.args[1].__name__ == "integers"]
+    assert ((points, None) in integers) == (points == 10**10)
     monkeypatch.setattr(engine, "StageStreams", lambda seed: (
         lambda generation, stage: np.random.default_rng([seed, generation, stage])))
     monkeypatch.setattr(draws.Words, "_seeded", staticmethod(lambda gen: gen))
@@ -972,8 +1023,8 @@ def test_memory_error_after_init_is_a_ga_error_naming_generation_and_stage(
         return real(*args, **kwargs)
 
     monkeypatch.setattr(engine, stage, out_of_memory_at_generation_2)
-    # A run with no hook installed has no settle to call; a no-op hook restores it.
-    hooks = LifecycleHooks(on_generation=lambda state: None) if stage == "settle" else None
+    # A run with no offspring hook installed has no settle to call; a no-op one restores it.
+    hooks = LifecycleHooks(on_mutation=lambda state: None) if stage == "settle" else None
     with pytest.raises(GaError, match=f"^generation 2, {name} {re.escape(text)}$") as err:
         run(demo_config(crossover=CrossoverKind.UNIFORM, mutation=MutationKind.RANDOM),
             sum_fitness, hooks)

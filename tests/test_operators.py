@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import itertools
 import math
+import re
 from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
@@ -625,17 +626,27 @@ def _reference_mutate(chrom, cfg, rng, *, schema, below_mean=None):
     It spells one position as choice(n, 1) and a delta as uniform(lo, hi),
     the numpy calls whose bits the per-row loop's integers(n) and
     lo + (hi - lo) * random() drew (test_mutation_draw_swaps_draw_the_same_bits in
-    tests/test_draws.py).
+    tests/test_draws.py). A rule's EmptySpace or NonFiniteGene names its row and
+    gene, as mutate's does.
     """
     kind = cfg.mutation
     genes = np.array(chrom, dtype=float)
     rows = genes.reshape(-1, genes.shape[-1])
     rules = schema.rules
+
+    @contextmanager
+    def naming(i, j):
+        try:
+            yield
+        except (EmptySpace, NonFiniteGene) as err:
+            raise type(err)(f"row {i}, gene {j} ({schema.types[j].value}): {err}") from None
+
     if kind not in (MutationKind.RANDOM, MutationKind.ADAPTIVE):
-        for row in rows:
+        for i, row in enumerate(rows):
             if row.size >= 2:
                 for j in operators._MOVES[kind](row, rng):
-                    row[j] = rules[j].admit(row[j], rng)
+                    with naming(i, j):
+                        row[j] = rules[j].admit(row[j], rng)
             if not cfg.allow_duplicate_genes:
                 row[:] = schema.repair(row, rng)
         return genes
@@ -656,12 +667,14 @@ def _reference_mutate(chrom, cfg, rng, *, schema, below_mean=None):
         row = rows[i]
         for j in rng.choice(row.size, size=count, replace=False).tolist():
             if cfg.mutation_by_replacement and schema.spaces[j] != UNCONSTRAINED:
-                row[j] = rules[j].sample(rng)
+                with naming(i, j):
+                    row[j] = rules[j].sample(rng)
                 continue
             v = rng.uniform(lo, hi)
             if not cfg.mutation_by_replacement:
                 v += row.item(j)
-            row[j] = rules[j].admit(v, rng)
+            with naming(i, j):
+                row[j] = rules[j].admit(v, rng)
         if not cfg.allow_duplicate_genes:
             rows[i] = schema.repair(row, rng)
     return genes
@@ -866,7 +879,9 @@ def test_a_value_that_overflows_raises_where_the_reference_raises(half_word):
         return str(err.value), rng.bit_generator.state
 
     with _mutation_draws_spy() as taken:
-        assert outcome(mutate) == outcome(_reference_mutate)
+        message, state = outcome(mutate)
+        assert (message, state) == outcome(_reference_mutate)
+    assert re.fullmatch(r"row 3, gene [0-2] \(float64\): gene value inf is not finite", message)
     assert taken == []  # 1.5e308 + 1.7e308 could overflow: the per-row loop runs, and raises
 
 
