@@ -12,16 +12,18 @@ numpy pass per type. `coerce_gene` stays the scalar definition that the
 vectorized coercion reproduces bit for bit.
 
 The schema also compiles a row sampler: the initial population is drawn in
-whole-row numpy calls that consume the stream exactly as one scalar draw per
-gene, row by row, would, so every gene gets the value its rule's scalar sample
-gives. Only rules that redraw (continuous ranges, lattices too large to
-enumerate, unconstrained PYINT genes) still draw one gene at a time.
+whole-row draws (numpy calls, or one pull of raw words for the genes that hold
+their values) that consume the stream exactly as one scalar draw per gene, row
+by row, would, so every gene gets the value its rule's scalar sample gives.
+Only rules that redraw (continuous ranges, lattices too large to enumerate,
+unconstrained PYINT genes) still draw one gene at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -29,6 +31,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
+from . import draws
 from .errors import (DimensionMismatch, EmptySpace, GaError, InsufficientSpace, NonFiniteGene,
                      context)
 
@@ -455,6 +458,9 @@ def _type_groups(slot_types: Sequence[GeneType], slots: np.ndarray) -> tuple:
     """
     codes: dict = {}
     slot_codes = [codes.setdefault(gene_type, len(codes)) for gene_type in slot_types]
+    if len(codes) == 1:  # one type: every column
+        gene_type, = codes
+        return () if gene_type is GeneType.FLOAT64 else ((gene_type, np.arange(len(slots))),)
     codes.pop(GeneType.FLOAT64, None)
     if not codes:
         return ()
@@ -468,13 +474,17 @@ def _type_groups(slot_types: Sequence[GeneType], slots: np.ndarray) -> tuple:
 # is the block's first row in its population.
 
 def _finite_fill(table: np.ndarray, sizes: np.ndarray, offsets: np.ndarray):
-    """Finite rules: one integers call picks each gene's index into one flat table of values.
+    """Finite rules: the draws of integers(0, sizes) pick each gene's index into one flat table.
 
-    Gene j's values are table[offsets[j]:offsets[j] + sizes[j]].
+    Gene j's values are table[offsets[j]:offsets[j] + sizes[j]]. A block of
+    rows takes its indices from one pull of raw words (draws.integer_rows).
     """
+    shift = offsets if offsets.any() else None  # a lone held rule's table is its own array
+
     def fill(rng, out: np.ndarray, row: int) -> None:
-        picks = rng.integers(0, sizes, size=out.shape)
-        picks += offsets
+        picks = draws.integer_rows(rng, sizes, len(out))
+        if shift is not None:
+            picks += shift
         out[...] = table[picks]
 
     return fill
@@ -526,10 +536,15 @@ def _row_segments(slot_rules: Sequence[_GeneRule], slot_types: Sequence[GeneType
         sizes = np.array([0 if rule.array is None else rule.array.size for rule in slot_rules])
         offsets = np.array([starts.get(rule, 0) for rule in slot_rules])
     kinds = [rule.kind for rule in slot_rules]
+    if len(set(kinds)) == 1:  # one kind: one segment
+        runs = [(kinds[0], len(slots))]
+    else:
+        runs = [(kind, len(list(genes)))
+                for kind, genes in itertools.groupby(slots.tolist(), key=kinds.__getitem__)]
     segments = []
     start = 0
-    for kind, genes in itertools.groupby(slots.tolist(), key=kinds.__getitem__):
-        stop = start + len(list(genes))
+    for kind, genes in runs:
+        stop = start + genes
         cols, at = slice(start, stop), slots[start:stop]
         if kind == "held":
             fill = _finite_fill(table, sizes[at], offsets[at])
@@ -550,9 +565,11 @@ class GeneSchema:
     rules: one entry per gene, the rule compiled once for each distinct
     (space, type) pair and shared by its genes; genes are keyed by the
     identity of their objects, so each distinct pair of objects is hashed
-    once, not each gene. rules[j].contains(v),
-    .fit(v), .sample(rng) and .admit(v, rng) answer for gene j, and .kind
-    says how it samples; a held rule's float64 .array and .pool hold its
+    once, not each gene, and genes that all share one pair of objects are
+    one slot, found and expanded with no Python step per gene.
+    rules[j].contains(v), .fit(v), .sample(rng) and .admit(v, rng) answer
+    for gene j, and .kind says how it samples; a held rule's float64 .array
+    and .pool hold its
     coerced discrete set or enumerated typed step lattice. Compiling raises
     EmptySpace for a set or lattice that holds no value of its gene type, or
     NonFiniteGene for a set value it cannot hold, naming the gene.
@@ -563,11 +580,13 @@ class GeneSchema:
     after its delta.
 
     The compiled row sampler splits a row into segments of consecutive genes
-    of one rule kind: held rules draw one integers call per segment, open
-    ones one uniform call, and redrawing rules one scalar sample per gene
-    (one that finds no value raises EmptySpace naming its row and gene).
-    numpy's vector draws consume the stream exactly as the matching
-    sequence of scalar calls does, so the rows hold what rules[j].sample(rng)
+    of one rule kind: held rules draw one integers(0, sizes) per segment,
+    rebuilt for a block of rows from one pull of raw words
+    (draws.integer_rows), open ones one uniform call, and redrawing rules
+    one scalar sample per gene (one that finds no value raises EmptySpace
+    naming its row and gene). numpy's vector draws consume the stream
+    exactly as the matching sequence of scalar calls does, and the pulled
+    block exactly as numpy's call, so the rows hold what rules[j].sample(rng)
     gives gene by gene, row by row, and leave the generator in the same
     state. Every draw of sample, admit and repair is scalar, so a run replays
     bit-identically whichever path it takes.
@@ -580,19 +599,28 @@ class GeneSchema:
         self.spaces = tuple(spaces)
         self.types = tuple(types)
         self.init_range = (float(init_range[0]), float(init_range[1]))
-        # Genes are keyed by the identity of their space and type objects,
-        # which hashes in C: each distinct pair of objects is a slot. Only a
-        # slot's (space, type) is hashed and compared by value, in Python, so
-        # equal but distinct objects still share one rule. Every per-gene
-        # answer is its slot's.
-        pairs = list(zip(map(id, self.spaces), map(id, self.types)))
-        slot_of: dict = {}
-        firsts = []  # each slot's first gene
-        for j, pair in enumerate(pairs):
-            if pair not in slot_of:
-                slot_of[pair] = len(firsts)
-                firsts.append(j)
-        slots = list(map(slot_of.__getitem__, pairs))
+        # Genes are keyed by the identity of their space and type objects:
+        # each distinct pair of objects is a slot. When every gene shares one
+        # pair, a check in C finds the one slot; otherwise one pass over the
+        # genes looks up their pairs of ids. Only a slot's (space, type) is
+        # hashed and compared by value, so equal but distinct objects still
+        # share one rule. Every per-gene answer is its slot's.
+        n = len(self.spaces)
+        if n and (all(map(operator.is_, self.spaces, itertools.repeat(self.spaces[0])))
+                  and all(map(operator.is_, self.types, itertools.repeat(self.types[0])))):
+            firsts, slots = [0], np.zeros(n, np.intp)
+            per_gene = lambda slot_values: slot_values * n
+        else:
+            pairs = list(zip(map(id, self.spaces), map(id, self.types)))
+            slot_of: dict = {}
+            firsts = []  # each slot's first gene
+            for j, pair in enumerate(pairs):
+                if pair not in slot_of:
+                    slot_of[pair] = len(firsts)
+                    firsts.append(j)
+            gene_slots = list(map(slot_of.__getitem__, pairs))
+            slots = np.array(gene_slots, np.intp)
+            per_gene = lambda slot_values: tuple(map(slot_values.__getitem__, gene_slots))
         compiled: dict = {}
         slot_rules = []
         for j in firsts:
@@ -603,12 +631,11 @@ class GeneSchema:
                     rule = compiled[key] = _GeneRule(*key, self.init_range)
             slot_rules.append(rule)
         slot_types = [self.types[j] for j in firsts]
-        self.rules = tuple(map(slot_rules.__getitem__, slots))
-        self.unconstrained = tuple(map(
-            [isinstance(rule.space, Unconstrained) for rule in slot_rules].__getitem__, slots))
+        self.rules = per_gene(tuple(slot_rules))
+        self.unconstrained = per_gene(tuple(isinstance(rule.space, Unconstrained)
+                                            for rule in slot_rules))
         self.never_misses = all(rule.kind == "open" for rule in slot_rules)
         self.one_step_admits = all(rule.kind != "redraw" for rule in slot_rules)
-        slots = np.array(slots, np.intp)
         self._groups = _type_groups(slot_types, slots)
         self._segments = _row_segments(slot_rules, slot_types, slots, self.init_range)
 

@@ -57,9 +57,12 @@ def linear_fitness(problem: LinearEquationProblem):
             )
         # A stack of (1, n) @ (n,) products takes one BLAS dot per row, the
         # bits np.dot gives that row alone; population @ inputs takes a
-        # matrix-vector kernel whose sums can differ in the last bit.
-        out = np.matmul(population[..., None, :], inputs)[..., 0]
-        return 1.0 / (np.abs(out - target) + 1e-6)
+        # matrix-vector kernel whose sums can differ in the last bit. A
+        # residual that overflows scores 0; a NaN one is left for the engine,
+        # which rejects it naming its row.
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.matmul(population[..., None, :], inputs)[..., 0]
+            return 1.0 / (np.abs(out - target) + 1e-6)
 
     return _per_row(batch)
 

@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -443,6 +444,28 @@ def test_mutated_value_past_the_largest_double_exits_four_naming_generation_row_
         "runtime error: generation 0, mutation row 0, gene 2 (float64): "
         "gene value inf is not finite\n"
     )
+
+
+def test_linear_residual_past_the_largest_double_scores_zero_under_any_warning_filter(
+        tmp_path, capsys):
+    # Genes of 1e308 or more overflow the equation's sum; the residual is
+    # infinite, so fitness is 0, and no RuntimeWarning escapes: warnings as
+    # errors and warnings always shown give the same run.
+    conf = tmp_path / "run.conf"
+    conf.write_text("init_range=1e308,1.5e308\n")
+    argv = ["solve", "--problem", "linear", "--generations", "3", "--seed", "1",
+            "--config", str(conf)]
+    outputs = []
+    for action in ("error", "always"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            assert main(argv) == 0
+        assert caught == []
+        out, err = capsys.readouterr()
+        assert err == ""
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert " fitness=0 " in outputs[0]
 
 
 @pytest.mark.parametrize("selection, scheme", [

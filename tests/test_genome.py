@@ -4,12 +4,13 @@ import dataclasses
 import itertools
 import math
 import re
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 from conftest import gene_spaces
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -580,12 +581,14 @@ _GENE_ROWS = st.one_of(*(st.lists(genes, min_size=1, max_size=8)
 
 
 @settings(max_examples=300)
-@given(genes=_GENE_ROWS,
+@given(genes=_GENE_ROWS, shared=st.booleans(),
        rows=st.integers(1, 6), distinct=st.booleans(), half_word=st.booleans(),
        init_range=st.sampled_from([(-4.0, 4.0), (-1000.0, 1000.0), (-1e300, 1e300)]),
        seed=st.integers(0, 2**32 - 1))
-def test_init_population_draws_what_the_per_gene_loop_draws(genes, rows, distinct, half_word,
-                                                           init_range, seed):
+def test_init_population_draws_what_the_per_gene_loop_draws(genes, shared, rows, distinct,
+                                                           half_word, init_range, seed):
+    if shared:  # every gene on the first gene's own space and type objects
+        genes = [genes[0]] * len(genes)
     spaces, types = zip(*genes)
     try:
         cfg = validate(GaConfig(num_generations=1, sol_per_pop=rows, num_parents_mating=1,
@@ -603,18 +606,27 @@ def test_init_population_draws_what_the_per_gene_loop_draws(genes, rows, distinc
             rng.integers(2)  # a 32-bit draw leaves the other half of its word buffered
             assert rng.bit_generator.state["has_uint32"] == 1
         try:
-            pop = init(rng)
+            pop = init(rng).tobytes()
         except GaError as err:
             pop = type(err)
         return pop, rng.bit_generator.state
 
-    pop, state = outcome(lambda rng: init_population(cfg, rng, schema))
-    expected, expected_state = outcome(lambda rng: _per_gene_init(cfg, schema, rng))
-    if isinstance(expected, np.ndarray):
-        assert isinstance(pop, np.ndarray) and pop.tobytes() == expected.tobytes()
-    else:
-        assert pop is expected
-    assert state == expected_state
+    expected = outcome(lambda rng: _per_gene_init(cfg, schema, rng))
+    assert outcome(lambda rng: init_population(cfg, rng, schema)) == expected
+    if shared:
+        # Equal but distinct space objects: a slot per gene, and still one rule drawing the same.
+        copies = dataclasses.replace(
+            cfg, gene_space=tuple(dataclasses.replace(space) for space in spaces))
+        copied = GeneSchema.from_config(copies)
+        for rules in (schema.rules, copied.rules):
+            assert all(rule is rules[0] for rule in rules)
+        assert _rule_answers(copied.rules[0]) == _rule_answers(schema.rules[0])
+        assert outcome(lambda rng: init_population(copies, rng, copied)) == expected
+
+
+def _rule_answers(rule) -> tuple:
+    """What a compiled rule holds, comparable across compiles."""
+    return (rule.space, rule.kind, *(None if a is None else a.tobytes() for a in (rule.array, rule.pool)))
 
 
 def test_unallocatable_population_raises_ga_error_naming_init_and_shape():
@@ -749,9 +761,23 @@ _FAILING_GENES = st.sampled_from([(DiscreteSet((1e300,)), GeneType.PYINT),
 @settings(max_examples=300)
 @given(pool=st.lists(st.one_of(_ANY_GENES, _FAILING_GENES), min_size=1, max_size=4),
        picks=st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=1, max_size=10),
-       rows=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+       shared=st.booleans(), rows=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+# Every gene on one space object but not one type object, and on one type but not one space.
+@example(pool=[(UNCONSTRAINED, GeneType.INT8), (UNCONSTRAINED, GeneType.FLOAT32)],
+         picks=[(0, False), (1, False), (0, False)], shared=False, rows=2, seed=0)
+@example(pool=[(DiscreteSet((0, 1)), GeneType.INT8), (DiscreteSet((2, 3)), GeneType.INT8)],
+         picks=[(0, False), (0, False), (1, False)], shared=False, rows=2, seed=0)
 def test_schema_shares_a_rule_exactly_between_equal_pairs_and_answers_as_per_gene(pool, picks,
-                                                                                 rows, seed):
+                                                                                 shared, rows,
+                                                                                 seed):
+    # Shared, every gene takes the first entry's own objects, and then each gene an equal copy.
+    layouts = [picks] if not shared else [[(0, False)] * len(picks), [(0, True)] * len(picks)]
+    answers = [_schema_answers_as_per_gene(pool, layout, rows, seed) for layout in layouts]
+    assert answers[-1] == answers[0]
+
+
+def _schema_answers_as_per_gene(pool, picks, rows, seed):
+    """Assert that the schema of the picked genes answers as each gene's own rule; its answers."""
     # A gene takes a pool entry's space itself, or an equal space that is another object.
     genes = [pool[i % len(pool)] for i, _ in picks]
     spaces = [dataclasses.replace(space) if fresh else space
@@ -762,7 +788,7 @@ def test_schema_shares_a_rule_exactly_between_equal_pairs_and_answers_as_per_gen
         schema = GeneSchema(spaces, types, INIT_RANGE)
     except (EmptySpace, NonFiniteGene) as err:
         assert (type(err), str(err)) == reference
-        return
+        return reference
     pairs = list(zip(spaces, types))
     for j, k in itertools.product(range(len(pairs)), repeat=2):
         assert (schema.rules[j] is schema.rules[k]) == (pairs[j] == pairs[k])
@@ -793,8 +819,10 @@ def test_schema_shares_a_rule_exactly_between_equal_pairs_and_answers_as_per_gen
             out = (EmptySpace, str(err))
         return out, rng.bit_generator.state
 
-    assert outcome(lambda rng: schema._sample_rows(rng, rows)) == outcome(
-        lambda rng: _reference_rows(reference, types, rng, rows))
+    sampled = outcome(lambda rng: schema._sample_rows(rng, rows))
+    assert sampled == outcome(lambda rng: _reference_rows(reference, types, rng, rows))
+    return ([_rule_answers(rule) for rule in schema.rules], [rule.kind for rule in reference],
+            [(t, cols.tolist()) for t, cols in schema._groups], segments, sampled)
 
 
 def test_onemax_compiles_one_rule_and_hashes_no_space_or_type_per_gene(monkeypatch):
@@ -824,6 +852,26 @@ def test_onemax_compiles_one_rule_and_hashes_no_space_or_type_per_gene(monkeypat
     few = compile_counting(10)
     # One rule, and the same hash counts for 10 genes and for 100: none is paid per gene.
     assert few[0] == 1 and few == compile_counting(100)
+    # Nor is any Python line: compiling runs as many for 10 genes as for 10,000.
+    assert _lines_run_compiling_onemax(10) == _lines_run_compiling_onemax(10_000)
+
+
+def _lines_run_compiling_onemax(genes: int) -> int:
+    cfg, _ = build_solve_config(parse_invocation(["solve", "--problem", "onemax",
+                                                  "--genes", str(genes)]))
+    lines = 0
+
+    def trace(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return trace
+
+    sys.settrace(trace)
+    try:
+        GeneSchema.from_config(cfg)
+    finally:
+        sys.settrace(None)
+    return lines
 
 
 def test_a_failed_sample_names_its_row_and_gene(monkeypatch):
