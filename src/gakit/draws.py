@@ -1,4 +1,4 @@
-"""numpy's RNG rebuilt bit for bit: the stage streams' seeding, mutation's and init's draws.
+"""numpy's RNG rebuilt bit for bit: the stage streams' seeding and mutation's draws.
 
 StageStreams sets one reused PCG64 generator to the state of
 np.random.default_rng([seed, g, stage]), hashing SeedSequence for a block of
@@ -7,9 +7,9 @@ generations at once in uint32 numpy arithmetic.
 A scalar draw from a numpy Generator costs a call into numpy: over 1 us for
 integers(n) and about 10 us for choice(n, k, replace=False), while the work
 behind it is a few integer operations on one 64-bit output word, or on a
-32-bit half of one. Words, and integer_rows for one array-bound call, pull
-the words in bulk with bit_generator.random_raw and rebuild from them what
-these Generator calls return and consume:
+32-bit half of one. Words pulls the words in bulk with
+bit_generator.random_raw and rebuilds from them what these Generator calls
+return and consume:
 
 - random(): the top 53 bits of a word times 2**-53; uniform(lo, hi) is
   lo + (hi - lo) * random() for a finite, non-negative hi - lo.
@@ -22,11 +22,6 @@ these Generator calls return and consume:
   Lemire shuffle of the k picks.
 - permutation(x) for len(x) <= _SHORT: Fisher-Yates on masked rejection
   (numpy's random_interval).
-- integers(0, spans, size=(rows, len(spans))) with an array of spans of
-  at most 2**32, the row sampler's draw for genes that hold their values
-  (integer_rows): a span of 1 draws nothing, any other one Lemire step on
-  a 32-bit half, the buffered half first; numpy steps them all at once
-  over one pull, with no Python step per element.
 
 numpy draws, or rejects with its own error, every other call of these
 methods from the replay's position: the unread words are rewound with
@@ -34,9 +29,7 @@ advance, and the half-word buffer is handed over and read back. Longer
 choices and permutations cost more in Python than numpy's one call; the
 other calls are ones no workload makes. numpy also draws every
 binomial(n, p), after the rewind alone: it reads whole words only and
-leaves the buffer alone. The block draw gives up, having drawn nothing,
-where a step would reject, and numpy's call draws the block; a single row
-goes to numpy's call too, since one pull's fixed cost does not pay for it.
+leaves the buffer alone.
 
 mutation_draws serves a generation of rows that each draw
 choice(length, k, replace=False), then per pick one random() and, where
@@ -461,75 +454,6 @@ class Words:
         """Generator.binomial(n, p), drawn by numpy from the replay's position."""
         self._rewind()
         return self._gen.binomial(n, p)
-
-
-def integer_rows(rng, spans: np.ndarray, rows: int) -> np.ndarray:
-    """rng.integers(0, spans, size=(rows, spans.size)) for int64 spans of at least 1.
-
-    A block of rows on PCG64 comes from one pull (pulled_integer_rows);
-    numpy's own call draws where that gives up, on any other generator, and
-    for a single row. A pull has a larger fixed cost (two state dicts read,
-    one written): on a 2-vCPU x86-64 host about 16-19 us against numpy's
-    10-11 us for one row of 40 or 100 values, while 50 rows of 100 values
-    take about 25 against 65-85 us. A population is drawn as one block once
-    per run; the row-by-row path draws one row at a time, so it keeps numpy's
-    call.
-    """
-    bits = getattr(rng, "bit_generator", None)
-    if rows > 1 and isinstance(bits, np.random.PCG64):
-        drawn = pulled_integer_rows(bits, spans, rows)
-        if drawn is not None:
-            return drawn
-    return rng.integers(0, spans, size=(rows, spans.size))
-
-
-def pulled_integer_rows(bits: np.random.PCG64, spans: np.ndarray,
-                        rows: int) -> Optional[np.ndarray]:
-    """Generator.integers(0, spans, size=(rows, spans.size)) from one random_raw pull of bits.
-
-    numpy's array-bound integers draws element by element, row by row: a
-    span of 1 draws nothing, and any other span one Lemire step on a 32-bit
-    half, read through PCG64's next_uint32, the generator's buffered half
-    first. The pull holds every half the block reads, and numpy steps Lemire
-    over all of them at once. Each half is read once, so the pull gives
-    exactly what the call gives, values and end state, unless a step would
-    reject (about span / 2**32 a step, never for a power of two) or a span
-    exceeds 2**32: then it returns None with the state unchanged. The buffer
-    is handed back as Words.close() hands it back.
-    """
-    drawing = spans > 1
-    columns = None if drawing.all() else np.flatnonzero(drawing)
-    factors = (spans if columns is None else spans[columns]).astype(np.uint64)
-    count = rows * factors.size
-    if not count:
-        return np.zeros((rows, spans.size), np.int64)
-    if factors.max() > 1 << 32:
-        return None
-    threshold = np.uint64(1 << 32) % factors  # 2**32 % span: 0 for a power of two
-    state = bits.state
-    has_half = state["has_uint32"]
-    fresh = count - has_half  # halves read from pulled words
-    words = bits.random_raw((fresh + 1) // 2).astype("<u8", copy=False)
-    halves = words.view("<u4")  # PCG64's next_uint32: low half, then high half
-    if has_half:
-        halves = np.concatenate((np.array([state["uinteger"]], np.uint32), halves))
-    products = halves[:count].reshape(rows, -1) * factors
-    if threshold.any() and ((products & np.uint64(_MASK32)) < threshold).any():
-        bits.state = state
-        return None
-    picks = (products >> np.uint64(32)).view(np.int64)
-    if columns is not None:
-        picks, drawn = np.zeros((rows, spans.size), np.int64), picks
-        picks[:, columns] = drawn
-    if fresh:
-        # An odd count leaves the last word's high half buffered; an even one
-        # has read it, and it stays behind as next_uint32 leaves a read half.
-        state = bits.state
-        state["has_uint32"], state["uinteger"] = fresh % 2, int(words[-1]) >> 32
-    else:  # the buffered half was the only one read
-        state["has_uint32"] = 0
-    bits.state = state
-    return picks
 
 
 @contextmanager

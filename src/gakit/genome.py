@@ -12,9 +12,9 @@ numpy pass per type. `coerce_gene` stays the scalar definition that the
 vectorized coercion reproduces bit for bit.
 
 The schema also compiles a row sampler: the initial population is drawn in
-whole-row draws (numpy calls, or one pull of raw words for the genes that hold
-their values) that consume the stream exactly as one scalar draw per gene, row
-by row, would, so every gene gets the value its rule's scalar sample gives.
+whole-row numpy calls that consume the stream exactly as one scalar draw per
+gene, row by row, would, so every gene gets the value its rule's scalar
+sample gives.
 Only rules that redraw (continuous ranges, lattices too large to enumerate,
 unconstrained PYINT genes) still draw one gene at a time.
 """
@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
-from . import draws
 from .errors import (DimensionMismatch, EmptySpace, GaError, InsufficientSpace, NonFiniteGene,
                      context)
 
@@ -404,10 +403,14 @@ def distinct_values_fall_short(gene_space, gene_type, n: int, init_range) -> boo
 
 
 def _integral_doubles(first: int, stop: int):
-    """The doubles in [first, stop) that are integers, ascending."""
+    """The doubles in [first, stop) that are integers, ascending.
+
+    first must not round down as a double: float(first) >= first. Every
+    caller's first is the ceiling of a double, a type's lower bound, or a
+    double coerced into a type's bounds; of these only the upper bounds
+    2**63 - 1 and 2**64 - 1 are not doubles, and both round up.
+    """
     v = float(first)
-    if v < first:
-        v = math.nextafter(v, math.inf)
     while v < stop:
         yield v
         v = max(v + 1.0, math.nextafter(v, math.inf))  # past 2**53, v + 1.0 rounds to v
@@ -476,13 +479,17 @@ def _type_groups(slot_types: Sequence[GeneType], slots: np.ndarray) -> tuple:
 def _finite_fill(table: np.ndarray, sizes: np.ndarray, offsets: np.ndarray):
     """Finite rules: the draws of integers(0, sizes) pick each gene's index into one flat table.
 
-    Gene j's values are table[offsets[j]:offsets[j] + sizes[j]]. A block of
-    rows takes its indices from one pull of raw words (draws.integer_rows).
+    Gene j's values are table[offsets[j]:offsets[j] + sizes[j]]. When every
+    gene has the same number of values the bound is that number, a Python
+    int: numpy's scalar-bound call takes the same Lemire step per element on
+    the same 32-bit halves as its array-bound one, and is faster. Genes of
+    different sizes take the array-bound call.
     """
     shift = offsets if offsets.any() else None  # a lone held rule's table is its own array
+    bound = int(sizes[0]) if (sizes == sizes[0]).all() else sizes
 
     def fill(rng, out: np.ndarray, row: int) -> None:
-        picks = draws.integer_rows(rng, sizes, len(out))
+        picks = rng.integers(0, bound, size=out.shape)
         if shift is not None:
             picks += shift
         out[...] = table[picks]
@@ -581,12 +588,11 @@ class GeneSchema:
 
     The compiled row sampler splits a row into segments of consecutive genes
     of one rule kind: held rules draw one integers(0, sizes) per segment,
-    rebuilt for a block of rows from one pull of raw words
-    (draws.integer_rows), open ones one uniform call, and redrawing rules
-    one scalar sample per gene (one that finds no value raises EmptySpace
-    naming its row and gene). numpy's vector draws consume the stream
-    exactly as the matching sequence of scalar calls does, and the pulled
-    block exactly as numpy's call, so the rows hold what rules[j].sample(rng)
+    with the one size as a scalar bound when all the segment's genes share
+    it, open ones one uniform call, and redrawing rules one scalar sample
+    per gene (one that finds no value raises EmptySpace naming its row and
+    gene). numpy's vector draws consume the stream exactly as the matching
+    sequence of scalar calls does, so the rows hold what rules[j].sample(rng)
     gives gene by gene, row by row, and leave the generator in the same
     state. Every draw of sample, admit and repair is scalar, so a run replays
     bit-identically whichever path it takes.

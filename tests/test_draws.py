@@ -6,11 +6,12 @@ sampler and mutation's draws rest on. This file is the guard on every numpy
 algorithm gakit depends on: if a numpy release changes one, it fails here.
 """
 
+import itertools
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gakit import draws
@@ -409,78 +410,50 @@ def test_stage_streams_equal_default_rng(seed, generation, stage):
 
 # --- numpy equalities the draws rest on ------------------------------------------------
 
+def _state(rng) -> dict:
+    """rng's full bit generator state, comparable with == (MT19937 keeps its key in an array)."""
+    state = rng.bit_generator.state
+    inner = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in state["state"].items()}
+    return {**state, "state": inner}
+
+
+# Spans by how a Lemire step draws on them: 1 draws nothing, a power of two
+# never rejects, 2**31 + 1 rejects about half its steps and 2**32 reads a bare
+# half; the rest reject at about span / 2**32 a step.
+_SPANS = (1, 2, 3, 7, 200, 2**20, 2**31 + 1, 2**32)
+
+
 @pytest.mark.parametrize("sizes", [[2] * 7, [1, 2, 3, 7, 2**20, 1, 100]])
 @pytest.mark.parametrize("half_word", [False, True])
 def test_vector_draws_consume_the_stream_as_scalar_draws(sizes, half_word):
     # The row sampler rests on this numpy contract; there is no fallback if a
     # numpy release breaks it.
-    for seed in range(100):
-        vector, scalar, pulled = (_prepared(seed, half_word, 0) for _ in range(3))
-        drawn = vector.integers(0, np.array(sizes), size=(4, len(sizes)))
-        assert drawn.tolist() == [[int(scalar.integers(n)) for n in sizes] for _ in range(4)]
-        assert vector.bit_generator.state == scalar.bit_generator.state
-        # ... and so does the row sampler's block, pulled in one random_raw call
-        assert draws.pulled_integer_rows(pulled.bit_generator, np.array(sizes),
-                                         4).tolist() == drawn.tolist()
-        assert pulled.bit_generator.state == vector.bit_generator.state
-        drawn = vector.uniform(-4.0, 4.0, size=(3, len(sizes)))
-        assert drawn.tolist() == [[scalar.uniform(-4.0, 4.0) for _ in sizes] for _ in range(3)]
-        assert vector.bit_generator.state == scalar.bit_generator.state
+    for bit_generator in (np.random.PCG64, np.random.MT19937):
+        def prepared(seed):
+            rng = np.random.Generator(bit_generator(seed))
+            if half_word:
+                rng.integers(2)  # on PCG64, leaves the other half of its word buffered
+            return rng
 
-
-# Spans by how a pulled block steps Lemire on them: 1 draws nothing, a power
-# of two never rejects, 2**31 + 1 rejects about half its steps and 2**32 reads
-# a bare half; the rest reject at about span / 2**32 a step.
-_SPANS = st.one_of(st.sampled_from([1, 2, 3, 200, 2**20, 2**31 + 1, 2**32 - 1, 2**32]),
-                   st.integers(1, 2**32 - 1))
-
-
-@pytest.mark.parametrize("half_word", [False, True])
-@settings(max_examples=200)
-@given(spans=st.lists(_SPANS, min_size=1, max_size=8), rows=st.integers(1, 6),
-       seed=st.integers(0, 2**32 - 1))
-@example(spans=[2, 1, 3], rows=3, seed=0)  # an even count of drawn halves
-@example(spans=[200, 1, 2**20, 3], rows=3, seed=0)  # ... and an odd one
-@example(spans=[1, 1], rows=2, seed=0)  # none
-def test_a_pulled_block_is_numpys_array_bound_call(spans, rows, seed, half_word):
-    spans = np.array(spans, np.int64)
-    direct, pulled = _prepared(seed, half_word, 0), _prepared(seed, half_word, 0)
-    expected = direct.integers(0, spans, size=(rows, spans.size))
-    entry = pulled.bit_generator.state
-    got = draws.pulled_integer_rows(pulled.bit_generator, spans, rows)
-    if got is None:  # a step would reject: nothing is drawn, and numpy's call draws the block
-        assert pulled.bit_generator.state == entry
-        got = draws.integer_rows(pulled, spans, rows)
-    assert got.dtype == np.int64 and got.tolist() == expected.tolist()
-    assert pulled.bit_generator.state == direct.bit_generator.state
-
-
-@pytest.mark.parametrize("spans", [[2**31 + 1] * 8, [2, 2**32 + 3]])
-@pytest.mark.parametrize("half_word", [False, True])
-def test_a_pulled_block_gives_up_having_drawn_nothing(spans, half_word):
-    # 64 steps on 2**31 + 1 reject somewhere; a span past 2**32 is past one half's reach.
-    spans = np.array(spans)
-    rng, direct = _prepared(7, half_word, 0), _prepared(7, half_word, 0)
-    entry = rng.bit_generator.state
-    assert draws.pulled_integer_rows(rng.bit_generator, spans, 8) is None
-    assert rng.bit_generator.state == entry
-    expected = direct.integers(0, spans, size=(8, spans.size))
-    assert draws.integer_rows(rng, spans, 8).tolist() == expected.tolist()
-    assert rng.bit_generator.state == direct.bit_generator.state
-
-
-@pytest.mark.parametrize("bit_generator, rows, pulls", [
-    (np.random.MT19937, 4, False), (np.random.PCG64, 1, False), (np.random.PCG64, 4, True),
-])
-def test_integer_rows_hand_one_row_and_other_bit_generators_to_numpy(bit_generator, rows, pulls):
-    spans = np.array([2, 3, 1, 200])
-    rng, direct = (np.random.Generator(bit_generator(5)) for _ in range(2))
-    with mock.patch.object(draws, "pulled_integer_rows",
-                           wraps=draws.pulled_integer_rows) as pulled:
-        got = draws.integer_rows(rng, spans, rows)
-    assert pulled.called == pulls
-    assert got.tolist() == direct.integers(0, spans, size=(rows, 4)).tolist()
-    assert rng.bit_generator.random_raw(4).tolist() == direct.bit_generator.random_raw(4).tolist()
+        for seed in range(100):
+            vector, scalar = prepared(seed), prepared(seed)
+            drawn = vector.integers(0, np.array(sizes), size=(4, len(sizes)))
+            assert drawn.tolist() == [[int(scalar.integers(n)) for n in sizes] for _ in range(4)]
+            assert _state(vector) == _state(scalar)
+            drawn = vector.uniform(-4.0, 4.0, size=(3, len(sizes)))
+            assert drawn.tolist() == [[scalar.uniform(-4.0, 4.0) for _ in sizes] for _ in range(3)]
+            assert _state(vector) == _state(scalar)
+        # A segment whose genes share one size draws with that size as a
+        # scalar bound: the array-bound call's draws, values and end state.
+        for n, rows, seed in itertools.product(_SPANS, range(1, 7), range(10)):
+            block, array_bound, scalar = prepared(seed), prepared(seed), prepared(seed)
+            drawn = block.integers(0, n, size=(rows, len(sizes)))
+            expected = array_bound.integers(0, np.full(len(sizes), n), size=(rows, len(sizes)))
+            assert drawn.dtype == expected.dtype == np.int64
+            assert drawn.tolist() == expected.tolist()
+            assert drawn.tolist() == [[int(scalar.integers(n)) for _ in sizes]
+                                      for _ in range(rows)]
+            assert _state(block) == _state(array_bound) == _state(scalar)
 
 
 # Both sides of numpy's choice split: without replacement it shuffles a full

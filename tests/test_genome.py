@@ -6,6 +6,7 @@ import math
 import re
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -579,12 +580,19 @@ _ANY_GENES = st.one_of(_FINITE_GENES, _UNIFORM_GENES, _REDRAW_GENES)
 _GENE_ROWS = st.one_of(*(st.lists(genes, min_size=1, max_size=8)
                          for genes in (_FINITE_GENES, _UNIFORM_GENES, _REDRAW_GENES, _ANY_GENES)))
 
+_LATTICE = ValueRange(0, 200, 1)
+_LATTICE_TYPES = (GeneType.INT32, GeneType.INT16, GeneType.UINT16, GeneType.INT64)
+
 
 @settings(max_examples=300)
 @given(genes=_GENE_ROWS, shared=st.booleans(),
        rows=st.integers(1, 6), distinct=st.booleans(), half_word=st.booleans(),
        init_range=st.sampled_from([(-4.0, 4.0), (-1000.0, 1000.0), (-1e300, 1e300)]),
        seed=st.integers(0, 2**32 - 1))
+# The lattice workload's shape: four integer types on one 200-point lattice, so
+# four held rules of one size at different offsets into the table.
+@example(genes=[(_LATTICE, t) for t in _LATTICE_TYPES] * 2, shared=False, rows=3, distinct=True,
+         half_word=True, init_range=(-4.0, 4.0), seed=0)
 def test_init_population_draws_what_the_per_gene_loop_draws(genes, shared, rows, distinct,
                                                            half_word, init_range, seed):
     if shared:  # every gene on the first gene's own space and type objects
@@ -627,6 +635,54 @@ def test_init_population_draws_what_the_per_gene_loop_draws(genes, shared, rows,
 def _rule_answers(rule) -> tuple:
     """What a compiled rule holds, comparable across compiles."""
     return (rule.space, rule.kind, *(None if a is None else a.tobytes() for a in (rule.array, rule.pool)))
+
+
+class _IntegersCalls:
+    """A PCG64 Generator that records the arguments of each integers call it passes on."""
+
+    def __init__(self, seed: int) -> None:
+        self._rng = np.random.default_rng(seed)
+        self.calls: list = []
+
+    def integers(self, *args, **kwargs):
+        self.calls.append((args, kwargs))
+        return self._rng.integers(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+_LATTICE_CFG = Path(__file__).parent.parent / "perfbench" / "lattice.cfg"
+
+
+@pytest.mark.parametrize("argv, high, size, rows", [
+    (["--problem", "onemax"], 2, (50, 100), 1),
+    (["--problem", "onemax", "--genes", "40", "--pop", "20", "--parents", "6",
+      "--config", str(_LATTICE_CFG)], 200, (1, 40), 20),  # duplicates repaired row by row
+])
+def test_held_presets_draw_init_with_one_scalar_bound_call_per_block(argv, high, size, rows):
+    # Both workloads' held genes share one size, so each block of rows is one
+    # integers call with that size as a Python int: numpy's own scalar-bound call.
+    cfg, _ = build_solve_config(parse_invocation(["solve", *argv]))
+    rng = _IntegersCalls(7)
+    pop = init_population(cfg, rng)
+    assert pop.tobytes() == init_population(cfg, np.random.default_rng(7)).tobytes()
+    blocks = [(args, kwargs) for args, kwargs in rng.calls if "size" in kwargs]
+    assert blocks == [((0, high), {"size": size})] * rows
+    assert all(type(args[1]) is int for args, _ in blocks)
+    if rows == 1:  # no repair, so no other draw
+        assert rng.calls == blocks
+
+
+def test_held_genes_of_different_sizes_draw_init_with_the_array_bound_call():
+    spaces = [DiscreteSet((0, 1)), DiscreteSet((0, 1, 2))] * 3
+    cfg = validate(GaConfig(num_generations=1, sol_per_pop=4, num_parents_mating=2, num_genes=6,
+                            gene_space=spaces, gene_type=GeneType.INT8))
+    rng = _IntegersCalls(7)
+    init_population(cfg, rng)
+    [((low, high), kwargs)] = rng.calls
+    assert low == 0 and kwargs == {"size": (4, 6)}
+    assert isinstance(high, np.ndarray) and high.tolist() == [2, 3] * 3
 
 
 def test_unallocatable_population_raises_ga_error_naming_init_and_shape():
