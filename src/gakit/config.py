@@ -3,7 +3,7 @@
 A GaConfig is plain data. `validate` checks every constraint in field
 declaration order, fills defaults, rewrites the keep_parents=-1 sentinel, and
 returns an immutable normalized copy; downstream modules only ever see
-validated configs.
+validated configs, each with its GeneSchema compiled once.
 """
 
 from __future__ import annotations
@@ -16,13 +16,15 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, EmptySpace, NonFiniteGene
 from .genome import (
     DiscreteSet,
+    GeneSchema,
     GeneSpace,
     GeneType,
     Unconstrained,
     ValueRange,
+    _per_gene,
     distinct_values_fall_short,
 )
 
@@ -110,6 +112,9 @@ class GaConfig:
     gene_type: object = GeneType.FLOAT64
     initial_population: Optional[tuple] = None
     seed: int = 0
+
+    def __getstate__(self) -> dict:  # validate's GeneSchema holds closures: a pickle drops it
+        return {k: v for k, v in self.__dict__.items() if k != "_gene_schema"}
 
 
 def _as_int(field: str, value, minimum=None, maximum=None) -> int:
@@ -253,7 +258,8 @@ def validate(raw: GaConfig) -> GaConfig:
     Raises ConfigError for the first violated constraint in field declaration
     order. Normalization rewrites keep_parents=-1 to num_parents_mating and
     canonicalizes enums, intervals, and the initial population, so validate is
-    idempotent on accepted configs.
+    idempotent on accepted configs. The gene constraints compile here, once,
+    for GeneSchema.from_config: a compile error is a ConfigError on gene_space.
     """
     num_generations = _as_int("num_generations", raw.num_generations, minimum=0)
     sol_per_pop = _as_int("sol_per_pop", raw.sol_per_pop, minimum=1)
@@ -293,11 +299,15 @@ def validate(raw: GaConfig) -> GaConfig:
     allow_duplicate_genes = bool(raw.allow_duplicate_genes)
     gene_space = _check_space("gene_space", raw.gene_space, num_genes)
     gene_type = _check_types("gene_type", raw.gene_type, num_genes)
-    drawn_range = init_range if raw.initial_population is None else None
-    if not allow_duplicate_genes and distinct_values_fall_short(gene_space, gene_type, num_genes,
-                                                                drawn_range):
+    try:
+        schema = GeneSchema(*_per_gene(gene_space, gene_type, num_genes), init_range)
+    except (EmptySpace, NonFiniteGene) as err:
+        raise ConfigError("gene_space", f"a value of its gene's type in every space ({err})",
+                          raw.gene_space) from None
+    if not allow_duplicate_genes and distinct_values_fall_short(
+            schema, raw.initial_population is None):
         # Without init's draws the shortfall is gone: it is init_range's integers.
-        from_init = not distinct_values_fall_short(gene_space, gene_type, num_genes, None)
+        from_init = not distinct_values_fall_short(schema, False)
         raise ConfigError(
             "gene_space",
             "a distinct admissible value for each gene whose space, type and init_range "
@@ -310,7 +320,7 @@ def validate(raw: GaConfig) -> GaConfig:
         raw.initial_population, sol_per_pop, num_genes
     )
     seed = _as_int("seed", raw.seed, minimum=0, maximum=2**64 - 1)
-    return dataclasses.replace(
+    cfg = dataclasses.replace(
         raw,
         num_generations=num_generations,
         sol_per_pop=sol_per_pop,
@@ -331,6 +341,8 @@ def validate(raw: GaConfig) -> GaConfig:
         initial_population=initial_population,
         seed=seed,
     )
+    object.__setattr__(cfg, "_gene_schema", schema)  # read by GeneSchema.from_config
+    return cfg
 
 
 def resolve_mutation_count(rate: RateSpec, num_genes: int, rng) -> int:

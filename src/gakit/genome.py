@@ -5,18 +5,17 @@ declared gene type; the type is enforced by coercion at creation and after
 every mutation. Populations are plain 2-D numpy arrays of shape
 (sol_per_pop, num_genes).
 
-A run compiles its gene constraints once into a GeneSchema: each discrete set
-already coerced to its gene's type, each typed step lattice enumerated, and
-the gene columns grouped by type, so a whole population is coerced with one
-numpy pass per type. `coerce_gene` stays the scalar definition that the
-vectorized coercion reproduces bit for bit.
+validate compiles a config's gene constraints once into a GeneSchema, which
+the run reuses: each discrete set coerced to its gene's type, each typed step
+lattice enumerated, and the gene columns grouped by type, so a whole
+population is coerced with one numpy pass per type. `coerce_gene` stays the
+scalar definition that the vectorized coercion reproduces bit for bit.
 
 The schema also compiles a row sampler: the initial population is drawn in
 whole-row numpy calls that consume the stream exactly as one scalar draw per
 gene, row by row, would, so every gene gets the value its rule's scalar
-sample gives.
-Only rules that redraw (continuous ranges, lattices too large to enumerate,
-unconstrained PYINT genes) still draw one gene at a time.
+sample gives. Only rules that redraw (continuous ranges, lattices too large
+to enumerate, unconstrained PYINT genes) still draw one gene at a time.
 """
 
 from __future__ import annotations
@@ -69,6 +68,9 @@ _FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 # Integers survive a round trip through a float64 only below 2**53.
 _EXACT_INT_LIMIT = 2**53
+
+# The integers each integer type holds, PYINT's as doubles.
+_WHOLE_BOUNDS = {**_INT_BOUNDS, GeneType.PYINT: (-_EXACT_INT_LIMIT, _EXACT_INT_LIMIT)}
 
 # Every double of at least this magnitude is an integer; adding 0.5 to one
 # would round to an even neighbour, so integer coercion leaves them as they are.
@@ -188,34 +190,32 @@ def _lattice_size(space: ValueRange) -> int:
 
 
 def _typed_lattice(space: ValueRange, gene_type: GeneType) -> np.ndarray:
-    """The step-lattice points that _GeneRule.contains accepts, sorted and distinct."""
-    return _typed_points(space, gene_type, _lattice_size(space))
-
-
-def _typed_points(space: ValueRange, gene_type: GeneType, count: int) -> np.ndarray:
-    """The admissible points among the first count of the lattice, sorted and distinct.
+    """The step-lattice points that _GeneRule.contains accepts, sorted and distinct.
 
     A point lo + k*step counts when rounding has left it below hi (the last
     one can round up to hi), the type can hold it (PYINT holds no integer
     beyond 2**53) and it survives coercion to the gene type unchanged.
     """
-    points = space.lo + np.arange(count) * space.step
+    points = space.lo + np.arange(_lattice_size(space)) * space.step
     points = points[points < space.hi]
     if gene_type is GeneType.PYINT:
         points = points[np.abs(points) <= _EXACT_INT_LIMIT]
     return np.unique(points[_coerce_array(points, gene_type) == points])
 
 
-def _holds_values(space: GeneSpace) -> bool:
-    """Whether a rule over space holds its admissible values.
+def _least_at_or_above(lo: float, gene_type: GeneType) -> float:
+    """The least value of gene_type at or above lo: [lo, hi) holds one iff fit keeps this.
 
-    A discrete set does, and so does a step lattice of at most
-    _LATTICE_ENUM_CAP points; any other rule draws and redraws instead.
+    An integer type's is ceil(lo) raised to its lower bound (PYINT's is
+    -2**53); FLOAT32's, the float32 nearest lo, or the next one up, which
+    stops at the largest float32 rather than overflow with a RuntimeWarning.
     """
-    return isinstance(space, DiscreteSet) or (
-        isinstance(space, ValueRange) and space.step is not None
-        and _lattice_size(space) <= _LATTICE_ENUM_CAP
-    )
+    if gene_type is GeneType.FLOAT64:
+        return lo
+    if gene_type is GeneType.FLOAT32:
+        v = _coerce_float32(lo)
+        return v if v >= lo else float(np.nextafter(np.float32(v), np.float32(_FLOAT32_MAX)))
+    return float(max(math.ceil(lo), _WHOLE_BOUNDS[gene_type][0]))
 
 
 class _GeneRule:
@@ -224,15 +224,17 @@ class _GeneRule:
     The space and the type's coercer are picked once, into one fit step:
     fit(v) coerces finite v and keeps it if contains accepts it, or gives None
     (a PYINT value beyond 2**53 is always a miss). kind says how it samples.
-    A "held" rule holds its values (see _holds_values) as float64 arrays
-    only: array in draw order (a discrete set's coerced values, repeats
-    kept), pool sorted and distinct (for an enumerated lattice, the same
-    array). It samples array at one drawn index. Any other rule samples by
-    drawing from its range and keeping the first draw fit keeps: an "open"
-    one (unconstrained, any type but PYINT) keeps every finite value, and a
+    A "held" rule, over a discrete set or a step lattice of at most
+    _LATTICE_ENUM_CAP points, holds its values as float64 arrays only:
+    array in draw order (a discrete set's coerced values, repeats kept),
+    pool sorted and distinct (for an enumerated lattice, the same array).
+    It samples array at one drawn index. Any other rule samples by drawing
+    from its range and keeping the first draw fit keeps: an "open" one
+    (unconstrained, any type but PYINT) keeps every finite value, and a
     "redraw" one raises EmptySpace after _REDRAW_BUDGET misses. admit keeps
     what fit keeps and samples otherwise; NaN and infinities raise
-    NonFiniteGene. No call dispatches on the space or the type.
+    NonFiniteGene. No call dispatches on the space or the type. A held rule
+    or a continuous range with no value of the type raises EmptySpace here.
     """
 
     __slots__ = ("space", "kind", "pool", "array", "contains", "fit", "sample", "admit")
@@ -240,7 +242,7 @@ class _GeneRule:
     def __init__(self, space: GeneSpace, gene_type: GeneType, init_range) -> None:
         self.space = space
         coerce = _COERCERS[gene_type]
-        pool = array = None
+        pool = array = least = None
         if isinstance(space, DiscreteSet):
             values = tuple(coerce_gene(v, gene_type) for v in space.values)
             array, pool = np.array(values), np.array(sorted(set(values)))
@@ -253,6 +255,7 @@ class _GeneRule:
             lo, hi = space.lo, space.hi
             contains = lambda v: lo <= v < hi
             draw = lambda rng: rng.uniform(lo, hi)
+            least = _least_at_or_above(lo, gene_type)
         else:
             lo, hi, step, size = space.lo, space.hi, space.step, _lattice_size(space)
 
@@ -265,13 +268,15 @@ class _GeneRule:
             def draw(rng) -> float:
                 return lo + int(rng.integers(size)) * step
 
-            if _holds_values(space):
+            if size <= _LATTICE_ENUM_CAP:
                 array = pool = _typed_lattice(space, gene_type)
 
         def fit(v: float) -> Optional[float]:
             v = coerce(v)
             return None if v is None or not contains(v) else v
 
+        if (array is not None and not array.size) or (least is not None and fit(least) is None):
+            raise EmptySpace(f"no value of {space!r} is representable as {gene_type.value}")
         if array is None:
             def sample(rng) -> float:
                 for _ in range(_REDRAW_BUDGET):
@@ -282,8 +287,6 @@ class _GeneRule:
                     f"no value of {space!r} representable as {gene_type.value} "
                     f"found in {_REDRAW_BUDGET} draws"
                 )
-        elif not array.size:
-            raise EmptySpace(f"no value of {space!r} is representable as {gene_type.value}")
         else:
             def sample(rng) -> float:
                 return array.item(int(rng.integers(array.size)))
@@ -340,65 +343,49 @@ def _per_gene(gene_space, gene_type, n: int) -> tuple:
     return gene_space, gene_type
 
 
-def distinct_values_fall_short(gene_space, gene_type, n: int, init_range) -> bool:
+def distinct_values_fall_short(schema: "GeneSchema", init_draws: bool) -> bool:
     """Whether the genes of few-valued rules cannot all hold pairwise-distinct values.
 
-    Takes a validated config's gene_space and gene_type, and the init_range
-    that init samples unconstrained genes from, or None when init draws
-    nothing (an initial population is given). Genes whose rules are finite
-    (discrete sets, enumerated lattices), or that are integer-typed and
-    continuous, take their values from pools: for a range, the integers in
-    [lo, hi) that the type holds; for an unconstrained gene, the integers
-    from init_range's lo to the largest double below its hi, each rounded
+    Takes a validated config's schema, whose compile has rejected every
+    rule with no value, and whether init draws the rows (no initial
+    population is given). Held rules' genes take their values from their
+    pools, and integer-typed genes from the integers the type holds: in
+    [lo, hi) for a continuous range; for an unconstrained gene, from the
+    schema's init_range lo to the largest double below its hi, each rounded
     half away from zero, clamped into the type's bounds. Unconstrained genes
-    are left out when init_range is None: repairing a given row needs only
-    a value its other genes do not hold, and those may lie outside
-    init_range. Only the integers that are doubles count: beyond 2**53 they
-    are sparse. Distinct values exist exactly when each such gene can be
-    matched to a pool value of its own (Hall's condition). A gene whose pool
-    holds at least as many values as there are such genes always finds one
-    the others left, so only genes with smaller pools are matched. A
-    continuous pool is built only as far as that many values, and a
-    lattice's first points are tried before it is built in full. A rule
-    that holds no value of its type is left for the schema or its sampling
-    to report.
+    are left out when init draws nothing: repairing a given row needs only a
+    value its other genes do not hold, and those may lie outside init_range.
+    Only integers that are doubles count: beyond 2**53 they are sparse.
+    Distinct values exist exactly when each such gene can be matched to a
+    pool value of its own (Hall's condition). A gene whose pool holds at
+    least as many values as there are such genes always finds one the others
+    left, so only genes with smaller pools are matched, and integers are
+    listed only that far.
     """
-    bounds = {**_INT_BOUNDS, GeneType.PYINT: (-_EXACT_INT_LIMIT, _EXACT_INT_LIMIT)}
-    keys = [(space, t) for space, t in zip(*_per_gene(gene_space, gene_type, n))
-            if _holds_values(space) or (t in bounds and (
-                space.step is None if isinstance(space, ValueRange) else init_range is not None))]
+    keys = [(rule, t) for rule, t in zip(schema.rules, schema.types)
+            if rule.kind == "held" or (t in _WHOLE_BOUNDS and (
+                rule.space.step is None if isinstance(rule.space, ValueRange)
+                else init_draws))]
     finite = len(keys)
     groups = []
-    try:
-        for key, genes in Counter(keys).items():
-            space, t = key
-            if isinstance(space, DiscreteSet):
-                pool = _GeneRule(space, t, None).pool  # a finite rule never draws init values
-            elif isinstance(space, Unconstrained) or space.step is None:
-                low, high = bounds[t]
-                if isinstance(space, Unconstrained):
-                    coerce = _integer_coercer(low, high)
-                    ends = (init_range[0], math.nextafter(init_range[1], -math.inf))
-                    first, last = (int(coerce(v)) for v in ends)
-                    stop = last + 1
-                else:
-                    first = max(math.ceil(space.lo), low)
-                    stop = min(math.ceil(space.hi), high + 1)
-                exact = -_EXACT_INT_LIMIT <= first and stop <= _EXACT_INT_LIMIT
-                if exact and stop - first >= finite:
-                    continue  # each of these integers is a double
-                pool = np.fromiter(itertools.islice(_integral_doubles(first, stop), finite), float)
+    for (rule, t), genes in Counter(keys).items():
+        pool = rule.pool
+        if pool is None:
+            low, high = _WHOLE_BOUNDS[t]
+            if isinstance(rule.space, Unconstrained):
+                coerce = _integer_coercer(low, high)
+                ends = (schema.init_range[0], math.nextafter(schema.init_range[1], -math.inf))
+                first, last = (int(coerce(v)) for v in ends)
+                stop = last + 1
             else:
-                count = _lattice_size(space)
-                pool = _typed_points(space, t, min(count, finite))
-                if pool.size < finite and count > finite:
-                    pool = _typed_lattice(space, t)
-            if not pool.size:
-                return False
-            if pool.size < finite:
-                groups.append((pool.tolist(), genes))
-    except (EmptySpace, NonFiniteGene):
-        return False
+                first = max(math.ceil(rule.space.lo), low)
+                stop = min(math.ceil(rule.space.hi), high + 1)
+            exact = -_EXACT_INT_LIMIT <= first and stop <= _EXACT_INT_LIMIT
+            if exact and stop - first >= finite:
+                continue  # each of these integers is a double
+            pool = np.fromiter(itertools.islice(_integral_doubles(first, stop), finite), float)
+        if pool.size < finite:
+            groups.append((pool.tolist(), genes))
     return not _matched(groups)
 
 
@@ -566,7 +553,7 @@ def _row_segments(slot_rules: Sequence[_GeneRule], slot_types: Sequence[GeneType
 
 
 class GeneSchema:
-    """Per-gene constraints of one run, compiled once from a validated config.
+    """Per-gene constraints of one config, compiled once, by validate.
 
     Holds each gene's space and type, the gene columns grouped by type, and
     rules: one entry per gene, the rule compiled once for each distinct
@@ -576,10 +563,10 @@ class GeneSchema:
     one slot, found and expanded with no Python step per gene.
     rules[j].contains(v), .fit(v), .sample(rng) and .admit(v, rng) answer
     for gene j, and .kind says how it samples; a held rule's float64 .array
-    and .pool hold its
-    coerced discrete set or enumerated typed step lattice. Compiling raises
-    EmptySpace for a set or lattice that holds no value of its gene type, or
-    NonFiniteGene for a set value it cannot hold, naming the gene.
+    and .pool hold its coerced discrete set or enumerated typed step lattice.
+    Compiling raises EmptySpace for an enumerated lattice or a continuous
+    range with no value of its gene type, or NonFiniteGene for a set value
+    it cannot hold, naming the gene; validate makes either a ConfigError.
     unconstrained[j] tells whether gene j's space is Unconstrained;
     never_misses, whether every rule is open, so that admit keeps every
     finite value as coerced and never draws; one_step_admits, whether no
@@ -647,8 +634,9 @@ class GeneSchema:
 
     @classmethod
     def from_config(cls, cfg: "GaConfig") -> "GeneSchema":
-        """Compile a validated config's gene space, gene type, and init range."""
-        return cls(*_per_gene(cfg.gene_space, cfg.gene_type, cfg.num_genes), cfg.init_range)
+        """The compile that validate kept on cfg, or, on a copy that dropped it, a new one."""
+        return getattr(cfg, "_gene_schema", None) or cls(
+            *_per_gene(cfg.gene_space, cfg.gene_type, cfg.num_genes), cfg.init_range)
 
     def coerce(self, values) -> np.ndarray:
         """coerce_gene applied to every gene of a chromosome or (rows, genes) array, as a copy."""
@@ -711,12 +699,12 @@ class GeneSchema:
         return out
 
     def _repair_row(self, values: list, rng) -> list:
-        seen = set()
+        seen, present = set(), set(values)  # a duplicate's value stays present earlier on
         for j, v in enumerate(values):
             if v in seen:
-                exclude = set(values[:j] + values[j + 1:])
                 with context(f"gene {j} ({self.types[j].value}): "):
-                    v = values[j] = self.rules[j].resample_excluding(exclude, rng)
+                    v = values[j] = self.rules[j].resample_excluding(present, rng)
+                present.add(v)
             seen.add(v)
         return values
 
@@ -742,8 +730,7 @@ def init_population(cfg: "GaConfig", rng, schema: Optional[GeneSchema] = None) -
     a failed repair names its row, and a failed sample its row and gene. The
     schema defaults to the one from cfg.
     """
-    if schema is None:
-        schema = GeneSchema.from_config(cfg)
+    schema = schema or GeneSchema.from_config(cfg)
     if cfg.initial_population is not None:
         pop = np.array(cfg.initial_population, dtype=float)
         if pop.shape != (cfg.sol_per_pop, cfg.num_genes):

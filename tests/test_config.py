@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -21,8 +22,17 @@ from gakit.config import (
     resolve_mutation_count,
     validate,
 )
-from gakit.errors import ConfigError, EmptySpace, NonFiniteGene
-from gakit.genome import UNCONSTRAINED, DiscreteSet, GeneSchema, GeneType, ValueRange
+from gakit.errors import ConfigError, NonFiniteGene
+from gakit.genome import (
+    UNCONSTRAINED,
+    DiscreteSet,
+    GeneSchema,
+    GeneType,
+    ValueRange,
+    coerce_gene,
+    init_population,
+)
+from gakit.operators import mutate
 
 
 def base_config(**overrides):
@@ -311,8 +321,8 @@ def test_distinctness_rejection_matches_the_compiled_pools(data):
     try:
         schema = GeneSchema.from_config(validate(dataclasses.replace(
             candidate, allow_duplicate_genes=True)))
-    except (EmptySpace, NonFiniteGene):
-        return
+    except ConfigError:
+        return  # a space with no value of its gene's type fails the compile
     # A gene's candidates are its rule's pool; on an integer-typed range, the
     # doubles of the integers around [lo, hi) that its rule's fit keeps unchanged;
     # unconstrained and integer-typed, what its fit makes of a fine grid over
@@ -330,8 +340,7 @@ def test_distinctness_rejection_matches_the_compiled_pools(data):
             lo, hi = init_range
             grid = [*np.arange(lo, hi, 1 / 64), math.nextafter(hi, -math.inf)]
             pools.append(sorted({rule.fit(v) for v in grid} - {None}))
-    if not all(pools):
-        return  # a range that holds no value of its type fails when it samples
+    assert all(pools)  # the compile rejected every range that holds no value of its type
     # Brute force: no choice of one candidate per such gene is pairwise distinct.
     short = all(len(set(values)) < len(values) for values in itertools.product(*pools))
     try:
@@ -340,6 +349,84 @@ def test_distinctness_rejection_matches_the_compiled_pools(data):
         assert short and err.field == "gene_space"
     else:
         assert not short
+
+
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+# Continuous ranges at the edges of int8 and float32: each holds one value of
+# the type near an edge, or none.
+_EDGE_RANGES = st.sampled_from([
+    ValueRange(126.5, 127.5), ValueRange(127.5, 130.0), ValueRange(-128.5, -127.5),
+    ValueRange(-130.0, -128.5), ValueRange(-1.0, -0.5), ValueRange(300.0, 400.0),
+    ValueRange(_FLOAT32_MAX, 1e39), ValueRange(1e39, 1e40), ValueRange(-1e39, -_FLOAT32_MAX),
+    ValueRange(-1e39, -3e38), ValueRange(16777216.0, 16777217.0),
+    ValueRange(16777217.0, 16777218.0), ValueRange(1e9 + 1, 1e9 + 2), ValueRange(1e9, 1e9 + 100),
+])
+
+# Every integer type's bounds, and the float32 and PYINT limits.
+_TYPE_EDGES = [float(edge) for t in GeneType if t.value not in ("float32", "float64", "int")
+               for edge in (np.iinfo(t.value).min, np.iinfo(t.value).max)]
+_TYPE_EDGES += [_FLOAT32_MAX, -_FLOAT32_MAX, 2.0**53, -(2.0**53)]
+
+
+def _holds_a_typed_value(space, gene_type) -> bool:
+    """Whether a bounded brute force finds a value of gene_type that space admits.
+
+    Tries the lattice points, or, for a continuous range: lo, a grid over the
+    range, the 2048 integers from floor(lo), the float32s around lo, and the
+    types' edges. That finds a value in every space drawn here that holds
+    one. Unconstrained genes hold the integers of the small init ranges
+    drawn here; a set's small values are held by every type.
+    """
+    if not isinstance(space, ValueRange):
+        return True
+    lo, hi = space.lo, space.hi
+    if space.step is not None:
+        points = [lo + k * space.step for k in range(math.ceil((hi - lo) / space.step))]
+        candidates = [v for v in points if v < hi]
+    else:
+        start = math.floor(lo)
+        with np.errstate(over="ignore"):
+            near = np.float32(min(max(lo, -_FLOAT32_MAX), _FLOAT32_MAX))
+            for _ in range(2):
+                near = np.nextafter(near, np.float32(-_FLOAT32_MAX))
+            float32s = [near]
+            for _ in range(64):
+                float32s.append(np.nextafter(float32s[-1], np.float32(_FLOAT32_MAX)))
+        candidates = [lo, *np.linspace(lo, hi, 65)[:-1].tolist(),
+                      *map(float, range(start, start + 2048)), *map(float, float32s),
+                      *_TYPE_EDGES]
+
+    def typed(v):
+        try:
+            return coerce_gene(v, gene_type)
+        except NonFiniteGene:
+            return None
+
+    return any(lo <= v < hi and typed(v) == v for v in candidates)
+
+
+@given(genes=st.lists(st.tuples(st.one_of(_SMALL_SPACES, _EDGE_RANGES),
+                                st.sampled_from(list(GeneType))), min_size=1, max_size=3),
+       init_range=st.sampled_from([(-4.0, 4.0), (0.0, 1.0), (0.5, 2.5), (250.0, 252.0)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_validate_accepts_exactly_the_spaces_that_hold_a_value_of_their_type(genes, init_range,
+                                                                              seed):
+    spaces, types = zip(*genes)
+    candidate = base_config(num_genes=len(genes), sol_per_pop=4, num_parents_mating=2,
+                            crossover=None, mutation=MutationKind.RANDOM, gene_space=spaces,
+                            gene_type=types, init_range=init_range, seed=seed)
+    holds = all(_holds_a_typed_value(space, gene_type) for space, gene_type in genes)
+    try:
+        cfg = validate(candidate)
+    except ConfigError as err:
+        assert not holds and err.field == "gene_space"
+        return
+    assert holds
+    # Neither init nor a mutation finds a space empty: EmptySpace would fail the test.
+    rng = np.random.default_rng(seed)
+    population = init_population(cfg, rng)
+    mutate(population, cfg, rng, schema=GeneSchema.from_config(cfg))
 
 
 def _random_candidate(rng):
@@ -398,6 +485,15 @@ def test_accepted_configs_satisfy_invariants():
             assert 1 <= cfg.tournament_k <= cfg.sol_per_pop
         if cfg.mutation is MutationKind.ADAPTIVE:
             assert isinstance(cfg.mutation_rate, AdaptivePair)
+
+
+def test_a_validated_config_pickles_and_its_copy_compiles_anew():
+    cfg = validate(base_config(gene_space=DiscreteSet((0, 1, 2)), gene_type=GeneType.INT8))
+    copy = pickle.loads(pickle.dumps(cfg))
+    assert copy == cfg
+    schema, copied = GeneSchema.from_config(cfg), GeneSchema.from_config(copy)
+    assert copied is not schema and copied.rules[0].pool.tolist() == [0.0, 1.0, 2.0]
+    assert GeneSchema.from_config(cfg) is schema  # the original keeps its compile
 
 
 def test_immutable_after_validation():

@@ -8,7 +8,10 @@ its hooks see, so a cut to the public surface must keep those. Only
 draws.py touches numpy's bit generators, so a numpy release that changes
 their algorithms can break only that module. Only
 errors.py re-raises a caught error with context added to its message
-(errors.context), so where an error came from is decided in one place.
+(errors.context), so where an error came from is decided in one place. Only
+GeneSchema compiles gene rules, and validate reads that compile rather than
+deriving a gene's values itself, so "which values can gene j hold?" has one
+answer.
 """
 
 import ast
@@ -68,6 +71,34 @@ def test_only_draws_touches_numpy_bit_generators():
         for name in _identifiers(path) if name in BIT_GENERATOR_NAMES
     }
     assert not touching
+
+
+# genome's helpers that derive a gene's admissible values, and the owners of
+# three: only GeneSchema compiles a rule, and only a rule enumerates its
+# lattice or finds its least typed value.
+POOL_HELPERS = {"_GeneRule", "_typed_lattice", "_least_at_or_above", "_lattice_size",
+                "_integral_doubles", "_integer_coercer"}
+OWNERS = {"_GeneRule": "GeneSchema", "_typed_lattice": "_GeneRule",
+          "_least_at_or_above": "_GeneRule"}
+
+
+def _calls_by_owner(path: Path):
+    """(outermost class or function, name) for every call of a plain name in path."""
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                yield getattr(top, "name", None), node.func.id
+
+
+def test_only_the_schema_compiles_gene_rules_and_config_derives_no_values():
+    genome = ROOT / "src" / "gakit" / "genome.py"
+    calls = {(owner, name) for owner, name in _calls_by_owner(genome) if name in OWNERS}
+    assert calls == {(owner, name) for name, owner in OWNERS.items()}
+    # validate compiles a GeneSchema and asks it; no module but genome derives values.
+    assert "GeneSchema" in set(_identifiers(ROOT / "src" / "gakit" / "config.py"))
+    outside = {(path.name, name) for path in SOURCES if path.name != "genome.py"
+               for name in _identifiers(path) if name in POOL_HELPERS}
+    assert not outside
 
 
 def _prefixed_reraises(tree: ast.AST):

@@ -965,10 +965,11 @@ def test_non_finite_gene_from_a_hook_names_generation_and_settle():
         run(demo_config(), sum_fitness, LifecycleHooks(on_mutation=write_nan))
 
 
-# int8 holds no value in [0.2, 0.4], so every draw of the range misses.
-_NO_INT8 = dict(gene_space=ValueRange(0.2, 0.4), gene_type=GeneType.INT8)
-_NO_INT8_FOUND = ("no value of ValueRange(lo=0.2, hi=0.4, step=None) representable as int8 "
-                  "found in 100 draws")
+# A lattice too large to enumerate, with no integer point: validate accepts it,
+# and every draw misses for int8.
+_NO_INT8 = dict(gene_space=ValueRange(0.25, 2097152.25, 0.5), gene_type=GeneType.INT8)
+_NO_INT8_FOUND = ("no value of ValueRange(lo=0.25, hi=2097152.25, step=0.5) representable as "
+                  "int8 found in 100 draws")
 
 
 @pytest.mark.parametrize("duplicates", [True, False])
@@ -1031,11 +1032,11 @@ def test_memory_error_after_init_is_a_ga_error_naming_generation_and_stage(
     assert type(err.value) is GaError and err.value.__cause__ is error
 
 
-def test_set_value_past_its_type_names_init_and_gene():
-    # validate leaves a set its gene type cannot hold for the schema to report.
-    cfg = demo_config(num_genes=2, gene_space=[UNCONSTRAINED, DiscreteSet((1e300, 1, 2))],
-                      gene_type=GeneType.PYINT, allow_duplicate_genes=False)
-    message = ("init gene 1 (int): gene value 1e+300 exceeds the exact double-precision "
-               "integer range")
-    with pytest.raises(NonFiniteGene, match=f"^{re.escape(message)}$"):
-        run(cfg, sum_fitness)
+def test_set_value_past_its_type_is_a_config_error_naming_gene_space_and_gene():
+    # validate compiles the schema, so a set its gene type cannot hold never reaches a run.
+    message = ("a value of its gene's type in every space (gene 1 (int): gene value 1e+300 "
+               "exceeds the exact double-precision integer range)")
+    with pytest.raises(ConfigError) as err:
+        demo_config(num_genes=2, gene_space=[UNCONSTRAINED, DiscreteSet((1e300, 1, 2))],
+                    gene_type=GeneType.PYINT, allow_duplicate_genes=False)
+    assert (err.value.field, err.value.constraint) == ("gene_space", message)

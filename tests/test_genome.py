@@ -278,10 +278,51 @@ def test_typed_range_draws_only_admissible_values(space, gene_type):
 
 
 def test_typed_range_without_admissible_value_raises():
-    # [0.2, 0.4) holds no int8: every coerced draw is 0.0.
-    schema = _schema(ValueRange(0.2, 0.4), GeneType.INT8)
-    with pytest.raises(EmptySpace):
-        schema.rules[0].sample(np.random.default_rng(0))
+    # [0.2, 0.4) holds no int8, which compiling the schema finds before any draw.
+    message = ("gene 0 (int8): no value of ValueRange(lo=0.2, hi=0.4, step=None) is "
+               "representable as int8")
+    with pytest.raises(EmptySpace, match=f"^{re.escape(message)}$"):
+        _schema(ValueRange(0.2, 0.4), GeneType.INT8)
+
+
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
+# Each range's least value of its type, or None when the type holds none in it.
+@pytest.mark.parametrize("lo, hi, gene_type, least", [
+    (126.5, 127.5, GeneType.INT8, 127.0),
+    (127.5, 300.0, GeneType.INT8, None),  # 128 and up clamp to 127, below lo
+    (-128.5, -127.5, GeneType.INT8, -128.0),
+    (-200.0, -128.5, GeneType.INT8, None),  # -129 and down clamp to -128, at or above hi
+    (-1.0, 0.0, GeneType.UINT8, None),  # 0 is hi
+    (-1.0, 0.5, GeneType.UINT8, 0.0),
+    (0.2, 0.4, GeneType.UINT64, None),
+    (2.0**53, 1e300, GeneType.PYINT, 2.0**53),  # nonempty, though a draw almost never keeps
+    (2.0**53 + 2, 1e300, GeneType.PYINT, None),
+    (-1e300, -(2.0**53), GeneType.PYINT, None),  # -2**53 is hi
+    (-1e300, 1e300, GeneType.PYINT, -(2.0**53)),
+    (16777217.0, 16777218.0, GeneType.FLOAT32, None),  # float32 holds 2**24 and 2**24 + 2
+    (16777216.0, 16777217.0, GeneType.FLOAT32, 16777216.0),
+    (16777215.5, 16777216.0, GeneType.FLOAT32, None),
+    (1e9 + 1, 1e9 + 64, GeneType.FLOAT32, None),  # float32 holds 1e9 and 1e9 + 64
+    (1e9 + 1, 1e9 + 64.5, GeneType.FLOAT32, 1e9 + 64),
+    (_FLOAT32_MAX, 1e39, GeneType.FLOAT32, _FLOAT32_MAX),
+    (1e39, 1e40, GeneType.FLOAT32, None),  # no step may overflow to inf
+    (-1e40, -1e39, GeneType.FLOAT32, None),
+    (-1e40, -_FLOAT32_MAX, GeneType.FLOAT32, None),
+    (-1e40, 0.0, GeneType.FLOAT32, -_FLOAT32_MAX),
+    (0.2, 0.2000000000000001, GeneType.FLOAT64, 0.2),
+])
+def test_a_continuous_range_compiles_exactly_when_it_holds_a_value_of_its_type(lo, hi, gene_type,
+                                                                              least):
+    space = ValueRange(lo, hi)
+    if least is None:
+        message = f"gene 0 ({gene_type.value}): no value of {space!r} is representable as "
+        with pytest.raises(EmptySpace, match=f"^{re.escape(message)}"):
+            _schema(space, gene_type)
+    else:
+        rule = _schema(space, gene_type).rules[0]
+        assert rule.fit(least) == least and genome._least_at_or_above(lo, gene_type) == least
 
 
 @pytest.mark.parametrize("space", [
@@ -807,8 +848,8 @@ def _reference_rows(rules, types, rng, rows: int) -> np.ndarray:
     return out
 
 
-# Pairs whose compile fails (a set value past int's exact range, a lattice with
-# no int32 point), or whose sampling does (int8 holds no value of [0.2, 0.4)).
+# Pairs whose compile fails: a set value past int's exact range, a lattice with
+# no int32 point, a range with no int8 value.
 _FAILING_GENES = st.sampled_from([(DiscreteSet((1e300,)), GeneType.PYINT),
                                   (ValueRange(0.5, 3, 1), GeneType.INT32),
                                   (ValueRange(0.2, 0.4), GeneType.INT8)])
@@ -881,6 +922,25 @@ def _schema_answers_as_per_gene(pool, picks, rows, seed):
             [(t, cols.tolist()) for t, cols in schema._groups], segments, sampled)
 
 
+def test_a_validated_config_is_compiled_once_and_a_replaced_copy_again(monkeypatch):
+    built = []
+    compile_rule = genome._GeneRule
+    monkeypatch.setattr(genome, "_GeneRule",
+                        lambda *args: built.append(args) or compile_rule(*args))
+    spaces = [DiscreteSet((0, 1, 2, 3)), ValueRange(0, 10), UNCONSTRAINED, ValueRange(0, 10, 1)]
+    cfg = validate(GaConfig(num_generations=3, sol_per_pop=6, num_parents_mating=2,
+                            num_genes=4, gene_space=spaces, gene_type=GeneType.INT8,
+                            allow_duplicate_genes=False))
+    assert len(built) == 4
+    schema = GeneSchema.from_config(cfg)
+    init_population(cfg, np.random.default_rng(0))
+    run(cfg, lambda solution, idx: float(np.sum(solution)))
+    assert len(built) == 4 and GeneSchema.from_config(cfg) is schema
+    # dataclasses.replace drops the compile: the copy's fields may differ, so it compiles anew.
+    copy = dataclasses.replace(cfg, init_range=(-2.0, 2.0))
+    assert GeneSchema.from_config(copy).init_range == (-2.0, 2.0) and len(built) == 8
+
+
 def test_onemax_compiles_one_rule_and_hashes_no_space_or_type_per_gene(monkeypatch):
     built, hashes = [], Counter()
     compile_rule = genome._GeneRule
@@ -891,14 +951,17 @@ def test_onemax_compiles_one_rule_and_hashes_no_space_or_type_per_gene(monkeypat
         return compile_rule(*args)
 
     def compile_counting(genes: int) -> tuple:
-        cfg, _ = build_solve_config(parse_invocation(["solve", "--problem", "onemax",
-                                                      "--genes", str(genes)]))
+        # validate compiles the schema; from_config hands that compile back.
         built.clear()
         hashes.clear()
+        cfg, _ = build_solve_config(parse_invocation(["solve", "--problem", "onemax",
+                                                      "--genes", str(genes)]))
+        counts = len(built), dict(hashes)
         schema = GeneSchema.from_config(cfg)
+        assert len(built) == counts[0]
         assert len(schema.rules) == genes
         assert all(rule is schema.rules[0] for rule in schema.rules)
-        return len(built), dict(hashes)
+        return counts
 
     monkeypatch.setattr(genome, "_GeneRule", counting)
     monkeypatch.setattr(DiscreteSet, "__hash__",
@@ -922,9 +985,10 @@ def _lines_run_compiling_onemax(genes: int) -> int:
         lines += event == "line"
         return trace
 
+    copy = dataclasses.replace(cfg)  # a copy drops validate's compile, so it compiles again
     sys.settrace(trace)
     try:
-        GeneSchema.from_config(cfg)
+        GeneSchema.from_config(copy)
     finally:
         sys.settrace(None)
     return lines
